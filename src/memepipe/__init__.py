@@ -11,13 +11,13 @@ from .clustering import (ClusterAssignment, CorpusStats, cluster_images,
                          cluster_texts, corpus_stats, normalize_text)
 from .dataset import (DatasetComposition, GeneratorNoise, MemeRecord,
                       read_manifest, read_pgm, write_manifest, write_pgm)
-from .ensemble import (KFoldPlan, StackedPrediction, kfold, read_predictions,
-                       stack_equal_weight, write_predictions)
+from .ensemble import (StackedPrediction, read_predictions, stack_equal_weight,
+                       write_predictions)
 from .errors import (ConfigError, DataFormatError, ManifestError,
                      PredictionFormatError, StageError)
 from .generator import GeneratedDataset, generate_dataset, image_hashes
 from .metrics import EvaluationReport, accuracy, auroc, evaluate, roc_curve
-from .phash import HammingIndex, hamming, phash
+from .phash import hamming, phash
 from .rules import (PredictionSet, PseudoLabelSet, apply_rule1, apply_rule2,
                     apply_unimodal_signatures, merge_pseudo_labels,
                     rule1_pseudo_labels)
@@ -31,13 +31,13 @@ __all__ = [
     "corpus_stats", "normalize_text",
     "DatasetComposition", "GeneratorNoise", "MemeRecord", "read_manifest",
     "read_pgm", "write_manifest", "write_pgm",
-    "KFoldPlan", "StackedPrediction", "kfold", "read_predictions",
-    "stack_equal_weight", "write_predictions",
+    "StackedPrediction", "read_predictions", "stack_equal_weight",
+    "write_predictions",
     "ConfigError", "DataFormatError", "ManifestError",
     "PredictionFormatError", "StageError",
     "GeneratedDataset", "generate_dataset", "image_hashes",
     "EvaluationReport", "accuracy", "auroc", "evaluate", "roc_curve",
-    "HammingIndex", "hamming", "phash",
+    "hamming", "phash",
     "PredictionSet", "PseudoLabelSet", "apply_rule1", "apply_rule2",
     "apply_unimodal_signatures", "merge_pseudo_labels", "rule1_pseudo_labels",
     "SimulatorConfig", "simulate_predictions",

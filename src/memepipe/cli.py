@@ -12,14 +12,14 @@ import sys
 from . import __version__
 from .clustering import (ClusterAssignment, cluster_images, cluster_texts,
                          corpus_stats, read_clusters, write_clusters)
-from .dataset import (DatasetComposition, GeneratorNoise, read_manifest,
-                      read_pgm, write_manifest)
-from .ensemble import (kfold, read_predictions, read_submission,
-                       stack_equal_weight, write_predictions)
+from .dataset import (DatasetComposition, GeneratorNoise, read_images,
+                      read_manifest, write_manifest)
+from .ensemble import (read_predictions, read_submission, stack_equal_weight,
+                       write_predictions, write_submission)
 from .errors import ConfigError, DataFormatError, StageError
 from .generator import generate_dataset, image_hashes, write_images
 from .metrics import evaluate
-from .phash import phash, read_hashes, write_hashes
+from .phash import read_hashes, write_hashes
 from .pipeline import build_config, load_config_file, run_pipeline
 from .rules import (apply_rule1, apply_rule2, apply_unimodal_signatures,
                     read_pseudo_labels, rule1_pseudo_labels,
@@ -49,14 +49,9 @@ def cmd_gen_data(args):
     return 0
 
 
-def _load_images(manifest_path, records):
-    root = os.path.dirname(os.path.abspath(manifest_path))
-    return {rec.id: read_pgm(os.path.join(root, rec.img)) for rec in records}
-
-
 def cmd_hash(args):
     records = read_manifest(args.manifest)
-    images = _load_images(args.manifest, records)
+    images = read_images(args.manifest, records)
     entries = image_hashes(images)
     write_hashes(entries, args.out)
     _say(args, f"hashed {len(entries)} images -> {args.out}")
@@ -153,22 +148,10 @@ def cmd_simulate(args):
     return 0
 
 
-def cmd_kfold(args):
-    plan = kfold(args.n, args.k, args.seed)
-    for i, (train, val) in enumerate(plan.folds):
-        print(f"fold {i} | val {','.join(map(str, val))} "
-              f"| train {','.join(map(str, train))}")
-    return 0
-
-
 def cmd_stack(args):
     sets = [read_predictions(path) for path in args.preds]
     stacked = stack_equal_weight(sets)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("id,proba,label\n")
-        for meme_id in sorted(stacked.mean_score):
-            fh.write(f"{meme_id},{stacked.mean_score[meme_id]:.9f},"
-                     f"{stacked.label[meme_id]}\n")
+    write_submission(stacked, args.out)
     _say(args, f"stacked {len(sets)} sets -> {args.out}")
     return 0
 
@@ -294,12 +277,6 @@ def build_parser():
     p.add_argument("--noise-correlation", type=float, default=0.9)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("kfold", help="print a k-fold plan")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(fn=cmd_kfold)
 
     p = sub.add_parser("stack", help="equal-weight average of prediction files")
     p.add_argument("--preds", nargs="+", required=True)

@@ -9,8 +9,12 @@ depend on input order.
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DataFormatError
-from .phash import HASH_BITS, HammingIndex
+from .phash import HASH_BITS
+
+_BLOCK_ELEMS = 1 << 17
 
 
 def normalize_text(s):
@@ -18,34 +22,24 @@ def normalize_text(s):
     return " ".join(s.lower().split())
 
 
-class UnionFind:
-    """Disjoint sets over arbitrary hashable keys (path compression + size)."""
+def _components(lab, a, b):
+    """Add the undirected edges a[k]-b[k] to a component labelling.
 
-    def __init__(self):
-        self.parent = {}
-        self.size = {}
-
-    def find(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
-            self.size[x] = 1
-            return x
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return ra
+    lab labels every node with the smallest node index in its component
+    (np.arange(n) before any edge); the result does the same with the edges
+    added.  Each round hooks the root of every edge end onto the other end's
+    label, then halves every path by pointer jumping, until a round changes
+    nothing.
+    """
+    src = np.concatenate([a, b])
+    dst = np.concatenate([b, a])
+    while True:
+        new = lab.copy()
+        np.minimum.at(new, lab[src], lab[dst])
+        new = new[new]
+        if np.array_equal(new, lab):
+            return new
+        lab = new
 
 
 def cluster_images(hashes, threshold):
@@ -57,14 +51,19 @@ def cluster_images(hashes, threshold):
     """
     if not 0 <= threshold <= HASH_BITS:
         raise ValueError(f"threshold must be in [0, {HASH_BITS}], got {threshold}")
-    entries = list(hashes)
-    index = HammingIndex(entries)
-    uf = UnionFind()
-    for meme_id, h in entries:
-        uf.find(meme_id)
-        for other_id, _ in index.query(h, threshold):
-            uf.union(meme_id, other_id)
-    return _min_id_labels(uf, [meme_id for meme_id, _ in entries])
+    entries = sorted(hashes)
+    ids = [meme_id for meme_id, _ in entries]
+    h = np.array([x for _, x in entries], dtype=np.uint64)
+    # all pairs i < j, in row blocks that keep the XOR matrix near 1 MB;
+    # each block's pairs are merged at once, so memory does not grow with
+    # the number of pairs
+    rows = max(1, _BLOCK_ELEMS // max(len(h), 1))
+    lab = np.arange(len(h))
+    for lo in range(0, len(h), rows):
+        i, j = np.nonzero(np.bitwise_count(h[lo:lo + rows, None] ^ h[lo:]) <= threshold)
+        keep = i < j
+        lab = _components(lab, lo + i[keep], lo + j[keep])
+    return {meme_id: ids[root] for meme_id, root in zip(ids, lab.tolist())}
 
 
 def cluster_texts(memes):
@@ -78,16 +77,6 @@ def cluster_texts(memes):
         for meme_id in ids:
             labels[meme_id] = label
     return labels
-
-
-def _min_id_labels(uf, ids):
-    root_min = {}
-    for meme_id in ids:
-        root = uf.find(meme_id)
-        prev = root_min.get(root)
-        if prev is None or meme_id < prev:
-            root_min[root] = meme_id
-    return {meme_id: root_min[uf.find(meme_id)] for meme_id in ids}
 
 
 @dataclass

@@ -6,6 +6,7 @@ PGM (P5) files with maxval 255.
 """
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,3 +186,9 @@ def read_pgm(path):
     if len(raw) != width * height:
         raise DataFormatError(f"{path}: truncated pixel data")
     return np.frombuffer(raw, dtype=np.uint8).reshape(height, width)
+
+
+def read_images(manifest_path, records):
+    """Map meme id -> pixels, reading each record's image relative to the manifest."""
+    root = os.path.dirname(os.path.abspath(manifest_path))
+    return {rec.id: read_pgm(os.path.join(root, rec.img)) for rec in records}

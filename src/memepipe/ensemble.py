@@ -1,4 +1,4 @@
-"""K-fold planning, equal-weight stacking, and prediction file IO.
+"""Equal-weight stacking and prediction file IO.
 
 Prediction files are CSV with header `id,proba`; submissions add a `label`
 column.  Probabilities are written with nine decimal places so a round trip
@@ -9,39 +9,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .errors import PredictionFormatError
 from .rules import PredictionSet
-
-
-@dataclass
-class KFoldPlan:
-    k: int
-    folds: list  # list of (train_indices, val_indices)
-
-
-def kfold(n, k, shuffle_seed=None):
-    """Split indices 0..n-1 into k validation folds.
-
-    Folds are consecutive ranges (the first n % k folds get the extra
-    element) unless a shuffle seed permutes the order first.  Every index
-    appears in exactly one validation fold.
-    """
-    if not 2 <= k <= n:
-        raise ValueError(f"need 2 <= k <= n, got k={k} n={n}")
-    order = list(range(n))
-    if shuffle_seed is not None:
-        order = np.random.default_rng(shuffle_seed).permutation(n).tolist()
-    sizes = [n // k + (1 if i < n % k else 0) for i in range(k)]
-    folds = []
-    start = 0
-    for size in sizes:
-        val = order[start:start + size]
-        train = order[:start] + order[start + size:]
-        folds.append((train, val))
-        start += size
-    return KFoldPlan(k, folds)
 
 
 @dataclass

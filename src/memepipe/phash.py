@@ -1,4 +1,4 @@
-"""Perceptual hashing and exact Hamming-radius search.
+"""Perceptual hashing and hash file IO.
 
 The hash pipeline: grayscale -> 32x32 area resize -> orthonormal 2-D DCT-II
 -> top-left 8x8 block -> sign code of the 63 AC coefficients against their
@@ -141,66 +141,3 @@ def read_hashes(path):
             seen.add(meme_id)
             entries.append((meme_id, h))
     return entries
-
-
-class _Node:
-    __slots__ = ("hash", "ids", "children")
-
-    def __init__(self, h, meme_id):
-        self.hash = h
-        self.ids = [meme_id]
-        self.children = {}
-
-
-class HammingIndex:
-    """BK-tree over 64-bit hashes for exact radius queries.
-
-    Results always equal a linear scan; the tree only prunes subtrees that
-    the triangle inequality rules out.
-    """
-
-    def __init__(self, entries=None):
-        self._root = None
-        self._size = 0
-        if entries is not None:
-            for meme_id, h in entries:
-                self.add(meme_id, h)
-
-    def __len__(self):
-        return self._size
-
-    def add(self, meme_id, h):
-        self._size += 1
-        if self._root is None:
-            self._root = _Node(h, meme_id)
-            return
-        node = self._root
-        while True:
-            d = hamming(h, node.hash)
-            if d == 0:
-                node.ids.append(meme_id)
-                return
-            child = node.children.get(d)
-            if child is None:
-                node.children[d] = _Node(h, meme_id)
-                return
-            node = child
-
-    def query(self, h, radius):
-        """All (meme_id, distance) with distance <= radius, sorted by (distance, id)."""
-        if not 0 <= radius <= HASH_BITS:
-            raise ValueError(f"radius must be in [0, {HASH_BITS}], got {radius}")
-        out = []
-        if self._root is None:
-            return out
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            d = hamming(h, node.hash)
-            if d <= radius:
-                out.extend((i, d) for i in node.ids)
-            for dist, child in node.children.items():
-                if d - radius <= dist <= d + radius:
-                    stack.append(child)
-        out.sort(key=lambda pair: (pair[1], pair[0]))
-        return out

@@ -15,14 +15,14 @@ from dataclasses import dataclass, field
 
 from .clustering import (ClusterAssignment, cluster_images, cluster_texts,
                          corpus_stats, write_clusters)
-from .dataset import (DatasetComposition, GeneratorNoise, read_manifest,
-                      read_pgm, write_manifest)
+from .dataset import (DatasetComposition, GeneratorNoise, read_images,
+                      read_manifest, write_manifest)
 from .ensemble import (StackedPrediction, stack_equal_weight,
                        write_predictions, write_submission)
 from .errors import ConfigError, DataFormatError, StageError
 from .generator import generate_dataset, image_hashes, write_images
 from .metrics import evaluate
-from .phash import hash_to_hex, phash
+from .phash import write_hashes
 from .rules import (PredictionSet, PseudoLabelSet, apply_rule1, apply_rule2,
                     apply_unimodal_signatures, merge_pseudo_labels,
                     rule1_pseudo_labels, write_pseudo_labels)
@@ -199,16 +199,12 @@ def run_pipeline(cfg):
     else:
         def ingest():
             recs = read_manifest(cfg.manifest)
-            root = os.path.dirname(os.path.abspath(cfg.manifest))
-            imgs = {rec.id: read_pgm(os.path.join(root, rec.img)) for rec in recs}
-            return recs, imgs
+            return recs, read_images(cfg.manifest, recs)
         records, images = _stage("ingest", ingest, quiet)
 
     def hash_stage():
         hashes = image_hashes(images)
-        with open(path_of("hashes.csv"), "w", encoding="utf-8") as fh:
-            for meme_id, h in hashes:
-                fh.write(f"{meme_id},{hash_to_hex(h)}\n")
+        write_hashes(hashes, path_of("hashes.csv"))
         record_artifact("hashes.csv")
         return hashes
     hashes = _stage("hash", hash_stage, quiet)

@@ -18,7 +18,9 @@ at least two labeled members, all hateful.
 import json
 from dataclasses import dataclass
 
-from .clustering import UnionFind
+import numpy as np
+
+from .clustering import _components
 from .errors import DataFormatError
 
 
@@ -103,20 +105,17 @@ def detect_tuples(memes, assignment):
     for meme_id in ids:
         if meme_id not in assignment.image or meme_id not in assignment.text:
             raise ValueError(f"meme {meme_id} has no cluster assignment")
-    by_img = {}
-    by_txt = {}
-    for meme_id in ids:
-        by_img.setdefault(assignment.image[meme_id], []).append(meme_id)
-        by_txt.setdefault(assignment.text[meme_id], []).append(meme_id)
-    uf = UnionFind()
-    for meme_id in ids:
-        uf.find(meme_id)
-    for cluster in list(by_img.values()) + list(by_txt.values()):
-        for other in cluster[1:]:
-            uf.union(cluster[0], other)
+    # link each meme to the first subset member of its image and text cluster
+    firsts = []
+    for clusters in (assignment.image, assignment.text):
+        _, first, which = np.unique([clusters[i] for i in ids],
+                                    return_index=True, return_inverse=True)
+        firsts.append(first[which])
+    node = np.arange(len(ids))
+    lab = _components(node, np.concatenate([node, node]), np.concatenate(firsts))
     components = {}
-    for meme_id in ids:
-        components.setdefault(uf.find(meme_id), []).append(meme_id)
+    for meme_id, root in zip(ids, lab.tolist()):
+        components.setdefault(root, []).append(meme_id)
     out = []
     for members in components.values():
         if len(members) < 2:

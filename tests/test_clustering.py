@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from memepipe.clustering import (ClusterAssignment, UnionFind, cluster_images,
+from memepipe import clustering
+from memepipe.clustering import (ClusterAssignment, cluster_images,
                                  cluster_texts, corpus_stats, normalize_text,
                                  read_clusters, write_clusters)
 from memepipe.dataset import MemeRecord
@@ -55,18 +56,6 @@ def test_normalize_collapses_any_whitespace():
     assert normalize_text("a\t b\n\nc") == "a b c"
 
 
-def test_union_find_merges_and_compresses():
-    uf = UnionFind()
-    uf.union(1, 2)
-    uf.union(3, 4)
-    assert uf.find(1) == uf.find(2)
-    assert uf.find(1) != uf.find(3)
-    uf.union(2, 4)
-    assert uf.find(1) == uf.find(3)
-    # an unseen key is its own set
-    assert uf.find(99) == 99
-
-
 def test_cluster_images_identical_hashes():
     labels = cluster_images([(5, 0xAA), (2, 0xAA), (9, 0xAA)], 0)
     assert labels == {5: 2, 2: 2, 9: 2}
@@ -92,6 +81,50 @@ def test_cluster_images_matches_closure_oracle():
         for threshold in (0, 5, 10):
             assert cluster_images(entries, threshold) == \
                 closure_oracle(entries, threshold)
+
+
+def test_cluster_images_full_width_hashes_match_oracle(monkeypatch):
+    # top bit set on every hash, planted near-duplicates, sparse ids given in
+    # shuffled order; the small block size makes the pair search span many
+    # row blocks
+    rng = np.random.default_rng(31)
+    top = 1 << 63
+    hashes = []
+    for _ in range(300):
+        if hashes and rng.uniform() < 0.5:
+            h = hashes[int(rng.integers(0, len(hashes)))]
+            for bit in rng.integers(0, 63, size=int(rng.integers(0, 13))):
+                h ^= 1 << int(bit)
+        else:
+            h = top | int(rng.integers(0, 2 ** 63))
+        hashes.append(h)
+    ids = [int(v) for v in rng.choice(10 ** 6, size=len(hashes), replace=False)]
+    entries = list(zip(ids, hashes))
+    rng.shuffle(entries)
+    for threshold in (0, 1, 5, 10, 20, 64):
+        expected = closure_oracle(entries, threshold)
+        assert cluster_images(entries, threshold) == expected
+        with monkeypatch.context() as m:
+            m.setattr(clustering, "_BLOCK_ELEMS", 1000)
+            assert cluster_images(entries, threshold) == expected
+    assert set(cluster_images(entries, 64).values()) == {min(ids)}
+
+
+def test_cluster_images_empty_input():
+    for threshold in (0, 10, 64):
+        assert cluster_images([], threshold) == {}
+
+
+def test_cluster_images_chain_of_one_bit_steps():
+    # 300 distinct hashes, each one bit from the next (a Gray code walk);
+    # the smallest id sits at the far end of the chain
+    entries = [(1000 - 3 * k, (1 << 63) | (k ^ (k >> 1))) for k in range(300)]
+    shuffled = list(entries)
+    np.random.default_rng(32).shuffle(shuffled)
+    labels = cluster_images(shuffled, 1)
+    assert labels == {meme_id: 1000 - 3 * 299 for meme_id, _ in entries}
+    assert labels == closure_oracle(entries, 1)
+    assert cluster_images(shuffled, 0) == {meme_id: meme_id for meme_id, _ in entries}
 
 
 def test_cluster_images_threshold_validation():

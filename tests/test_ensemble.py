@@ -1,55 +1,11 @@
 import numpy as np
 import pytest
 
-from memepipe.ensemble import (kfold, read_predictions, read_submission,
+from memepipe.ensemble import (read_predictions, read_submission,
                                stack_equal_weight, write_predictions,
                                write_submission)
 from memepipe.errors import PredictionFormatError
 from memepipe.rules import PredictionSet
-
-
-def test_kfold_consecutive_even():
-    plan = kfold(10, 5)
-    vals = [val for _, val in plan.folds]
-    assert vals == [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]
-
-
-def test_kfold_extras_go_first():
-    plan = kfold(7, 3)
-    assert [len(val) for _, val in plan.folds] == [3, 2, 2]
-
-
-def test_kfold_single_element_folds():
-    plan = kfold(5, 5)
-    assert [val for _, val in plan.folds] == [[0], [1], [2], [3], [4]]
-
-
-def test_kfold_is_a_partition():
-    for n, k in ((17, 4), (100, 7), (9, 2)):
-        plan = kfold(n, k)
-        all_vals = [i for _, val in plan.folds for i in val]
-        assert sorted(all_vals) == list(range(n))
-        for train, val in plan.folds:
-            assert sorted(train + val) == list(range(n))
-            assert not set(train) & set(val)
-
-
-def test_kfold_shuffle_changes_order_deterministically():
-    a = kfold(20, 4, shuffle_seed=1)
-    b = kfold(20, 4, shuffle_seed=1)
-    c = kfold(20, 4, shuffle_seed=2)
-    assert a.folds == b.folds
-    assert a.folds != c.folds
-    assert a.folds != kfold(20, 4).folds
-    flat = sorted(i for _, val in a.folds for i in val)
-    assert flat == list(range(20))
-
-
-def test_kfold_bounds():
-    with pytest.raises(ValueError):
-        kfold(10, 1)
-    with pytest.raises(ValueError):
-        kfold(3, 4)
 
 
 def test_stack_single_set_identity():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from memepipe.errors import DataFormatError
-from memepipe.phash import (HASH_BITS, HammingIndex, dct2, hamming,
-                            hash_to_hex, hex_to_hash, phash, read_hashes,
-                            resize_area, to_grayscale, write_hashes)
+from memepipe.phash import (dct2, hamming, hash_to_hex, hex_to_hash, phash,
+                            read_hashes, resize_area, to_grayscale,
+                            write_hashes)
 
 
 def dct2_oracle(x):
@@ -219,55 +219,3 @@ def test_hash_file_errors(tmp_path):
     with pytest.raises(DataFormatError):
         read_hashes(path)
 
-
-def linear_scan(entries, h, radius):
-    out = [(i, hamming(h, other)) for i, other in entries
-           if hamming(h, other) <= radius]
-    out.sort(key=lambda pair: (pair[1], pair[0]))
-    return out
-
-
-def test_index_empty():
-    assert HammingIndex().query(0, 10) == []
-
-
-def test_index_exact_match_radius_zero():
-    idx = HammingIndex([(1, 0xABC), (2, 0xDEF)])
-    assert idx.query(0xABC, 0) == [(1, 0)]
-
-
-def test_index_shared_hash_keeps_all_ids():
-    idx = HammingIndex([(1, 5), (2, 5), (3, 5)])
-    assert idx.query(5, 0) == [(1, 0), (2, 0), (3, 0)]
-    assert len(idx) == 3
-
-
-def test_index_radius_validation():
-    idx = HammingIndex([(0, 0)])
-    with pytest.raises(ValueError):
-        idx.query(0, -1)
-    with pytest.raises(ValueError):
-        idx.query(0, 65)
-
-
-def test_index_equals_linear_scan_1000():
-    rng = np.random.default_rng(9)
-    hashes = [int(v) for v in rng.integers(0, 2 ** 63, size=1000)]
-    # force duplicate and near-duplicate entries into the pool
-    hashes[500] = hashes[0]
-    hashes[501] = hashes[0] ^ 0b111
-    entries = list(enumerate(hashes))
-    idx = HammingIndex(entries)
-    for probe in [hashes[0], hashes[250], int(rng.integers(0, 2 ** 63))]:
-        assert idx.query(probe, 10) == linear_scan(entries, probe, 10)
-
-
-def test_index_equals_linear_scan_various_radii():
-    rng = np.random.default_rng(10)
-    entries = [(i, int(v)) for i, v in enumerate(rng.integers(0, 2 ** 64,
-                                                              size=200,
-                                                              dtype=np.uint64))]
-    idx = HammingIndex(entries)
-    for radius in (0, 1, 5, 20, HASH_BITS):
-        probe = int(rng.integers(0, 2 ** 64, dtype=np.uint64))
-        assert idx.query(probe, radius) == linear_scan(entries, probe, radius)

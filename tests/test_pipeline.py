@@ -231,13 +231,6 @@ def test_cli_gen_data_and_stats(tmp_path, capsys):
     assert "three_tuple=" in printed
 
 
-def test_cli_kfold_prints_plan(capsys):
-    assert run_cli("kfold", "--n", "7", "--k", "3") == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 3
-    assert lines[0].startswith("fold 0 | val 0,1,2 ")
-
-
 def test_cli_evaluate_matches_report(tmp_path, capsys):
     out = tmp_path / "run"
     run_quick(out, save_images=True)
@@ -272,6 +265,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli("hash", "--manifest", str(tmp_path / "missing.jsonl"),
                    "--out", str(tmp_path / "h.csv")) == 4
     capsys.readouterr()
+
+
+def test_cli_stack_writes_submission_rows(tmp_path):
+    out = tmp_path / "run"
+    run_quick(out)
+    paths = sorted(str(p) for p in (out / "preds_adjusted").iterdir())
+    assert run_cli("--quiet", "stack", "--preds", *paths,
+                   "--out", str(tmp_path / "stacked.csv")) == 0
+    stacked = stack_equal_weight([read_predictions(p) for p in paths])
+    expected = "id,proba,label\n" + "".join(
+        f"{i},{stacked.mean_score[i]:.9f},{stacked.label[i]}\n"
+        for i in sorted(stacked.mean_score))
+    assert (tmp_path / "stacked.csv").read_text() == expected
 
 
 def test_cli_adjust_round_trip(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from memepipe.clustering import ClusterAssignment
@@ -77,6 +78,40 @@ def test_groups_sorted_by_min_member():
     a = asg({8: 8, 9: 8, 1: 1, 2: 1}, {8: 8, 9: 9, 1: 1, 2: 2})
     groups = detect_tuples(recs([8, 9, 1, 2]), a)
     assert [min(g.member_ids()) for g in groups] == [1, 8]
+
+
+def component_oracle(ids, assignment):
+    """Brute-force components of "same image or same text cluster" over ids."""
+    comps = []
+    unseen = set(ids)
+    while unseen:
+        comp = {unseen.pop()}
+        grew = True
+        while grew:
+            near = {o for o in unseen
+                    if any(assignment.image[o] == assignment.image[m]
+                           or assignment.text[o] == assignment.text[m] for m in comp)}
+            unseen -= near
+            comp |= near
+            grew = bool(near)
+        comps.append(comp)
+    return comps
+
+
+def test_detect_tuples_matches_component_oracle():
+    # labels are drawn from the full corpus, so many cluster ids name memes
+    # that the analyzed subset leaves out
+    rng = np.random.default_rng(21)
+    for _ in range(30):
+        n = int(rng.integers(2, 80))
+        corpus = [int(v) for v in rng.choice(1000, size=n, replace=False)]
+        a = asg({i: corpus[int(rng.integers(0, n))] for i in corpus},
+                {i: corpus[int(rng.integers(0, n))] for i in corpus})
+        subset = [i for i in corpus if rng.uniform() < 0.6]
+        groups = detect_tuples(recs(subset), a)
+        expected = sorted((c for c in component_oracle(subset, a) if len(c) >= 2),
+                          key=min)
+        assert [set(g.member_ids()) for g in groups] == expected
 
 
 def test_missing_assignment_raises():
