@@ -12,9 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataFormatError
-from .phash import HASH_BITS
-
-_BLOCK_ELEMS = 1 << 17
+from .phash import near_pairs
 
 
 def normalize_text(s):
@@ -49,20 +47,13 @@ def cluster_images(hashes, threshold):
     cluster when they are connected by a chain of pairs with Hamming
     distance <= threshold.
     """
-    if not 0 <= threshold <= HASH_BITS:
-        raise ValueError(f"threshold must be in [0, {HASH_BITS}], got {threshold}")
     entries = sorted(hashes)
     ids = [meme_id for meme_id, _ in entries]
-    h = np.array([x for _, x in entries], dtype=np.uint64)
-    # all pairs i < j, in row blocks that keep the XOR matrix near 1 MB;
-    # each block's pairs are merged at once, so memory does not grow with
-    # the number of pairs
-    rows = max(1, _BLOCK_ELEMS // max(len(h), 1))
-    lab = np.arange(len(h))
-    for lo in range(0, len(h), rows):
-        i, j = np.nonzero(np.bitwise_count(h[lo:lo + rows, None] ^ h[lo:]) <= threshold)
-        keep = i < j
-        lab = _components(lab, lo + i[keep], lo + j[keep])
+    # each row block's pairs are merged at once, so memory does not grow
+    # with the number of pairs
+    lab = np.arange(len(ids))
+    for i, j in near_pairs([h for _, h in entries], threshold):
+        lab = _components(lab, i, j)
     return {meme_id: ids[root] for meme_id, root in zip(ids, lab.tolist())}
 
 

@@ -17,6 +17,9 @@ RESIZE_SIDE = 32
 BLOCK_SIDE = 8
 HASH_BITS = BLOCK_SIDE * BLOCK_SIDE
 
+# elements of one row block's XOR matrix in near_pairs (1 MB of uint64)
+_BLOCK_ELEMS = 1 << 17
+
 # ITU-R 601 luma weights, summing to 1
 _LUMA_R = 0.299
 _LUMA_G = 0.587
@@ -100,6 +103,22 @@ def phash(img):
 def hamming(a, b):
     """Number of differing bits between two 64-bit hashes."""
     return ((a ^ b) & (2 ** HASH_BITS - 1)).bit_count()
+
+
+def near_pairs(hashes, radius):
+    """Yield every pair of positions i < j whose hashes differ in <= radius bits.
+
+    Pairs come in row blocks, as two index arrays per block, so a caller can
+    consume them without holding all pairs at once.
+    """
+    if not 0 <= radius <= HASH_BITS:
+        raise ValueError(f"radius must be in [0, {HASH_BITS}], got {radius}")
+    h = np.asarray(hashes, dtype=np.uint64)
+    rows = max(1, _BLOCK_ELEMS // max(len(h), 1))
+    for lo in range(0, len(h), rows):
+        i, j = np.nonzero(np.bitwise_count(h[lo:lo + rows, None] ^ h[lo:]) <= radius)
+        keep = i < j
+        yield lo + i[keep], lo + j[keep]
 
 
 def hash_to_hex(h):

@@ -1,13 +1,17 @@
+import importlib
+
 import numpy as np
 import pytest
 
-from memepipe import clustering
 from memepipe.clustering import (ClusterAssignment, cluster_images,
                                  cluster_texts, corpus_stats, normalize_text,
                                  read_clusters, write_clusters)
 from memepipe.dataset import MemeRecord
 from memepipe.errors import DataFormatError
 from memepipe.phash import hamming
+
+# the package re-exports the phash function under the submodule's name
+phash_module = importlib.import_module("memepipe.phash")
 
 
 def closure_oracle(entries, threshold):
@@ -105,7 +109,7 @@ def test_cluster_images_full_width_hashes_match_oracle(monkeypatch):
         expected = closure_oracle(entries, threshold)
         assert cluster_images(entries, threshold) == expected
         with monkeypatch.context() as m:
-            m.setattr(clustering, "_BLOCK_ELEMS", 1000)
+            m.setattr(phash_module, "_BLOCK_ELEMS", 1000)
             assert cluster_images(entries, threshold) == expected
     assert set(cluster_images(entries, 64).values()) == {min(ids)}
 

@@ -1,12 +1,16 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 
 from memepipe.errors import DataFormatError
-from memepipe.phash import (dct2, hamming, hash_to_hex, hex_to_hash, phash,
-                            read_hashes, resize_area, to_grayscale,
-                            write_hashes)
+from memepipe.phash import (HASH_BITS, dct2, hamming, hash_to_hex,
+                            hex_to_hash, near_pairs, phash, read_hashes,
+                            resize_area, to_grayscale, write_hashes)
+
+# the package re-exports the phash function under the submodule's name
+phash_module = importlib.import_module("memepipe.phash")
 
 
 def dct2_oracle(x):
@@ -219,3 +223,51 @@ def test_hash_file_errors(tmp_path):
     with pytest.raises(DataFormatError):
         read_hashes(path)
 
+
+def linear_scan(hashes, radius):
+    return {(i, j) for i in range(len(hashes)) for j in range(i + 1, len(hashes))
+            if hamming(hashes[i], hashes[j]) <= radius}
+
+
+def pair_set(hashes, radius):
+    out = set()
+    for i, j in near_pairs(hashes, radius):
+        out.update(zip(i.tolist(), j.tolist()))
+    return out
+
+
+def test_index_exact_match_radius_zero():
+    assert pair_set([0xABC, 0xDEF, 0xABC], 0) == {(0, 2)}
+
+
+def test_index_shared_hash_keeps_all_ids():
+    assert pair_set([5, 5, 5], 0) == {(0, 1), (0, 2), (1, 2)}
+
+
+def test_index_radius_validation():
+    with pytest.raises(ValueError):
+        list(near_pairs([0], -1))
+    with pytest.raises(ValueError):
+        list(near_pairs([0], HASH_BITS + 1))
+
+
+def test_index_equals_linear_scan_1000(monkeypatch):
+    rng = np.random.default_rng(9)
+    hashes = [int(v) for v in rng.integers(0, 2 ** 63, size=1000)]
+    # force duplicate and near-duplicate entries into the pool
+    hashes[500] = hashes[0]
+    hashes[501] = hashes[0] ^ 0b111
+    expected = linear_scan(hashes, 10)
+    assert {(0, 500), (0, 501), (500, 501)} <= expected
+    assert pair_set(hashes, 10) == expected
+    # a small block makes the search span many row blocks, the last one short
+    monkeypatch.setattr(phash_module, "_BLOCK_ELEMS", 3000)
+    assert pair_set(hashes, 10) == expected
+
+
+def test_index_equals_linear_scan_various_radii():
+    rng = np.random.default_rng(10)
+    hashes = [int(v) for v in rng.integers(0, 2 ** 64, size=200, dtype=np.uint64)]
+    for radius in (0, 1, 5, 20, 32, HASH_BITS):
+        assert pair_set(hashes, radius) == linear_scan(hashes, radius)
+    assert len(pair_set(hashes, HASH_BITS)) == 200 * 199 // 2
