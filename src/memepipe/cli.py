@@ -6,27 +6,49 @@ inspected on its own; `pipeline` chains them end to end.  Exit codes:
 """
 
 import argparse
-import os
+import dataclasses
 import sys
 
 from . import __version__
 from .clustering import (ClusterAssignment, cluster_images, cluster_texts,
                          corpus_stats, read_clusters, write_clusters)
 from .dataset import (DatasetComposition, GeneratorNoise, read_images,
-                      read_manifest, write_manifest)
+                      read_manifest)
 from .ensemble import (read_predictions, read_submission, stack_equal_weight,
                        write_predictions, write_submission)
 from .errors import ConfigError, DataFormatError, StageError
-from .generator import generate_dataset, image_hashes, write_images
+from .generator import generate_dataset, image_hashes, write_corpus
 from .metrics import evaluate
 from .phash import read_hashes, write_hashes
-from .pipeline import build_config, load_config_file, run_pipeline
+from .pipeline import (PipelineConfig, build_config, from_number_fields,
+                       load_config_file, run_pipeline)
 from .rules import (apply_rule1, apply_rule2, apply_unimodal_signatures,
                     read_pseudo_labels, rule1_pseudo_labels,
                     write_pseudo_labels)
 from .simulator import SimulatorConfig, simulate_predictions
 from .tuples import (detect_tuples, detect_unimodal_hate, read_groups,
                      tuple_stats, write_groups)
+
+# PipelineConfig fields set by a switch instead of a --dashed-name flag:
+# field -> (flag, the config value it sets, help)
+_SWITCHES = {
+    "rule1": ("--no-rule1", "false", "skip rule 1 and its pseudo-labels"),
+    "rule2": ("--no-rule2", "false", "skip rule 2"),
+    "unimodal": ("--unimodal", "true", "apply unimodal-hate signatures"),
+    "save_images": ("--no-images", "false", "write no PGM files for a generated corpus"),
+}
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _add_number_flags(parser, cls):
+    """One --dashed-name flag per int or float field of cls, with its default;
+    from_number_fields(cls, args) builds the cls back from the parsed flags."""
+    for f in dataclasses.fields(cls):
+        if f.type in (int, float):
+            parser.add_argument(_flag(f.name), type=f.type, default=f.default)
 
 
 def _say(args, message):
@@ -36,15 +58,9 @@ def _say(args, message):
 
 def cmd_gen_data(args):
     comp = DatasetComposition.parse(args.composition)
-    noise = GeneratorNoise(image_amplitude=args.image_amplitude,
-                           text_perturb_prob=args.text_perturb_prob,
-                           label_noise=args.label_noise)
+    noise = from_number_fields(GeneratorNoise, args)
     ds = generate_dataset(args.n, comp, noise, args.seed)
-    os.makedirs(args.outdir, exist_ok=True)
-    write_manifest(ds.records, os.path.join(args.outdir, "manifest.jsonl"))
-    write_images(ds, args.outdir)
-    truth = ds.three_tuples + ds.two_tuples + ds.unimodal_groups
-    write_groups(truth, os.path.join(args.outdir, "constructed_groups.jsonl"))
+    write_corpus(ds, args.outdir)
     _say(args, f"wrote {len(ds.records)} memes to {args.outdir}")
     return 0
 
@@ -138,10 +154,7 @@ def cmd_simulate(args):
     records = read_manifest(args.manifest)
     groups = read_groups(args.tuples) if args.tuples else []
     pseudo = read_pseudo_labels(args.pseudo) if args.pseudo else None
-    cfg = SimulatorConfig(separation_mu=args.separation_mu, sigma=args.sigma,
-                          pseudo_label_boost=args.pseudo_label_boost,
-                          noise_correlation=args.noise_correlation,
-                          seed=args.seed)
+    cfg = from_number_fields(SimulatorConfig, args)
     preds = simulate_predictions(records, groups, pseudo, cfg, args.model_index)
     write_predictions(preds, args.out)
     _say(args, f"simulated model {args.model_index} -> {args.out}")
@@ -175,25 +188,10 @@ def cmd_evaluate(args):
 
 def cmd_pipeline(args):
     file_values = load_config_file(args.config) if args.config else {}
-    overrides = {}
-    for key in ("n", "seed", "models", "k", "hamming_threshold", "composition",
-                "image_amplitude", "text_perturb_prob", "label_noise",
-                "adjust_placement", "hi", "lo", "separation_mu", "sigma",
-                "pseudo_label_boost", "noise_correlation", "eval_split",
-                "manifest"):
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
-    if args.no_rule1:
-        overrides["rule1"] = False
-    if args.no_rule2:
-        overrides["rule2"] = False
-    if args.unimodal:
-        overrides["unimodal"] = True
-    if args.no_images:
-        overrides["save_images"] = False
-    if args.quiet:
-        overrides["quiet"] = True
+    # every flag given, as its raw text, so it is parsed like a config value
+    overrides = {f.name: getattr(args, f.name)
+                 for f in dataclasses.fields(PipelineConfig)
+                 if f.name != "out_dir" and getattr(args, f.name) is not None}
     cfg = build_config(args.outdir, file_values, overrides)
     result = run_pipeline(cfg)
     if result.report is not None:
@@ -207,7 +205,7 @@ def build_parser():
         prog="memepipe",
         description="Confounder-aware meme classification pipeline")
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--quiet", action="store_true",
+    parser.add_argument("--quiet", action="store_true", default=None,
                         help="suppress progress messages")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -215,12 +213,11 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--outdir", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--composition", default="0.40,0.10,0.20,0.20,0.10",
+    p.add_argument("--composition",
+                   default=",".join(map(str, DatasetComposition().as_tuple())),
                    help="fractions: multimodal hate, unimodal hate, "
                         "benign text conf, benign image conf, random benign")
-    p.add_argument("--image-amplitude", type=float, default=4.0)
-    p.add_argument("--text-perturb-prob", type=float, default=0.5)
-    p.add_argument("--label-noise", type=float, default=0.0)
+    _add_number_flags(p, GeneratorNoise)
     p.set_defaults(fn=cmd_gen_data)
 
     p = sub.add_parser("hash", help="perceptual-hash every image in a manifest")
@@ -270,11 +267,7 @@ def build_parser():
     p.add_argument("--tuples", help="groups file driving difficulty categories")
     p.add_argument("--pseudo", help="pseudo-label file enabling the boost")
     p.add_argument("--model-index", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--separation-mu", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=1.2)
-    p.add_argument("--pseudo-label-boost", type=float, default=3.0)
-    p.add_argument("--noise-correlation", type=float, default=0.9)
+    _add_number_flags(p, SimulatorConfig)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_simulate)
 
@@ -292,30 +285,14 @@ def build_parser():
     p = sub.add_parser("pipeline", help="run every stage end to end")
     p.add_argument("--outdir", required=True)
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--models", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--hamming-threshold", type=int, dest="hamming_threshold")
-    p.add_argument("--composition")
-    p.add_argument("--image-amplitude", type=float, dest="image_amplitude")
-    p.add_argument("--text-perturb-prob", type=float, dest="text_perturb_prob")
-    p.add_argument("--label-noise", type=float, dest="label_noise")
-    p.add_argument("--adjust-placement", dest="adjust_placement",
-                   choices=("before_stacking", "after_stacking", "both_off"))
-    p.add_argument("--hi", type=float)
-    p.add_argument("--lo", type=float)
-    p.add_argument("--separation-mu", type=float, dest="separation_mu")
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--pseudo-label-boost", type=float, dest="pseudo_label_boost")
-    p.add_argument("--noise-correlation", type=float, dest="noise_correlation")
-    p.add_argument("--eval-split", dest="eval_split", choices=("dev", "test"))
-    p.add_argument("--manifest", help="ingest this corpus instead of generating")
-    p.add_argument("--no-rule1", action="store_true")
-    p.add_argument("--no-rule2", action="store_true")
-    p.add_argument("--unimodal", action="store_true")
-    p.add_argument("--no-images", action="store_true",
-                   help="skip writing PGM files for a generated corpus")
+    # one flag per config key, its value left as text for build_config
+    for f in dataclasses.fields(PipelineConfig):
+        if f.name in _SWITCHES:
+            flag, value, text = _SWITCHES[f.name]
+            p.add_argument(flag, dest=f.name, action="store_const", const=value,
+                           help=text)
+        elif f.name not in ("out_dir", "quiet"):
+            p.add_argument(_flag(f.name), dest=f.name)
     p.set_defaults(fn=cmd_pipeline)
 
     return parser
@@ -326,22 +303,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DataFormatError as exc:
+    except (DataFormatError, KeyError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except KeyError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
+    except (StageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataFormatError
+from .dataset import read_csv
 from .phash import near_pairs
 
 
@@ -121,22 +121,8 @@ def write_clusters(assignment, path):
 
 
 def read_clusters(path):
-    assignment = ClusterAssignment()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise DataFormatError(f"{path}: line {lineno}: expected "
-                                      f"id,image_cluster,text_cluster")
-            try:
-                meme_id, img, txt = (int(p) for p in parts)
-            except ValueError:
-                raise DataFormatError(f"{path}: line {lineno}: non-integer field") from None
-            if meme_id in assignment.image:
-                raise DataFormatError(f"{path}: line {lineno}: duplicate id {meme_id}")
-            assignment.image[meme_id] = img
-            assignment.text[meme_id] = txt
-    return assignment
+    rows = read_csv(path, ("id", "image_cluster", "text_cluster"),
+                    lambda meme_id, img, txt: (int(meme_id), (int(img), int(txt))),
+                    header=False)
+    return ClusterAssignment(image={i: img for i, (img, _) in rows.items()},
+                             text={i: txt for i, (_, txt) in rows.items()})

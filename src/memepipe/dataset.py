@@ -96,8 +96,8 @@ def _check_record(rec, where):
 def read_manifest(path):
     """Parse a manifest file into records, in file order.
 
-    Raises ManifestError (with the offending line number) on malformed JSON,
-    missing or invalid fields, and duplicate ids.
+    Raises ManifestError (with the path and offending line number) on
+    malformed JSON, missing or invalid fields, and duplicate ids.
     """
     records = []
     seen = set()
@@ -106,23 +106,61 @@ def read_manifest(path):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}: line {lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ManifestError(f"line {lineno}: invalid JSON: {exc}") from None
+                raise ManifestError(f"{where}: invalid JSON: {exc}") from None
             if not isinstance(obj, dict):
-                raise ManifestError(f"line {lineno}: expected an object")
+                raise ManifestError(f"{where}: expected an object")
             for key in ("id", "img", "text", "split"):
                 if key not in obj:
-                    raise ManifestError(f"line {lineno}: missing field {key!r}")
+                    raise ManifestError(f"{where}: missing field {key!r}")
             rec = MemeRecord(id=obj["id"], img=obj["img"], text=obj["text"],
                              label=obj.get("label"), split=obj["split"])
-            _check_record(rec, f"line {lineno}")
+            _check_record(rec, where)
             if rec.id in seen:
-                raise ManifestError(f"line {lineno}: duplicate id {rec.id}")
+                raise ManifestError(f"{where}: duplicate id {rec.id}")
             seen.add(rec.id)
             records.append(rec)
     return records
+
+
+def read_csv(path, columns, parse, header=True, error=DataFormatError):
+    """Read a comma-separated file into a dict id -> value, in file order.
+
+    With header=True the first line must be the column names joined by
+    commas.  Blank lines are skipped; every other line has one field per
+    column and goes to parse(*fields), which returns (id, value) or raises
+    ValueError.  An id may not repeat.  Faults raise `error` with path and line.
+    """
+    rows = {}
+    expected = ",".join(columns)
+    with open(path, encoding="utf-8") as fh:
+        start = 1
+        if header:
+            first = fh.readline().strip()
+            if first != expected:
+                raise error(f"{path}: line 1: expected header {expected!r}, "
+                            f"got {first!r}")
+            start = 2
+        for lineno, line in enumerate(fh, start=start):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != len(columns):
+                raise error(f"{path}: line {lineno}: expected {expected}, "
+                            f"got {len(parts)} fields")
+            try:
+                key, value = parse(*parts)
+            except ValueError as exc:
+                raise error(f"{path}: line {lineno}: malformed row {line!r}: "
+                            f"{exc}") from None
+            if key in rows:
+                raise error(f"{path}: line {lineno}: duplicate id {key}")
+            rows[key] = value
+    return rows
 
 
 def write_manifest(records, path):

@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .dataset import read_csv
 from .errors import PredictionFormatError
 from .rules import PredictionSet
 
@@ -51,33 +52,26 @@ def write_predictions(preds, path):
             fh.write(f"{meme_id},{preds.scores[meme_id]:.9f}\n")
 
 
+def _prediction_row(meme_id, proba):
+    proba = float(proba)
+    if not 0.0 <= proba <= 1.0:
+        raise ValueError(f"probability {proba} outside [0, 1]")
+    return int(meme_id), proba
+
+
+def _submission_row(meme_id, proba, label):
+    meme_id, proba = _prediction_row(meme_id, proba)
+    label = int(label)
+    if label not in (0, 1):
+        raise ValueError(f"label must be 0 or 1, got {label}")
+    return meme_id, (proba, label)
+
+
 def read_predictions(path):
     """Parse an `id,proba` CSV; the model id is the file stem."""
     path = Path(path)
-    scores = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "id,proba":
-            raise PredictionFormatError(f"{path}: expected header 'id,proba', got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise PredictionFormatError(f"{path}: line {lineno}: expected id,proba")
-            try:
-                meme_id = int(parts[0])
-                proba = float(parts[1])
-            except ValueError:
-                raise PredictionFormatError(
-                    f"{path}: line {lineno}: malformed row {line!r}") from None
-            if not 0.0 <= proba <= 1.0:
-                raise PredictionFormatError(
-                    f"{path}: line {lineno}: probability {proba} outside [0, 1]")
-            if meme_id in scores:
-                raise PredictionFormatError(f"{path}: line {lineno}: duplicate id {meme_id}")
-            scores[meme_id] = proba
+    scores = read_csv(path, ("id", "proba"), _prediction_row,
+                      error=PredictionFormatError)
     return PredictionSet(path.stem, scores)
 
 
@@ -93,31 +87,7 @@ def write_submission(stacked, path, ids=None):
 
 def read_submission(path):
     """Parse a submission into (scores, labels) keyed by id."""
-    scores = {}
-    labels = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "id,proba,label":
-            raise PredictionFormatError(
-                f"{path}: expected header 'id,proba,label', got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise PredictionFormatError(f"{path}: line {lineno}: expected id,proba,label")
-            try:
-                meme_id = int(parts[0])
-                proba = float(parts[1])
-                label = int(parts[2])
-            except ValueError:
-                raise PredictionFormatError(
-                    f"{path}: line {lineno}: malformed row {line!r}") from None
-            if not 0.0 <= proba <= 1.0 or label not in (0, 1):
-                raise PredictionFormatError(f"{path}: line {lineno}: values out of range")
-            if meme_id in scores:
-                raise PredictionFormatError(f"{path}: line {lineno}: duplicate id {meme_id}")
-            scores[meme_id] = proba
-            labels[meme_id] = label
-    return scores, labels
+    rows = read_csv(path, ("id", "proba", "label"), _submission_row,
+                    error=PredictionFormatError)
+    return ({i: proba for i, (proba, _) in rows.items()},
+            {i: label for i, (_, label) in rows.items()})

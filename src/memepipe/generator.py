@@ -27,9 +27,9 @@ from scipy.fft import idctn
 
 from .clustering import normalize_text
 from .dataset import (DatasetComposition, GeneratorNoise, MemeRecord,
-                      write_pgm)
+                      write_manifest, write_pgm)
 from .phash import hamming, phash
-from .tuples import ThreeTuple, TwoTuple, UnimodalHate
+from .tuples import ThreeTuple, TwoTuple, UnimodalHate, write_groups
 
 IMAGE_SIDE = 64
 _BAND = slice(44, 56)        # caption band: high-frequency stripes live here
@@ -293,6 +293,18 @@ def write_images(dataset, out_dir):
     os.makedirs(img_dir, exist_ok=True)
     for rec in dataset.records:
         write_pgm(dataset.images[rec.id], os.path.join(out_dir, rec.img))
+
+
+def write_corpus(dataset, out_dir, images=True):
+    """Write manifest.jsonl, the images (if asked) and the planted groups as
+    constructed_groups.jsonl under out_dir; return the two file names."""
+    os.makedirs(out_dir, exist_ok=True)
+    write_manifest(dataset.records, os.path.join(out_dir, "manifest.jsonl"))
+    if images:
+        write_images(dataset, out_dir)
+    truth = dataset.three_tuples + dataset.two_tuples + dataset.unimodal_groups
+    write_groups(truth, os.path.join(out_dir, "constructed_groups.jsonl"))
+    return ("manifest.jsonl", "constructed_groups.jsonl")
 
 
 def image_hashes(images):

@@ -8,10 +8,12 @@ is quantized mid-pipeline, so scaling or shifting intensities leaves the
 hash unchanged.
 """
 
+import functools
+
 import numpy as np
 from scipy.fft import dctn
 
-from .errors import DataFormatError
+from .dataset import read_csv
 
 RESIZE_SIDE = 32
 BLOCK_SIDE = 8
@@ -43,10 +45,12 @@ def to_grayscale(pixels):
     raise ValueError(f"expected 1 or 3 channels, got shape {arr.shape}")
 
 
+# bounded: a real corpus can hold many image sizes, each an n_out x n_in matrix
+@functools.lru_cache(maxsize=64)
 def _overlap_weights(n_in, n_out):
     # w[i, j] = fraction of output cell i covered by input cell j, so each
     # row sums to 1 and the product with a pixel column is an exact
-    # area-weighted mean.
+    # area-weighted mean.  The result is shared by the cache, so read-only.
     step = n_in / n_out
     w = np.zeros((n_out, n_in))
     for i in range(n_out):
@@ -56,7 +60,9 @@ def _overlap_weights(n_in, n_out):
         j1 = min(int(np.ceil(hi)), n_in)
         for j in range(j0, j1):
             w[i, j] = min(hi, j + 1.0) - max(lo, float(j))
-    return w / step
+    w /= step
+    w.flags.writeable = False
+    return w
 
 
 def resize_area(m, s):
@@ -140,23 +146,7 @@ def write_hashes(entries, path):
 
 
 def read_hashes(path):
-    entries = []
-    seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise DataFormatError(f"{path}: line {lineno}: expected id,hash_hex")
-            try:
-                meme_id = int(parts[0])
-                h = hex_to_hash(parts[1])
-            except ValueError:
-                raise DataFormatError(f"{path}: line {lineno}: malformed row") from None
-            if meme_id in seen:
-                raise DataFormatError(f"{path}: line {lineno}: duplicate id {meme_id}")
-            seen.add(meme_id)
-            entries.append((meme_id, h))
-    return entries
+    """Parse `id,hash_hex` lines into (meme_id, hash) pairs, in file order."""
+    rows = read_csv(path, ("id", "hash_hex"),
+                    lambda meme_id, h: (int(meme_id), hex_to_hash(h)), header=False)
+    return list(rows.items())

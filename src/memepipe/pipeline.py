@@ -20,7 +20,7 @@ from .dataset import (DatasetComposition, GeneratorNoise, read_images,
 from .ensemble import (StackedPrediction, stack_equal_weight,
                        write_predictions, write_submission)
 from .errors import ConfigError, DataFormatError, StageError
-from .generator import generate_dataset, image_hashes, write_images
+from .generator import generate_dataset, image_hashes, write_corpus
 from .metrics import evaluate
 from .phash import write_hashes
 from .rules import (PredictionSet, PseudoLabelSet, apply_rule1, apply_rule2,
@@ -80,23 +80,28 @@ class PipelineConfig:
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "on": True,
                "false": False, "0": False, "no": False, "off": False}
 
-_FIELD_PARSERS = {
-    "n": int, "seed": int, "hamming_threshold": int, "k": int, "models": int,
-    "image_amplitude": float, "text_perturb_prob": float, "label_noise": float,
-    "hi": float, "lo": float, "separation_mu": float, "sigma": float,
-    "pseudo_label_boost": float, "noise_correlation": float,
-    "adjust_placement": str, "eval_split": str, "manifest": str,
-    "composition": DatasetComposition.parse,
-    "rule1": "bool", "rule2": "bool", "unimodal": "bool", "save_images": "bool",
-    "quiet": "bool",
-}
-
 
 def _parse_bool(text):
     word = text.strip().lower()
     if word not in _BOOL_WORDS:
-        raise ConfigError(f"expected a boolean, got {text!r}")
+        raise ValueError(f"expected a boolean, got {text!r}")
     return _BOOL_WORDS[word]
+
+
+# config key -> parser of its text value; the keys are the PipelineConfig
+# fields, except out_dir, which the run gets on its own
+_FIELD_PARSERS = {
+    f.name: {bool: _parse_bool, DatasetComposition: DatasetComposition.parse,
+             str | None: str}.get(f.type, f.type)
+    for f in dataclasses.fields(PipelineConfig) if f.name != "out_dir"
+}
+
+
+def from_number_fields(cls, source):
+    """A cls whose int and float fields are read from same-named attributes
+    of source, such as a PipelineConfig or parsed command-line flags."""
+    return cls(**{f.name: getattr(source, f.name) for f in dataclasses.fields(cls)
+                  if f.type in (int, float)})
 
 
 def load_config_file(path):
@@ -128,11 +133,8 @@ def build_config(out_dir, file_values=None, overrides=None):
             if key not in _FIELD_PARSERS:
                 raise ConfigError(f"unknown config key {key!r}")
             if isinstance(value, str):
-                parser = _FIELD_PARSERS[key]
                 try:
-                    value = _parse_bool(value) if parser == "bool" else parser(value)
-                except ConfigError:
-                    raise
+                    value = _FIELD_PARSERS[key](value)
                 except ValueError as exc:
                     raise ConfigError(f"bad value for {key!r}: {exc}") from None
             merged[key] = value
@@ -180,20 +182,13 @@ def run_pipeline(cfg):
         artifacts[name] = path_of(name)
 
     quiet = cfg.quiet
-    noise = GeneratorNoise(image_amplitude=cfg.image_amplitude,
-                           text_perturb_prob=cfg.text_perturb_prob,
-                           label_noise=cfg.label_noise)
+    noise = from_number_fields(GeneratorNoise, cfg)
 
     if cfg.manifest is None:
         def gen():
             ds = generate_dataset(cfg.n, cfg.composition, noise, cfg.seed)
-            write_manifest(ds.records, path_of("manifest.jsonl"))
-            record_artifact("manifest.jsonl")
-            if cfg.save_images:
-                write_images(ds, cfg.out_dir)
-            truth = ds.three_tuples + ds.two_tuples + ds.unimodal_groups
-            write_groups(truth, path_of("constructed_groups.jsonl"))
-            record_artifact("constructed_groups.jsonl")
+            for name in write_corpus(ds, cfg.out_dir, cfg.save_images):
+                record_artifact(name)
             return ds.records, ds.images
         records, images = _stage("generate", gen, quiet)
     else:
@@ -240,10 +235,7 @@ def run_pipeline(cfg):
             return restricted
         pseudo = _stage("pseudo-label", pseudo_stage, quiet)
 
-    sim_cfg = SimulatorConfig(separation_mu=cfg.separation_mu, sigma=cfg.sigma,
-                              pseudo_label_boost=cfg.pseudo_label_boost,
-                              noise_correlation=cfg.noise_correlation,
-                              seed=cfg.seed)
+    sim_cfg = from_number_fields(SimulatorConfig, cfg)
 
     def simulate_stage():
         os.makedirs(path_of("preds"), exist_ok=True)

@@ -12,8 +12,7 @@ All adjustments copy the prediction set; inputs are never mutated.
 
 from dataclasses import dataclass
 
-from .dataset import MemeRecord
-from .errors import DataFormatError
+from .dataset import MemeRecord, read_csv
 from .tuples import ThreeTuple, TwoTuple, UnimodalHate
 
 
@@ -108,33 +107,17 @@ def write_pseudo_labels(pseudo, path):
                      f"{pseudo.provenance.get(meme_id, 'rule1')}\n")
 
 
+def _pseudo_label_row(meme_id, label, rule):
+    label = int(label)
+    if label not in (0, 1):
+        raise ValueError(f"label must be 0 or 1, got {label}")
+    return int(meme_id), (label, rule)
+
+
 def read_pseudo_labels(path):
-    labels = {}
-    provenance = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "id,label,rule":
-            raise DataFormatError(f"{path}: expected header 'id,label,rule', "
-                                  f"got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise DataFormatError(f"{path}: line {lineno}: expected id,label,rule")
-            try:
-                meme_id = int(parts[0])
-                label = int(parts[1])
-            except ValueError:
-                raise DataFormatError(f"{path}: line {lineno}: malformed row") from None
-            if label not in (0, 1):
-                raise DataFormatError(f"{path}: line {lineno}: label must be 0 or 1")
-            if meme_id in labels:
-                raise DataFormatError(f"{path}: line {lineno}: duplicate id {meme_id}")
-            labels[meme_id] = label
-            provenance[meme_id] = parts[2]
-    return PseudoLabelSet(labels, provenance)
+    rows = read_csv(path, ("id", "label", "rule"), _pseudo_label_row)
+    return PseudoLabelSet({i: label for i, (label, _) in rows.items()},
+                          {i: rule for i, (_, rule) in rows.items()})
 
 
 def merge_pseudo_labels(train, pseudo, test):

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
+from memepipe.clustering import read_clusters
 from memepipe.dataset import (DatasetComposition, GeneratorNoise, MemeRecord,
                               read_manifest, read_pgm, write_manifest,
                               write_pgm)
-from memepipe.errors import DataFormatError, ManifestError
+from memepipe.ensemble import read_predictions, read_submission
+from memepipe.errors import (DataFormatError, ManifestError,
+                             PredictionFormatError)
+from memepipe.phash import read_hashes
+from memepipe.rules import read_pseudo_labels
 
 
 def rec(meme_id, split="train", label=0, text="some text"):
@@ -47,8 +52,9 @@ def test_manifest_duplicate_id_rejected(tmp_path):
     path = tmp_path / "m.jsonl"
     row = '{"id": 5, "img": "a.pgm", "text": "x", "label": 1, "split": "test"}\n'
     path.write_text(row + row)
-    with pytest.raises(ManifestError, match="duplicate id 5"):
+    with pytest.raises(ManifestError, match="duplicate id 5") as err:
         read_manifest(path)
+    assert f"{path}: line 2:" in str(err.value)
     with pytest.raises(ManifestError, match="duplicate"):
         write_manifest([rec(5), rec(5)], tmp_path / "out.jsonl")
 
@@ -56,30 +62,82 @@ def test_manifest_duplicate_id_rejected(tmp_path):
 def test_manifest_train_requires_label(tmp_path):
     path = tmp_path / "m.jsonl"
     path.write_text('{"id": 1, "img": "a.pgm", "text": "x", "split": "train"}\n')
-    with pytest.raises(ManifestError, match="missing a label"):
+    with pytest.raises(ManifestError, match="missing a label") as err:
         read_manifest(path)
+    assert f"{path}: line 1:" in str(err.value)
 
 
 def test_manifest_field_errors(tmp_path):
     path = tmp_path / "m.jsonl"
-    path.write_text("{broken\n")
-    with pytest.raises(ManifestError, match="line 1"):
-        read_manifest(path)
-    path.write_text('{"id": 1, "img": "a.pgm", "text": "x"}\n')
-    with pytest.raises(ManifestError, match="split"):
-        read_manifest(path)
-    path.write_text('{"id": 1, "img": "a.pgm", "text": "x", "label": 3, '
-                    '"split": "test"}\n')
-    with pytest.raises(ManifestError, match="label"):
-        read_manifest(path)
-    path.write_text('{"id": true, "img": "a.pgm", "text": "x", "label": 1, '
-                    '"split": "test"}\n')
-    with pytest.raises(ManifestError, match="id"):
-        read_manifest(path)
-    path.write_text('{"id": 1, "img": "a.pgm", "text": "x", "label": 1, '
-                    '"split": "val"}\n')
-    with pytest.raises(ManifestError, match="split"):
-        read_manifest(path)
+
+    def error(text, match):
+        path.write_text(text)
+        with pytest.raises(ManifestError, match=match) as err:
+            read_manifest(path)
+        return str(err.value)
+
+    assert f"{path}: line 1:" in error("{broken\n", "line 1")
+    assert f"{path}: line 1:" in error(
+        '{"id": 1, "img": "a.pgm", "text": "x"}\n', "split")
+    assert f"{path}: line 2:" in error(
+        '\n{"id": 1, "img": "a.pgm", "text": "x", "label": 3, '
+        '"split": "test"}\n', "label")
+    assert f"{path}: line 1:" in error(
+        '{"id": true, "img": "a.pgm", "text": "x", "label": 1, '
+        '"split": "test"}\n', "id")
+    assert f"{path}: line 1:" in error(
+        '{"id": 1, "img": "a.pgm", "text": "x", "label": 1, '
+        '"split": "val"}\n', "split")
+    assert f"{path}: line 1:" in error("[1, 2]\n", "object")
+
+
+# reader, its error class, header line (None: headerless), rows with ids 1
+# and 2, a row with a malformed field, a row with an out-of-range value
+# (None: no range), and the ids of what the reader returns
+CSV_READERS = {
+    "hashes": (read_hashes, DataFormatError, None,
+               ("1,00000000000000aa", "2,00000000000000bb"), "1,xyz", None,
+               lambda out: [meme_id for meme_id, _ in out]),
+    "clusters": (read_clusters, DataFormatError, None,
+                 ("1,1,1", "2,1,2"), "1,a,1", None,
+                 lambda out: list(out.image)),
+    "predictions": (read_predictions, PredictionFormatError, "id,proba",
+                    ("1,0.25", "2,0.75"), "1,high", "1,1.5",
+                    lambda out: list(out.scores)),
+    "submission": (read_submission, PredictionFormatError, "id,proba,label",
+                   ("1,0.25,0", "2,0.75,1"), "1,0.25,yes", "1,0.25,2",
+                   lambda out: list(out[0])),
+    "pseudo_labels": (read_pseudo_labels, DataFormatError, "id,label,rule",
+                      ("1,1,rule1", "2,0,rule1"), "x,1,rule1", "1,3,rule1",
+                      lambda out: list(out.labels)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_READERS))
+def test_csv_reader_contract(tmp_path, name):
+    read, error, header, (row1, row2), malformed, out_of_range, ids = \
+        CSV_READERS[name]
+    path = tmp_path / f"{name}.csv"
+    top = [header] if header else []
+    first = len(top) + 1           # line number of the first row
+
+    def rejects(lines, lineno):
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(error) as err:
+            read(path)
+        assert f"{path}: line {lineno}:" in str(err.value)
+
+    if header:
+        rejects(["id,wrong", row1], 1)
+    rejects(top + [row1, row2 + ",9"], first + 1)
+    rejects(top + [row1, row2.rsplit(",", 1)[0]], first + 1)
+    rejects(top + [malformed], first)
+    if out_of_range:
+        rejects(top + [row1, row2, out_of_range.replace("1,", "3,", 1)], first + 2)
+    rejects(top + [row1, "", row2, row1], first + 3)
+
+    path.write_text("\n".join(top + ["", row1, "   ", "", row2, ""]) + "\n")
+    assert ids(read(path)) == [1, 2]
 
 
 def test_composition_default_counts():

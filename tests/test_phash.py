@@ -91,6 +91,19 @@ def test_resize_preserves_global_mean():
         assert out.mean() == pytest.approx(m.mean(), abs=1e-9)
 
 
+def test_resize_weights_are_shared_and_read_only():
+    m = np.random.default_rng(3).uniform(0, 255, size=(64, 48))
+    phash_module._overlap_weights.cache_clear()
+    first = resize_area(m, 32)
+    w = phash_module._overlap_weights(64, 32)
+    assert w is phash_module._overlap_weights(64, 32)
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0, 0] = 1.0
+    # a cached matrix gives the same bits as the first, freshly built one
+    assert np.array_equal(resize_area(m, 32), first)
+
+
 def test_resize_rejects_bad_inputs():
     with pytest.raises(ValueError):
         resize_area(np.zeros(4), 2)

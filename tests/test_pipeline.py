@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -30,6 +31,7 @@ def test_pipeline_writes_expected_artifacts(tmp_path):
     for path in result.artifacts.values():
         assert os.path.exists(path)
     assert os.path.exists(tmp_path / "run" / "run_manifest.json")
+    assert not os.path.exists(tmp_path / "run" / "images")   # save_images=False
 
 
 def test_pipeline_report_and_submission_cover_eval_split(tmp_path):
@@ -179,6 +181,79 @@ def test_defaults_match_documented_run():
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+# a non-default value for every config key, as config-file text
+NON_DEFAULT = {
+    "n": "50", "seed": "3", "composition": "0.5,0.1,0.2,0.1,0.1",
+    "image_amplitude": "2.5", "text_perturb_prob": "0.25", "label_noise": "0.1",
+    "hamming_threshold": "8", "k": "3", "models": "2", "rule1": "false",
+    "rule2": "false", "adjust_placement": "after_stacking", "unimodal": "true",
+    "hi": "0.9", "lo": "0.1", "separation_mu": "1.5", "sigma": "0.8",
+    "pseudo_label_boost": "2.0", "noise_correlation": "0.5",
+    "eval_split": "dev", "manifest": "corpus/manifest.jsonl",
+    "save_images": "false", "quiet": "true",
+}
+# keys set by a switch instead of a --dashed-name flag, and that switch
+SWITCHES = {"rule1": "--no-rule1", "rule2": "--no-rule2",
+            "unimodal": "--unimodal", "save_images": "--no-images"}
+
+
+def pipeline_config(monkeypatch, *argv):
+    """(exit code, the PipelineConfig `memepipe ...argv` would run)."""
+    seen = []
+
+    def fake_run(cfg):
+        seen.append(cfg)
+        return type("Result", (), {"report": None, "submission_path": ""})()
+    monkeypatch.setattr(cli, "run_pipeline", fake_run)
+    code = cli.main(list(argv))
+    return code, (seen[0] if seen else None)
+
+
+def test_every_config_key_has_a_matching_flag(tmp_path, monkeypatch, capsys):
+    keys = {f.name for f in dataclasses.fields(PipelineConfig)} - {"out_dir"}
+    assert set(NON_DEFAULT) == keys
+    out = str(tmp_path / "run")
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in NON_DEFAULT.items()))
+    code, from_file = pipeline_config(monkeypatch, "pipeline", "--outdir", out,
+                                      "--config", str(cfg_file))
+    assert code == 0
+
+    argv = ["--quiet", "pipeline", "--outdir", out]
+    for key, value in NON_DEFAULT.items():
+        if key in SWITCHES:
+            argv.append(SWITCHES[key])
+        elif key != "quiet":
+            argv += ["--" + key.replace("_", "-"), value]
+    code, from_flags = pipeline_config(monkeypatch, *argv)
+    assert code == 0
+    assert from_flags == from_file
+    default = PipelineConfig(out_dir=out)
+    for key in keys:
+        assert getattr(from_file, key) != getattr(default, key), key
+
+    # the four switches, on their own
+    code, cfg = pipeline_config(monkeypatch, "pipeline", "--outdir", out,
+                                "--no-rule1", "--no-rule2", "--no-images",
+                                "--unimodal")
+    assert code == 0
+    assert (cfg.rule1, cfg.rule2, cfg.save_images, cfg.unimodal) == \
+        (False, False, False, True)
+    assert cfg.quiet is False
+
+    # a flag wins over the config file; an absent flag leaves it alone
+    code, cfg = pipeline_config(monkeypatch, "pipeline", "--outdir", out,
+                                "--config", str(cfg_file), "--n", "60")
+    assert (cfg.n, cfg.seed, cfg.quiet) == (60, 3, True)
+
+    # flag values go through the config parsers and checks
+    assert pipeline_config(monkeypatch, "pipeline", "--outdir", out,
+                           "--n", "abc") == (2, None)
+    assert pipeline_config(monkeypatch, "pipeline", "--outdir", out,
+                           "--adjust-placement", "sometimes") == (2, None)
+    capsys.readouterr()
 
 
 def test_cli_stage_chain_matches_pipeline(tmp_path):
