@@ -28,7 +28,7 @@ from scipy.fft import idctn
 from .clustering import normalize_text
 from .dataset import (DatasetComposition, GeneratorNoise, MemeRecord,
                       write_manifest, write_pgm)
-from .phash import hamming, phash
+from .phash import HASH_BITS, hamming, phash
 from .tuples import ThreeTuple, TwoTuple, UnimodalHate, write_groups
 
 IMAGE_SIDE = 64
@@ -97,11 +97,12 @@ def _base_image(rng):
 
 
 def _fresh_base(rng, base_hashes):
+    # base_hashes: uint64 array of the bases placed so far
     for _ in range(500):
         img = _base_image(rng)
         h = phash(_quantize(img))
-        if all(hamming(h, other) >= _BASE_MIN_SEPARATION for other in base_hashes):
-            base_hashes.append(h)
+        nearest = np.bitwise_count(base_hashes ^ np.uint64(h)).min(initial=HASH_BITS)
+        if nearest >= _BASE_MIN_SEPARATION:
             return img, h
     raise ValueError("exhausted retries placing a distinct base image; "
                      "the corpus is too large for the hash space")
@@ -165,7 +166,9 @@ def generate_dataset(n, composition=None, noise=None, seed=0):
     rng = np.random.default_rng(seed)
     c_mm, c_uni, c_btc, c_bic, c_rb = comp.counts(n)
 
-    base_hashes = []
+    # every base is emitted at least once, so n slots hold them all
+    base_hashes = np.empty(n, dtype=np.uint64)
+    n_bases = 0
     used_norms = set()
     texts = []
     labels = []
@@ -184,7 +187,11 @@ def generate_dataset(n, composition=None, noise=None, seed=0):
         return meme_id
 
     def fresh_base():
-        return _fresh_base(rng, base_hashes)
+        nonlocal n_bases
+        img, h = _fresh_base(rng, base_hashes[:n_bases])
+        base_hashes[n_bases] = h
+        n_bases += 1
+        return img, h
 
     def fresh_text():
         return _fresh_text(rng, used_norms)

@@ -26,7 +26,7 @@ from .phash import write_hashes
 from .rules import (PredictionSet, PseudoLabelSet, apply_rule1, apply_rule2,
                     apply_unimodal_signatures, merge_pseudo_labels,
                     rule1_pseudo_labels, write_pseudo_labels)
-from .simulator import SimulatorConfig, simulate_predictions
+from .simulator import SimulatorConfig, shared_noise, simulate_predictions
 from .tuples import detect_tuples, detect_unimodal_hate, tuple_stats, write_groups
 
 PLACEMENTS = ("before_stacking", "after_stacking", "both_off")
@@ -60,6 +60,8 @@ class PipelineConfig:
     quiet: bool = False
 
     def validate(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.manifest is None and self.n < 10:
             raise ConfigError(f"n must be >= 10, got {self.n}")
         if self.models < 1:
@@ -213,9 +215,12 @@ def run_pipeline(cfg):
         return assignment
     assignment = _stage("cluster", cluster_stage, quiet)
 
-    groups = _stage("tuples", lambda: detect_tuples(records, assignment), quiet)
-    write_groups(groups, path_of("tuples.jsonl"))
-    record_artifact("tuples.jsonl")
+    def tuples_stage():
+        found = detect_tuples(records, assignment)
+        write_groups(found, path_of("tuples.jsonl"))
+        record_artifact("tuples.jsonl")
+        return found
+    groups = _stage("tuples", tuples_stage, quiet)
 
     pseudo = None
     if cfg.rule1:
@@ -239,9 +244,10 @@ def run_pipeline(cfg):
 
     def simulate_stage():
         os.makedirs(path_of("preds"), exist_ok=True)
+        shared = shared_noise(sim_cfg, [rec.id for rec in records])
         sets = []
         for idx in range(cfg.models * cfg.k):
-            ps = simulate_predictions(records, groups, pseudo, sim_cfg, idx)
+            ps = simulate_predictions(records, groups, pseudo, sim_cfg, idx, shared)
             name = os.path.join("preds", f"{ps.model_id}.csv")
             write_predictions(ps, path_of(name))
             record_artifact(name)

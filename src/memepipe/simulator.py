@@ -10,7 +10,9 @@ models would wash the noise out entirely.
 
 Every draw is seeded from (seed, stream, [model], id), so scores never
 depend on iteration order and adding models or memes never perturbs
-existing ones.
+existing ones.  The shared draw depends on (seed, id) alone, so a run of
+many models makes it once per meme (shared_noise) and hands it to each
+simulate_predictions call.
 """
 
 import math
@@ -47,6 +49,8 @@ class SimulatorConfig:
     seed: int = 0
 
     def validate(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.pseudo_label_boost <= 0:
@@ -86,20 +90,39 @@ def _logistic(z):
     return e / (1.0 + e)
 
 
-def _noise(cfg, model_index, meme_id):
-    shared = np.random.default_rng([cfg.seed, 0, meme_id]).standard_normal()
-    local = np.random.default_rng(
-        [cfg.seed, 1, model_index, meme_id]).standard_normal()
-    rho = cfg.noise_correlation
-    return cfg.sigma * (math.sqrt(rho) * shared + math.sqrt(1.0 - rho) * local)
+_WORD_END = 1 << 32
 
 
-def simulate_predictions(memes, groups, pseudo, cfg, model_index):
+def _rng(*words):
+    """np.random.default_rng(list(words)), built faster where it can be.
+
+    When every word is an int in [0, 2**32), a uint32 array is numpy's fast
+    path to the same SeedSequence, so the stream is identical.  Any other
+    word keeps the list form: numpy splits an int >= 2**32 into 32-bit words
+    and rejects a negative one with ValueError, as it always has.
+    """
+    if all(type(w) is int and 0 <= w < _WORD_END for w in words):
+        return np.random.default_rng(np.array(words, dtype=np.uint32))
+    return np.random.default_rng(list(words))
+
+
+def shared_noise(cfg, ids):
+    """The model-shared standard normal draw of each id, keyed by id.
+
+    It depends on cfg.seed and the id alone, so one call serves every
+    simulate_predictions call of a run that uses the same seed.
+    """
+    return {meme_id: _rng(cfg.seed, 0, meme_id).standard_normal() for meme_id in ids}
+
+
+def simulate_predictions(memes, groups, pseudo, cfg, model_index, shared=None):
     """One simulated model's scores for every meme.
 
     memes must carry labels (the generator's recorded truth); groups drive
     the difficulty category; pseudo (optional) marks ids whose separation
-    gets the pseudo-label boost.
+    gets the pseudo-label boost.  shared, if given, is shared_noise(cfg, ids)
+    for the same seed and covers every meme; without it the draws are made
+    here.
     """
     cfg.validate()
     for rec in memes:
@@ -107,11 +130,17 @@ def simulate_predictions(memes, groups, pseudo, cfg, model_index):
             raise ValueError(f"meme {rec.id} has no label to condition on")
     cats = member_categories([rec.id for rec in memes], groups)
     pseudo_ids = set() if pseudo is None else set(pseudo.labels)
+    if shared is None:
+        shared = shared_noise(cfg, [rec.id for rec in memes])
+    shared_weight = math.sqrt(cfg.noise_correlation)
+    local_weight = math.sqrt(1.0 - cfg.noise_correlation)
     scores = {}
     for rec in memes:
         sep = cfg.separation_mu * cfg.difficulty_discount[cats[rec.id]]
         if rec.id in pseudo_ids:
             sep *= cfg.pseudo_label_boost
-        z = sep * (2 * rec.label - 1) + _noise(cfg, model_index, rec.id)
+        local = _rng(cfg.seed, 1, model_index, rec.id).standard_normal()
+        noise = cfg.sigma * (shared_weight * shared[rec.id] + local_weight * local)
+        z = sep * (2 * rec.label - 1) + noise
         scores[rec.id] = _logistic(z)
     return PredictionSet(f"sim-{model_index:02d}", scores)

@@ -15,7 +15,8 @@ from memepipe.generator import generate_dataset, image_hashes
 from memepipe.metrics import accuracy, auroc
 from memepipe.rules import (PredictionSet, PseudoLabelSet, apply_rule1,
                             apply_rule2, rule1_pseudo_labels)
-from memepipe.simulator import SimulatorConfig, simulate_predictions
+from memepipe.simulator import (SimulatorConfig, shared_noise,
+                                simulate_predictions)
 from memepipe.tuples import detect_tuples
 
 SWEEP_SEEDS = tuple(range(100, 120))
@@ -47,9 +48,11 @@ def _run_seed(seed):
         {i: v for i, v in full.provenance.items() if i in held})
 
     cfg = SimulatorConfig(seed=seed)
-    raw = [simulate_predictions(records, groups, None, cfg, i)
+    # the model-shared draws depend on (seed, id) only: one set serves all 40
+    shared = shared_noise(cfg, [r.id for r in records])
+    raw = [simulate_predictions(records, groups, None, cfg, i, shared)
            for i in range(SWEEP_SETS)]
-    boosted = [simulate_predictions(records, groups, pseudo, cfg, i)
+    boosted = [simulate_predictions(records, groups, pseudo, cfg, i, shared)
                for i in range(SWEEP_SETS)]
 
     test_ids = [r.id for r in records if r.split == "test"]

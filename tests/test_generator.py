@@ -7,7 +7,8 @@ from memepipe.clustering import (ClusterAssignment, cluster_images,
                                  cluster_texts, normalize_text)
 from memepipe.dataset import (DatasetComposition, GeneratorNoise, read_pgm)
 from memepipe.generator import (generate_dataset, image_hashes, write_images,
-                                _BASE_MIN_SEPARATION, _DUP_MAX_RADIUS)
+                                _BASE_MIN_SEPARATION, _DUP_MAX_RADIUS,
+                                _fresh_base)
 from memepipe.phash import hamming, phash
 from memepipe.tuples import ThreeTuple, TwoTuple, detect_tuples
 
@@ -114,6 +115,21 @@ def test_bases_stay_separated():
             if a < b and (a, b) not in paired:
                 assert hamming(hashes[a], hashes[b]) >= \
                     _BASE_MIN_SEPARATION - 2 * _DUP_MAX_RADIUS
+
+
+def test_fresh_base_accepts_at_exactly_the_minimum_separation():
+    # the first candidate of a seed, against placed bases whose nearest one
+    # sits exactly at the minimum separation, then one bit closer
+    first_img, first = _fresh_base(np.random.default_rng(5), np.empty(0, np.uint64))
+    far = first ^ (((1 << 40) - 1) << 1)
+    for bits, accepted in ((_BASE_MIN_SEPARATION, True),
+                           (_BASE_MIN_SEPARATION - 1, False)):
+        near = first ^ (((1 << bits) - 1) << 1)
+        placed = np.array([far, near, far], dtype=np.uint64)
+        img, h = _fresh_base(np.random.default_rng(5), placed)
+        assert (h == first) is accepted
+        assert np.array_equal(img, first_img) is accepted
+        assert min(hamming(h, int(other)) for other in placed) >= _BASE_MIN_SEPARATION
 
 
 def test_shared_texts_normalize_equal():

@@ -1,11 +1,12 @@
 import dataclasses
+import hashlib
 import json
 import os
 
 import pytest
 
 from memepipe import cli
-from memepipe.dataset import read_manifest
+from memepipe.dataset import MemeRecord, read_manifest, write_manifest
 from memepipe.ensemble import read_predictions, stack_equal_weight
 from memepipe.errors import ConfigError, StageError
 from memepipe.pipeline import (PipelineConfig, build_config, load_config_file,
@@ -57,13 +58,68 @@ def test_pipeline_deterministic_across_directories(tmp_path):
 
 
 def test_pipeline_run_manifest_digests_match_files(tmp_path):
-    import hashlib
     run_quick(tmp_path / "run")
     manifest = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
     assert manifest["prediction_sets"] == 20
     for name, digest in manifest["artifacts"].items():
         with open(tmp_path / "run" / name, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+
+# sha256 of every artifact of run_pipeline(n=300, seed=3, models=2, k=2), and
+# of all images concatenated in id order; a different draw, hash or accept
+# decision anywhere in the run changes at least one of them
+PINNED_DIGESTS = {
+    "clusters.csv":
+        "571e0b9651e802471bf7796c6db12aa03790137bb6b88b5c6e0f3333c4544ede",
+    "constructed_groups.jsonl":
+        "9b46a33a862122999d1d11624cc2d5175a3a110fc50fdc13635a756b2e11ee45",
+    "hashes.csv":
+        "029ad1005bfcc5d9dbb68fc130fe6518c7e10874353343c34d5988f1d3a5a116",
+    "images/*.pgm":
+        "3019f0ce0659ff9e6a918aaebad6b9f4b21e0c85dd21ed5f2b493a7d23cef3e9",
+    "manifest.jsonl":
+        "350cab8de12c74f457c3c5f22211ba2ddecc7e0487aa81136d7e1ac3a605210b",
+    "merged_train_manifest.jsonl":
+        "ef24de36a27c1c35a9bebac33b3f1f14611502143fd474065a273c8471f2dac7",
+    "preds/sim-00.csv":
+        "ee858475031fd4e5d181af062841478f62bbbf9442c2701cdb3efa443b8fb700",
+    "preds/sim-01.csv":
+        "4662df9b48b6b0c31750da4d1a657851a9c50467c2787ee54988c01adec0f9f9",
+    "preds/sim-02.csv":
+        "94c969d921e152e01dcc673f72be3c40d61950282787bcaaba0f438de948acc6",
+    "preds/sim-03.csv":
+        "0a537ac2d2c72f71ea64234a0f480b4eea65c383413fa6ddf425b2c6f67b2258",
+    "preds_adjusted/sim-00.csv":
+        "98a5ab18aeb2e38986946fb8955a1350505972c0749da574de2d0479d5f68bbb",
+    "preds_adjusted/sim-01.csv":
+        "86944054480ab7c0b265f14c788e68ae59f3e0bee664d08e5212d80bce14f40b",
+    "preds_adjusted/sim-02.csv":
+        "cedfff75c2ec7b19bc1de006718e4c0fabf2516103cb7937858cdbb5e2bbe8af",
+    "preds_adjusted/sim-03.csv":
+        "467a626f22242b12cbc8f99f8fd10cdc3a85e4d7816af35b50625e441f2c040b",
+    "pseudo_labels.csv":
+        "410f9478da72eeeec5504a9bde86856e111445896e1d0dacd6cd04d75660111b",
+    "report.txt":
+        "27618e7621ff7fa5bfed9c259483959aee3e84f987fa00f1383747fbab383a0a",
+    "stacked.csv":
+        "4430b91e392480730806e17276350bce25b7d3ba76489a7f152017b045842bc1",
+    "submission.csv":
+        "b8021b3e5cf21416a8669d3d38aee4abdc67dd330389e7d167b486a88f98aaa9",
+    "tuples.jsonl":
+        "6597630a1a695511efd0a4758f7ca3bb014f40f92c17dbdc1fc8a2d91526ad50",
+}
+
+
+def test_pipeline_outputs_match_pinned_digests(tmp_path):
+    out = tmp_path / "run"
+    run_quick(out, n=300, models=2, k=2, save_images=True)
+    digests = json.loads((out / "run_manifest.json").read_text())["artifacts"]
+    images = hashlib.sha256()
+    for name in sorted(os.listdir(out / "images")):
+        images.update((out / "images" / name).read_bytes())
+    digests["images/*.pgm"] = images.hexdigest()
+    assert digests == PINNED_DIGESTS
 
 
 def test_rules_off_equals_plain_stacking(tmp_path):
@@ -126,6 +182,13 @@ def test_ingest_failure_names_stage(tmp_path):
             str(tmp_path / "ingest"), {},
             {"manifest": str(tmp_path / "gen" / "manifest.jsonl"),
              "quiet": True}))
+
+
+def test_tuples_write_failure_names_stage(tmp_path):
+    out = tmp_path / "run"
+    (out / "tuples.jsonl").mkdir(parents=True)
+    with pytest.raises(StageError, match="tuples"):
+        run_quick(out)
 
 
 def test_config_validation_errors(tmp_path):
@@ -340,6 +403,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli("hash", "--manifest", str(tmp_path / "missing.jsonl"),
                    "--out", str(tmp_path / "h.csv")) == 4
     capsys.readouterr()
+
+
+def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
+    assert run_cli("pipeline", "--outdir", str(tmp_path / "x"), "--seed", "-1") == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    manifest = tmp_path / "manifest.jsonl"
+    write_manifest([MemeRecord(0, "0.pgm", "t", 1, "test")], manifest)
+    assert run_cli("simulate", "--manifest", str(manifest), "--seed", "-1",
+                   "--out", str(tmp_path / "sim.csv")) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
 
 
 def test_cli_stack_writes_submission_rows(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from memepipe.metrics import auroc
 from memepipe.simulator import (CATEGORY_INDEPENDENT, CATEGORY_THREE,
                                 CATEGORY_TWO, CATEGORY_UNIMODAL,
                                 SimulatorConfig, member_categories,
-                                simulate_predictions)
+                                shared_noise, simulate_predictions)
 from memepipe.rules import PseudoLabelSet
 from memepipe.tuples import ThreeTuple, TwoTuple, UnimodalHate
 
@@ -139,6 +141,8 @@ def test_config_validation():
         SimulatorConfig(noise_correlation=1.5).validate()
     with pytest.raises(ValueError):
         SimulatorConfig(pseudo_label_boost=-1.0).validate()
+    with pytest.raises(ValueError, match="seed"):
+        SimulatorConfig(seed=-1).validate()
     cfg = SimulatorConfig()
     del cfg.difficulty_discount["two_tuple"]
     with pytest.raises(ValueError, match="two_tuple"):
@@ -197,3 +201,43 @@ def test_pseudo_boost_lifts_subset_auroc_on_paired_seeds():
         plain = simulate_predictions(memes, groups, None, cfg, 0)
         boosted = simulate_predictions(memes, groups, pseudo, cfg, 0)
         assert auroc(boosted.scores, labels) > auroc(plain.scores, labels)
+
+
+def _reference_scores(memes, cfg, model_index):
+    # the simulator's formula with list-seeded generators, one shared and one
+    # per-model draw for every score
+    rho = cfg.noise_correlation
+    out = {}
+    for rec in memes:
+        shared = np.random.default_rng([cfg.seed, 0, rec.id]).standard_normal()
+        local = np.random.default_rng(
+            [cfg.seed, 1, model_index, rec.id]).standard_normal()
+        noise = cfg.sigma * (math.sqrt(rho) * shared + math.sqrt(1.0 - rho) * local)
+        z = cfg.separation_mu * (2 * rec.label - 1) + noise
+        if z >= 0.0:
+            out[rec.id] = 1.0 / (1.0 + math.exp(-z))
+        else:
+            out[rec.id] = math.exp(z) / (1.0 + math.exp(z))
+    return out
+
+
+# ids and seeds on both sides of 2**32, where the uint32 entropy stops fitting
+@pytest.mark.parametrize("seed", [0, 7, 2**40])
+@pytest.mark.parametrize("model_index", [0, 3])
+def test_simulate_matches_list_seeded_reference(seed, model_index):
+    memes = recs({0: 1, 1: 0, 2**32 - 1: 1, 2**32: 0, 2**33 + 7: 1})
+    cfg = SimulatorConfig(seed=seed)
+    expected = _reference_scores(memes, cfg, model_index)
+    alone = simulate_predictions(memes, [], None, cfg, model_index)
+    shared = shared_noise(cfg, [rec.id for rec in memes])
+    handed = simulate_predictions(memes, [], None, cfg, model_index, shared)
+    assert alone.scores == expected
+    assert handed.scores == expected
+
+
+def test_simulate_rejects_negative_id_as_numpy_does():
+    memes = recs({-1: 1})
+    with pytest.raises(ValueError, match="non-negative"):
+        simulate_predictions(memes, [], None, SimulatorConfig(), 0)
+    with pytest.raises(ValueError, match="non-negative"):
+        shared_noise(SimulatorConfig(), [-1])
