@@ -51,12 +51,27 @@ def _add_number_flags(parser, cls):
             parser.add_argument(_flag(f.name), type=f.type, default=f.default)
 
 
+def _non_negative(value, flag):
+    if value < 0:
+        raise ConfigError(f"{flag} must be >= 0, got {value}")
+
+
+def _splits(text, flag):
+    """The set of split names in a comma-separated flag value."""
+    wanted = {s.strip() for s in text.split(",")}
+    bad = wanted.difference(("train", "dev", "test"))
+    if bad:
+        raise ConfigError(f"unknown split(s) in {flag}: {sorted(bad)}")
+    return wanted
+
+
 def _say(args, message):
     if not getattr(args, "quiet", False):
         print(message, file=sys.stderr)
 
 
 def cmd_gen_data(args):
+    _non_negative(args.seed, "--seed")
     comp = DatasetComposition.parse(args.composition)
     noise = from_number_fields(GeneratorNoise, args)
     ds = generate_dataset(args.n, comp, noise, args.seed)
@@ -106,19 +121,15 @@ def cmd_stats(args):
 
 
 def cmd_tuples(args):
+    scope = None if args.scope == "all" else _splits(args.scope, "--scope")
+    unimodal = (_splits(args.unimodal_scope, "--unimodal-scope")
+                if args.unimodal_scope else ())
     records = read_manifest(args.manifest)
     assignment = read_clusters(args.clusters)
-    if args.scope != "all":
-        wanted = {s.strip() for s in args.scope.split(",")}
-        bad = wanted.difference(("train", "dev", "test"))
-        if bad:
-            raise ConfigError(f"unknown split(s) in --scope: {sorted(bad)}")
-        records = [rec for rec in records if rec.split in wanted]
-    groups = detect_tuples(records, assignment)
-    if args.unimodal_scope:
-        wanted = {s.strip() for s in args.unimodal_scope.split(",")}
-        labeled = [rec for rec in read_manifest(args.manifest)
-                   if rec.split in wanted]
+    groups = detect_tuples([rec for rec in records
+                            if scope is None or rec.split in scope], assignment)
+    if unimodal:
+        labeled = [rec for rec in records if rec.split in unimodal]
         groups = groups + detect_unimodal_hate(labeled, assignment)
     write_groups(groups, args.out)
     _say(args, f"found {len(groups)} groups -> {args.out}")
@@ -151,6 +162,7 @@ def cmd_adjust(args):
 
 
 def cmd_simulate(args):
+    _non_negative(args.model_index, "--model-index")
     records = read_manifest(args.manifest)
     groups = read_groups(args.tuples) if args.tuples else []
     pseudo = read_pseudo_labels(args.pseudo) if args.pseudo else None

@@ -1,9 +1,10 @@
 """End-to-end run: data -> hashes -> clusters -> tuples -> predictions ->
 adjusted stacking -> submission -> evaluation.
 
-Every stage writes its artifact under the output directory, and a run
-manifest records the effective config plus content digests, so two runs
-with the same config produce byte-identical outputs.
+Three pure phases, `detect`, `simulate` and `score`, compute the run; then
+every artifact is written under the output directory, and a run manifest
+records the effective config plus content digests, so two runs with the
+same config produce byte-identical outputs.
 """
 
 import dataclasses
@@ -69,7 +70,8 @@ class PipelineConfig:
         if self.k < 2:
             raise ConfigError(f"k must be >= 2, got {self.k}")
         if not 0 <= self.hamming_threshold <= 64:
-            raise ConfigError(f"hamming_threshold must be in [0, 64]")
+            raise ConfigError(f"hamming_threshold must be in [0, 64], "
+                              f"got {self.hamming_threshold}")
         if self.adjust_placement not in PLACEMENTS:
             raise ConfigError(f"adjust_placement must be one of {PLACEMENTS}, "
                               f"got {self.adjust_placement!r}")
@@ -172,103 +174,59 @@ def _digest(path):
     return h.hexdigest()
 
 
-def run_pipeline(cfg):
-    cfg.validate()
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    artifacts = {}
+@dataclass
+class Structure:
+    hashes: list                  # (id, hash) pairs sorted by id
+    assignment: ClusterAssignment
+    groups: list                  # detected tuples
+    pseudo: object                # held-out rule 1 PseudoLabelSet, None without rule 1
 
-    def path_of(name):
-        return os.path.join(cfg.out_dir, name)
 
-    def record_artifact(name):
-        artifacts[name] = path_of(name)
+@dataclass
+class Scores:
+    adjusted: list                # per-set rule 2 output; empty unless before stacking
+    final: StackedPrediction      # scores after every enabled rule
+    report: object                # EvaluationReport, or None without eval labels
 
+
+def detect(cfg, records, images):
+    """Hash, cluster and group the corpus; pseudo-label held-out memes by rule 1."""
     quiet = cfg.quiet
-    noise = from_number_fields(GeneratorNoise, cfg)
-
-    if cfg.manifest is None:
-        def gen():
-            ds = generate_dataset(cfg.n, cfg.composition, noise, cfg.seed)
-            for name in write_corpus(ds, cfg.out_dir, cfg.save_images):
-                record_artifact(name)
-            return ds.records, ds.images
-        records, images = _stage("generate", gen, quiet)
-    else:
-        def ingest():
-            recs = read_manifest(cfg.manifest)
-            return recs, read_images(cfg.manifest, recs)
-        records, images = _stage("ingest", ingest, quiet)
-
-    def hash_stage():
-        hashes = image_hashes(images)
-        write_hashes(hashes, path_of("hashes.csv"))
-        record_artifact("hashes.csv")
-        return hashes
-    hashes = _stage("hash", hash_stage, quiet)
-
-    def cluster_stage():
-        assignment = ClusterAssignment(
-            image=cluster_images(hashes, cfg.hamming_threshold),
-            text=cluster_texts(records))
-        write_clusters(assignment, path_of("clusters.csv"))
-        record_artifact("clusters.csv")
-        return assignment
-    assignment = _stage("cluster", cluster_stage, quiet)
-
-    def tuples_stage():
-        found = detect_tuples(records, assignment)
-        write_groups(found, path_of("tuples.jsonl"))
-        record_artifact("tuples.jsonl")
-        return found
-    groups = _stage("tuples", tuples_stage, quiet)
-
+    hashes = _stage("hash", lambda: image_hashes(images), quiet)
+    assignment = _stage("cluster", lambda: ClusterAssignment(
+        image=cluster_images(hashes, cfg.hamming_threshold),
+        text=cluster_texts(records)), quiet)
+    groups = _stage("tuples", lambda: detect_tuples(records, assignment), quiet)
     pseudo = None
     if cfg.rule1:
         def pseudo_stage():
-            train = [rec for rec in records if rec.split == "train"]
-            held_out = [rec for rec in records if rec.split != "train"]
-            held_ids = {rec.id for rec in held_out}
+            held_ids = {rec.id for rec in records if rec.split != "train"}
             full = rule1_pseudo_labels(groups)
-            restricted = PseudoLabelSet(
+            return PseudoLabelSet(
                 labels={i: v for i, v in full.labels.items() if i in held_ids},
                 provenance={i: v for i, v in full.provenance.items() if i in held_ids})
-            write_pseudo_labels(restricted, path_of("pseudo_labels.csv"))
-            record_artifact("pseudo_labels.csv")
-            merged = merge_pseudo_labels(train, restricted, held_out)
-            write_manifest(merged, path_of("merged_train_manifest.jsonl"))
-            record_artifact("merged_train_manifest.jsonl")
-            return restricted
         pseudo = _stage("pseudo-label", pseudo_stage, quiet)
+    return Structure(hashes, assignment, groups, pseudo)
 
-    sim_cfg = from_number_fields(SimulatorConfig, cfg)
 
+def simulate(cfg, records, groups, pseudo):
+    """models x k simulated prediction sets over one shared-noise draw."""
     def simulate_stage():
-        os.makedirs(path_of("preds"), exist_ok=True)
+        sim_cfg = from_number_fields(SimulatorConfig, cfg)
         shared = shared_noise(sim_cfg, [rec.id for rec in records])
-        sets = []
-        for idx in range(cfg.models * cfg.k):
-            ps = simulate_predictions(records, groups, pseudo, sim_cfg, idx, shared)
-            name = os.path.join("preds", f"{ps.model_id}.csv")
-            write_predictions(ps, path_of(name))
-            record_artifact(name)
-            sets.append(ps)
-        return sets
-    sets = _stage("simulate", simulate_stage, quiet)
+        return [simulate_predictions(records, groups, pseudo, sim_cfg, idx, shared)
+                for idx in range(cfg.models * cfg.k)]
+    return _stage("simulate", simulate_stage, cfg.quiet)
 
+
+def score(cfg, records, structure, sets):
+    """Apply the enabled rules around stacking and evaluate the eval split."""
+    quiet, groups = cfg.quiet, structure.groups
+    adjusted = []
     if cfg.rule2 and cfg.adjust_placement == "before_stacking":
-        def adjust_before():
-            os.makedirs(path_of("preds_adjusted"), exist_ok=True)
-            adjusted = []
-            for ps in sets:
-                out = apply_rule2(groups, ps, cfg.hi, cfg.lo)
-                name = os.path.join("preds_adjusted", f"{ps.model_id}.csv")
-                write_predictions(out, path_of(name))
-                record_artifact(name)
-                adjusted.append(out)
-            return adjusted
-        sets = _stage("adjust-before", adjust_before, quiet)
-
-    stacked = _stage("stack", lambda: stack_equal_weight(sets), quiet)
+        adjusted = _stage("adjust-before", lambda: [
+            apply_rule2(groups, ps, cfg.hi, cfg.lo) for ps in sets], quiet)
+    stacked = _stage("stack", lambda: stack_equal_weight(adjusted or sets), quiet)
     final = PredictionSet("stacked", dict(stacked.mean_score))
 
     if cfg.rule2 and cfg.adjust_placement == "after_stacking":
@@ -280,39 +238,87 @@ def run_pipeline(cfg):
         def unimodal_stage():
             labeled = [rec for rec in records
                        if rec.split == "train" and rec.label is not None]
-            signatures = detect_unimodal_hate(labeled, assignment)
-            return apply_unimodal_signatures(signatures, assignment, final)
+            signatures = detect_unimodal_hate(labeled, structure.assignment)
+            return apply_unimodal_signatures(signatures, structure.assignment, final)
         final = _stage("unimodal-signatures", unimodal_stage, quiet)
 
-    labels = {meme_id: 1 if score >= 0.5 else 0
-              for meme_id, score in final.scores.items()}
-    stacked = StackedPrediction(dict(final.scores), labels, stacked.source_count)
-    write_predictions(final, path_of("stacked.csv"))
-    record_artifact("stacked.csv")
-
-    eval_ids = [rec.id for rec in records if rec.split == cfg.eval_split]
-    write_submission(stacked, path_of("submission.csv"), eval_ids)
-    record_artifact("submission.csv")
+    labels = {meme_id: 1 if s >= 0.5 else 0 for meme_id, s in final.scores.items()}
+    final = StackedPrediction(dict(final.scores), labels, stacked.source_count)
 
     report = None
-    truth = {rec.id: rec.label for rec in records
-             if rec.split == cfg.eval_split and rec.label is not None}
-    if truth and len(truth) == len(eval_ids):
-        def eval_stage():
-            scores = {i: final.scores[i] for i in truth}
-            preds = {i: labels[i] for i in truth}
-            rep = evaluate(scores, preds, truth)
-            with open(path_of("report.txt"), "w", encoding="utf-8") as fh:
-                fh.write(rep.to_text())
-                fh.write(rep.machine_line() + "\n")
-            record_artifact("report.txt")
-            return rep
-        report = _stage("evaluate", eval_stage, quiet)
+    eval_recs = [rec for rec in records if rec.split == cfg.eval_split]
+    if eval_recs and all(rec.label is not None for rec in eval_recs):
+        truth = {rec.id: rec.label for rec in eval_recs}
+        report = _stage("evaluate", lambda: evaluate(
+            {i: final.mean_score[i] for i in truth},
+            {i: labels[i] for i in truth}, truth), quiet)
         if not quiet:
             print(report.machine_line(), file=sys.stderr)
+    return Scores(adjusted, final, report)
 
-    stats = corpus_stats(assignment)
-    tstats = tuple_stats(groups, len(records))
+
+def _write_artifacts(cfg, records, structure, sets, scores):
+    """Write every artifact of detect, simulate and score; return their names."""
+    names = []
+
+    def out(name):
+        names.append(name)
+        return os.path.join(cfg.out_dir, name)
+
+    write_hashes(structure.hashes, out("hashes.csv"))
+    write_clusters(structure.assignment, out("clusters.csv"))
+    write_groups(structure.groups, out("tuples.jsonl"))
+    if structure.pseudo is not None:
+        write_pseudo_labels(structure.pseudo, out("pseudo_labels.csv"))
+        train = [rec for rec in records if rec.split == "train"]
+        held_out = [rec for rec in records if rec.split != "train"]
+        write_manifest(merge_pseudo_labels(train, structure.pseudo, held_out),
+                       out("merged_train_manifest.jsonl"))
+    for folder, folder_sets in (("preds", sets), ("preds_adjusted", scores.adjusted)):
+        if folder_sets:
+            os.makedirs(os.path.join(cfg.out_dir, folder), exist_ok=True)
+        for ps in folder_sets:
+            write_predictions(ps, out(os.path.join(folder, f"{ps.model_id}.csv")))
+    write_predictions(PredictionSet("stacked", scores.final.mean_score),
+                      out("stacked.csv"))
+    eval_ids = [rec.id for rec in records if rec.split == cfg.eval_split]
+    write_submission(scores.final, out("submission.csv"), eval_ids)
+    if scores.report is not None:
+        with open(out("report.txt"), "w", encoding="utf-8") as fh:
+            fh.write(scores.report.to_text())
+            fh.write(scores.report.machine_line() + "\n")
+    return names
+
+
+def run_pipeline(cfg):
+    """Corpus, detect, simulate and score, then one write stage and the run
+    manifest; a run that fails before the write leaves only the corpus."""
+    cfg.validate()
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    quiet = cfg.quiet
+    noise = from_number_fields(GeneratorNoise, cfg)
+
+    if cfg.manifest is None:
+        def gen():
+            ds = generate_dataset(cfg.n, cfg.composition, noise, cfg.seed)
+            names = write_corpus(ds, cfg.out_dir, cfg.save_images)
+            return ds.records, ds.images, list(names)
+        records, images, names = _stage("generate", gen, quiet)
+    else:
+        def ingest():
+            recs = read_manifest(cfg.manifest)
+            return recs, read_images(cfg.manifest, recs), []
+        records, images, names = _stage("ingest", ingest, quiet)
+
+    structure = detect(cfg, records, images)
+    sets = simulate(cfg, records, structure.groups, structure.pseudo)
+    scores = score(cfg, records, structure, sets)
+    names += _stage("write", lambda: _write_artifacts(
+        cfg, records, structure, sets, scores), quiet)
+
+    artifacts = {name: os.path.join(cfg.out_dir, name) for name in names}
+    stats = corpus_stats(structure.assignment)
+    tstats = tuple_stats(structure.groups, len(records))
     run_manifest = {
         "config": _config_obj(cfg),
         "artifacts": {name: _digest(path) for name, path in sorted(artifacts.items())},
@@ -326,11 +332,12 @@ def run_pipeline(cfg):
             "two_tuple_frac": tstats.two_tuple_frac,
         },
     }
-    with open(path_of("run_manifest.json"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(cfg.out_dir, "run_manifest.json"), "w",
+              encoding="utf-8") as fh:
         json.dump(run_manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return PipelineResult(report=report, submission_path=path_of("submission.csv"),
-                          artifacts=artifacts, stacked=stacked)
+    return PipelineResult(scores.report, artifacts["submission.csv"], artifacts,
+                          scores.final)
 
 
 def _config_obj(cfg):

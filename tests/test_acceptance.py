@@ -11,14 +11,14 @@ import time
 import numpy as np
 
 from memepipe import cli
-from memepipe.clustering import ClusterAssignment, cluster_images, cluster_texts
+from memepipe.clustering import cluster_images
 from memepipe.dataset import GeneratorNoise
-from memepipe.generator import generate_dataset, image_hashes
+from memepipe.generator import generate_dataset
 from memepipe.metrics import accuracy, auroc, roc_curve, trapezoid_area
 from memepipe.phash import hamming, phash
-from memepipe.pipeline import build_config, run_pipeline
+from memepipe.pipeline import PipelineConfig, build_config, detect, run_pipeline
 from memepipe.rules import rule1_pseudo_labels
-from memepipe.tuples import ThreeTuple, detect_tuples
+from memepipe.tuples import ThreeTuple
 
 from conftest import SWEEP_SEEDS
 
@@ -130,10 +130,8 @@ def test_criterion_3_phash_affine_invariance(capfd):
 
 
 def detect_triples(ds):
-    assignment = ClusterAssignment(
-        image=cluster_images(image_hashes(ds.images), 10),
-        text=cluster_texts(ds.records))
-    groups = detect_tuples(ds.records, assignment)
+    cfg = PipelineConfig(out_dir="", rule1=False, quiet=True)
+    groups = detect(cfg, ds.records, ds.images).groups
     return {g for g in groups if isinstance(g, ThreeTuple)}
 
 

@@ -5,12 +5,13 @@ import os
 
 import pytest
 
-from memepipe import cli
+from memepipe import cli, pipeline
 from memepipe.dataset import MemeRecord, read_manifest, write_manifest
 from memepipe.ensemble import read_predictions, stack_equal_weight
 from memepipe.errors import ConfigError, StageError
-from memepipe.pipeline import (PipelineConfig, build_config, load_config_file,
-                               run_pipeline)
+from memepipe.generator import generate_dataset
+from memepipe.pipeline import (PipelineConfig, build_config, detect,
+                               load_config_file, run_pipeline, score, simulate)
 
 
 def run_quick(out_dir, **overrides):
@@ -122,6 +123,45 @@ def test_pipeline_outputs_match_pinned_digests(tmp_path):
     assert digests == PINNED_DIGESTS
 
 
+# sha256 of the scored artifacts of run_pipeline(n=300, seed=3, models=2, k=2)
+# for the score branches the default config does not take
+BRANCH_DIGESTS = {
+    "unimodal": ({"unimodal": True}, {
+        "stacked.csv":
+            "6d03fe96c7adddc51aae0736d43d95a899dc17be3e8eabb041dbe3d7b2611e54",
+        "submission.csv":
+            "b8021b3e5cf21416a8669d3d38aee4abdc67dd330389e7d167b486a88f98aaa9",
+        "report.txt":
+            "27618e7621ff7fa5bfed9c259483959aee3e84f987fa00f1383747fbab383a0a",
+    }),
+    "both_off": ({"adjust_placement": "both_off"}, {
+        "stacked.csv":
+            "a52ef94a146ac90dd4a49688c4bc37d6a509b2d1d3e1a2d7edc5ca196ffde315",
+        "submission.csv":
+            "3b62658e0bbd3cf936537683dc8f8e0421bf8ab758411988c5a6e76dea929f0a",
+        "report.txt":
+            "73aa34c980ec373a03081332b5d05315bb35f395d8d8874c53fe191d395bbbd7",
+    }),
+    "eval_dev": ({"eval_split": "dev"}, {
+        "stacked.csv":
+            "4430b91e392480730806e17276350bce25b7d3ba76489a7f152017b045842bc1",
+        "submission.csv":
+            "1868c91412ff12cd38091debf6fdc98e9c6e31d56fb8b4e45af09e57a176ce10",
+        "report.txt":
+            "931d0202fd4af1ffaff8d39c95597489b1350ad970bb08cf5ee2fc92ca3d03b1",
+    }),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(BRANCH_DIGESTS))
+def test_score_branches_match_pinned_digests(tmp_path, branch):
+    overrides, expected = BRANCH_DIGESTS[branch]
+    out = tmp_path / "run"
+    run_quick(out, n=300, models=2, k=2, **overrides)
+    digests = json.loads((out / "run_manifest.json").read_text())["artifacts"]
+    assert {name: digests.get(name) for name in expected} == expected
+
+
 def test_rules_off_equals_plain_stacking(tmp_path):
     run_quick(tmp_path / "run", rule1=False, rule2=False)
     preds_dir = tmp_path / "run" / "preds"
@@ -173,6 +213,20 @@ def test_ingest_mode_reuses_generated_corpus(tmp_path):
     assert left == right
 
 
+def test_score_without_eval_labels_has_no_report():
+    # the simulator needs every label, so genuine prediction sets are the
+    # way an unlabeled eval split reaches score
+    ds = generate_dataset(120, seed=3)
+    cfg = PipelineConfig(out_dir="", quiet=True)
+    structure = detect(cfg, ds.records, ds.images)
+    sets = simulate(cfg, ds.records, structure.groups, structure.pseudo)
+    labeled = score(cfg, ds.records, structure, sets)
+    unlabeled = score(cfg, [dataclasses.replace(r, label=None) if r.split == "test"
+                            else r for r in ds.records], structure, sets)
+    assert labeled.report is not None and unlabeled.report is None
+    assert unlabeled.final == labeled.final
+
+
 def test_ingest_failure_names_stage(tmp_path):
     run_quick(tmp_path / "gen", save_images=True)
     img = tmp_path / "gen" / "images" / "000000.pgm"
@@ -191,6 +245,21 @@ def test_tuples_write_failure_names_stage(tmp_path):
         run_quick(out)
 
 
+def test_artifacts_are_written_only_after_scoring(tmp_path, monkeypatch):
+    def broken(groups, preds):
+        raise RuntimeError("rule 1 broke")
+    monkeypatch.setattr(pipeline, "apply_rule1", broken)
+    with pytest.raises(StageError, match="rule1-override"):
+        run_quick(tmp_path / "run")
+    assert sorted(os.listdir(tmp_path / "run")) == \
+        ["constructed_groups.jsonl", "manifest.jsonl"]
+    monkeypatch.undo()
+    out = tmp_path / "blocked"
+    (out / "stacked.csv").mkdir(parents=True)
+    with pytest.raises(StageError, match=r"^stage 'write' failed: .*stacked\.csv"):
+        run_quick(out)
+
+
 def test_config_validation_errors(tmp_path):
     with pytest.raises(ConfigError, match="n must be"):
         build_config(str(tmp_path), {}, {"n": 5})
@@ -202,6 +271,10 @@ def test_config_validation_errors(tmp_path):
         build_config(str(tmp_path), {}, {"k": 1})
     with pytest.raises(ConfigError, match="unknown config key"):
         build_config(str(tmp_path), {}, {"banana": 1})
+    for threshold in (65, -1):
+        with pytest.raises(ConfigError,
+                           match=rf"hamming_threshold .*, got {threshold}$"):
+            build_config(str(tmp_path), {}, {"hamming_threshold": threshold})
 
 
 def test_config_file_and_overrides(tmp_path):
@@ -394,6 +467,8 @@ def test_cli_pipeline_command(tmp_path, capsys):
 def test_cli_exit_codes(tmp_path, capsys):
     # config error
     assert run_cli("pipeline", "--outdir", str(tmp_path / "x"), "--n", "5") == 2
+    assert run_cli("pipeline", "--outdir", str(tmp_path / "x"),
+                   "--image-amplitude", "-1") == 2
     # malformed input data
     bad = tmp_path / "bad.jsonl"
     bad.write_text("{broken\n")
@@ -413,6 +488,27 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
     assert run_cli("simulate", "--manifest", str(manifest), "--seed", "-1",
                    "--out", str(tmp_path / "sim.csv")) == 2
     assert "seed must be >= 0" in capsys.readouterr().err
+    assert run_cli("gen-data", "--n", "20", "--seed", "-1",
+                   "--outdir", str(tmp_path / "data")) == 2
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+    assert run_cli("simulate", "--manifest", str(manifest), "--model-index", "-1",
+                   "--out", str(tmp_path / "sim.csv")) == 2
+    assert "--model-index must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "sim.csv").exists()
+
+
+def test_cli_tuples_rejects_unknown_split_names(tmp_path, capsys):
+    out = tmp_path / "run"
+    run_quick(out)
+    base = ["tuples", "--manifest", str(out / "manifest.jsonl"),
+            "--clusters", str(out / "clusters.csv"),
+            "--out", str(tmp_path / "groups.jsonl")]
+    for flag in ("--scope", "--unimodal-scope"):
+        assert run_cli(*base, flag, "train,tain") == 2
+        assert f"unknown split(s) in {flag}: ['tain']" in capsys.readouterr().err
+    assert not (tmp_path / "groups.jsonl").exists()
+    assert run_cli("--quiet", *base, "--unimodal-scope", "train") == 0
 
 
 def test_cli_stack_writes_submission_rows(tmp_path):
