@@ -175,6 +175,9 @@ def cmd_simulate(args):
 
 def cmd_stack(args):
     sets = [read_predictions(path) for path in args.preds]
+    for path, ps in zip(args.preds[1:], sets[1:]):
+        if ps.scores.keys() != sets[0].scores.keys():
+            raise DataFormatError(f"{path}: ids differ from those of {args.preds[0]}")
     stacked = stack_equal_weight(sets)
     write_submission(stacked, args.out)
     _say(args, f"stacked {len(sets)} sets -> {args.out}")

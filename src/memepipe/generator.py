@@ -40,19 +40,8 @@ _DUP_MAX_RADIUS = 4
 # bases can never close a chain between clusters
 _BASE_MIN_SEPARATION = 19
 
-CATEGORIES = ("multimodal_hate", "unimodal_hate", "benign_text_confounder",
-              "benign_image_confounder", "random_benign")
-
-_CONSONANTS = "bdfglmnprst"
-_VOWELS = "aeiou"
-_VOCAB = []
-for _a in [c + v for c in _CONSONANTS for v in _VOWELS]:
-    for _b in [c + v for c in _CONSONANTS for v in _VOWELS]:
-        _VOCAB.append(_a + _b)
-        if len(_VOCAB) == 200:
-            break
-    if len(_VOCAB) == 200:
-        break
+_SYLLABLES = [c + v for c in "bdfglmnprst" for v in "aeiou"]
+_VOCAB = [a + b for a in _SYLLABLES for b in _SYLLABLES][:200]
 
 _COLS = np.arange(IMAGE_SIDE, dtype=np.float64)
 
@@ -193,8 +182,23 @@ def generate_dataset(n, composition=None, noise=None, seed=0):
         n_bases += 1
         return img, h
 
-    def fresh_text():
-        return _fresh_text(rng, used_norms)
+    # every shape below is built from these three draw sequences; each
+    # image_partner is called right after the single that placed its base,
+    # so a near-duplicate is emitted before the next base is placed
+    def single(label, category, text=None):
+        base, h = fresh_base()
+        if text is None:
+            text = _fresh_text(rng, used_norms)
+        return emit(_quantize(base), text, label, category), base, h, text
+
+    def image_partner(base, h, label, category):
+        dup = _near_duplicate(rng, base, h, noi.image_amplitude)
+        return emit(dup, _fresh_text(rng, used_norms), label, category)
+
+    def text_partner(text, label, category):
+        base, _ = fresh_base()
+        variant = _text_variant(rng, text, noi.text_perturb_prob)
+        return emit(_quantize(base), variant, label, category)
 
     triples = min(c_mm, c_btc, c_bic)
     pivots_left = c_mm - triples
@@ -202,72 +206,42 @@ def generate_dataset(n, composition=None, noise=None, seed=0):
     pivots_left -= img_pairs
     txt_pairs = min(c_btc - triples, pivots_left)
     pivots_left -= txt_pairs
-    stray_bic = c_bic - triples - img_pairs
-    stray_btc = c_btc - triples - txt_pairs
 
     for _ in range(triples):
-        base, base_h = fresh_base()
-        pivot_text = fresh_text()
-        pivot = emit(_quantize(base), pivot_text, 1, "multimodal_hate")
-        dup = _near_duplicate(rng, base, base_h, noi.image_amplitude)
-        img_partner = emit(dup, fresh_text(), 0, "benign_image_confounder")
-        partner_base, _ = fresh_base()
-        txt_partner = emit(_quantize(partner_base),
-                           _text_variant(rng, pivot_text, noi.text_perturb_prob),
-                           0, "benign_text_confounder")
+        pivot, base, h, text = single(1, "multimodal_hate")
+        img_partner = image_partner(base, h, 0, "benign_image_confounder")
+        txt_partner = text_partner(text, 0, "benign_text_confounder")
         three_tuples.append(ThreeTuple(pivot, img_partner, txt_partner))
-
     for _ in range(img_pairs):
-        base, base_h = fresh_base()
-        pivot = emit(_quantize(base), fresh_text(), 1, "multimodal_hate")
-        dup = _near_duplicate(rng, base, base_h, noi.image_amplitude)
-        partner = emit(dup, fresh_text(), 0, "benign_image_confounder")
+        pivot, base, h, _ = single(1, "multimodal_hate")
+        partner = image_partner(base, h, 0, "benign_image_confounder")
         two_tuples.append(TwoTuple(pivot, partner, "image"))
-
     for _ in range(txt_pairs):
-        base, _ = fresh_base()
-        pivot_text = fresh_text()
-        pivot = emit(_quantize(base), pivot_text, 1, "multimodal_hate")
-        partner_base, _ = fresh_base()
-        partner = emit(_quantize(partner_base),
-                       _text_variant(rng, pivot_text, noi.text_perturb_prob),
-                       0, "benign_text_confounder")
+        pivot, _, _, text = single(1, "multimodal_hate")
+        partner = text_partner(text, 0, "benign_text_confounder")
         two_tuples.append(TwoTuple(pivot, partner, "text"))
-
-    for _ in range(pivots_left):
-        base, _ = fresh_base()
-        emit(_quantize(base), fresh_text(), 1, "multimodal_hate")
-
-    for _ in range(stray_bic):
-        base, _ = fresh_base()
-        emit(_quantize(base), fresh_text(), 0, "benign_image_confounder")
-    for _ in range(stray_btc):
-        base, _ = fresh_base()
-        emit(_quantize(base), fresh_text(), 0, "benign_text_confounder")
+    # spare pivots, then confounders left without a pivot
+    for count, label, category in (
+            (pivots_left, 1, "multimodal_hate"),
+            (c_bic - triples - img_pairs, 0, "benign_image_confounder"),
+            (c_btc - triples - txt_pairs, 0, "benign_text_confounder")):
+        for _ in range(count):
+            single(label, category)
 
     for pair_idx in range(c_uni // 2):
         if pair_idx % 2 == 0:
-            base, base_h = fresh_base()
-            first = emit(_quantize(base), fresh_text(), 1, "unimodal_hate")
-            dup = _near_duplicate(rng, base, base_h, noi.image_amplitude)
-            second = emit(dup, fresh_text(), 1, "unimodal_hate")
+            first, base, h, _ = single(1, "unimodal_hate")
+            second = image_partner(base, h, 1, "unimodal_hate")
             unimodal_groups.append(UnimodalHate("image", first, (first, second)))
         else:
-            shared_text = fresh_text()
-            base, _ = fresh_base()
-            first = emit(_quantize(base), shared_text, 1, "unimodal_hate")
-            partner_base, _ = fresh_base()
-            second = emit(_quantize(partner_base),
-                          _text_variant(rng, shared_text, noi.text_perturb_prob),
-                          1, "unimodal_hate")
+            # the one shape whose text is drawn before its base
+            first, _, _, text = single(1, "unimodal_hate", _fresh_text(rng, used_norms))
+            second = text_partner(text, 1, "unimodal_hate")
             unimodal_groups.append(UnimodalHate("text", first, (first, second)))
     if c_uni % 2:
-        base, _ = fresh_base()
-        emit(_quantize(base), fresh_text(), 1, "unimodal_hate")
-
+        single(1, "unimodal_hate")
     for _ in range(c_rb):
-        base, _ = fresh_base()
-        emit(_quantize(base), fresh_text(), 0, "random_benign")
+        single(0, "random_benign")
 
     assert len(texts) == n
 

@@ -30,7 +30,7 @@ from .rules import (PredictionSet, PseudoLabelSet, apply_rule1, apply_rule2,
 from .simulator import SimulatorConfig, shared_noise, simulate_predictions
 from .tuples import detect_tuples, detect_unimodal_hate, tuple_stats, write_groups
 
-PLACEMENTS = ("before_stacking", "after_stacking", "both_off")
+PLACEMENTS = ("before_stacking", "after_stacking")
 
 
 @dataclass
@@ -61,8 +61,13 @@ class PipelineConfig:
     quiet: bool = False
 
     def validate(self):
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        # the simulator and generator settings this config implies are
+        # checked here, before any stage runs
+        try:
+            from_number_fields(SimulatorConfig, self).validate()
+            from_number_fields(GeneratorNoise, self)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.manifest is None and self.n < 10:
             raise ConfigError(f"n must be >= 10, got {self.n}")
         if self.models < 1:

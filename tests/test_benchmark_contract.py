@@ -1,0 +1,40 @@
+"""The benchmark's tracer still finds every function it wraps.
+
+perfbench/spans.py wraps memepipe functions by module and name to split a
+run's time by layer; renaming or inlining one of them breaks the benchmark
+only when it runs.  This test installs the tracer around one small pipeline
+run, so such a break fails here first.
+"""
+
+import importlib.util
+import time
+from pathlib import Path
+
+from memepipe import cli
+
+SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_pipeline_feeds_layer_metrics(tmp_path):
+    spans = load_spans()
+    tracer = spans.Tracer()
+    tracer.install()          # raises spans.MissingTarget if a target is gone
+    try:
+        tracer.run = "run"
+        start = time.perf_counter()
+        code = cli.main(["--quiet", "pipeline", "--n", "60", "--models", "1",
+                         "--k", "2", "--no-images", "--outdir", str(tmp_path)])
+        wall_s = time.perf_counter() - start
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    metrics = spans.layer_metrics(tracer.spans, "run", wall_s)
+    assert metrics["simulator.sets"] == 2
+    assert metrics["generator.phash_calls"] > 0

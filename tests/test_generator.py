@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -193,3 +194,57 @@ def test_write_images_round_trip(tmp_path):
     write_images(ds, tmp_path)
     for r in ds.records:
         assert np.array_equal(read_pgm(tmp_path / r.img), ds.images[r.id])
+
+
+def dataset_digest(ds):
+    """sha256 over records, categories, planted groups and image bytes."""
+    digest = hashlib.sha256()
+    for part in (ds.records, sorted(ds.categories.items()), ds.three_tuples,
+                 ds.two_tuples, ds.unimodal_groups):
+        digest.update(repr(part).encode())
+    for meme_id in sorted(ds.images):
+        digest.update(ds.images[meme_id].tobytes())
+    return digest.hexdigest()
+
+
+# generate_dataset(97, composition, noise, seed), recorded before the
+# generator's loops were folded into shared draw helpers.  Each composition
+# takes other branches: triples with spare pivots and an odd unimodal count;
+# text pairs; image pairs and 7 unimodal pairs; stray confounders of both kinds
+PINNED_COMPOSITIONS = {
+    "default": "0.4,0.1,0.2,0.2,0.1",
+    "text_pairs": "0.5,0.05,0.2,0.1,0.15",
+    "image_pairs": "0.3,0.15,0.1,0.3,0.15",
+    "strays": "0.1,0,0.3,0.3,0.3",
+}
+PINNED_NOISE = {
+    "default_noise": (GeneratorNoise(), 1),
+    "flat_dups_label_noise": (GeneratorNoise(image_amplitude=0.0, label_noise=0.05), 2),
+}
+PINNED_DATASET_DIGESTS = {
+    ("default", "default_noise"):
+        "f8a7aa67feaa720b08dc03eae0bf5340b198311f07f80dffeed6fefb3fa89cc7",
+    ("default", "flat_dups_label_noise"):
+        "3c568ddf252c4c1a2e8612b6147ac75a9e8c86244838c5108a6c30e344631b6f",
+    ("image_pairs", "default_noise"):
+        "55028c930e7b776ea2520e111891d49261dfb0042d79c638c7740c6a157e69fa",
+    ("image_pairs", "flat_dups_label_noise"):
+        "0f85b947a4a23f869c2578b8f778bf2f118d268529b1379c6f4e67fc16a19a15",
+    ("strays", "default_noise"):
+        "8ae1f246bfd330333850c2c36a3dda883fa5f880c98a1c13d9e7354ca13d3d18",
+    ("strays", "flat_dups_label_noise"):
+        "f210c5d6db358b5908eecc079d290c530f85cdf142be717ebccbf85cb955488e",
+    ("text_pairs", "default_noise"):
+        "a47023e7f77187118e669ba2b87753060fb37435122594501b908c7262b6ddc3",
+    ("text_pairs", "flat_dups_label_noise"):
+        "fd21db3471cff55978129debc2fcfaa652960977026a1a15c836f3e92e12f875",
+}
+
+
+@pytest.mark.parametrize("noise_name", sorted(PINNED_NOISE))
+@pytest.mark.parametrize("comp_name", sorted(PINNED_COMPOSITIONS))
+def test_generated_bytes_match_pinned_digests(comp_name, noise_name):
+    noise, seed = PINNED_NOISE[noise_name]
+    comp = DatasetComposition.parse(PINNED_COMPOSITIONS[comp_name])
+    ds = generate_dataset(97, comp, noise, seed)
+    assert dataset_digest(ds) == PINNED_DATASET_DIGESTS[comp_name, noise_name]

@@ -7,9 +7,11 @@ import pytest
 
 from memepipe import cli, pipeline
 from memepipe.dataset import MemeRecord, read_manifest, write_manifest
-from memepipe.ensemble import read_predictions, stack_equal_weight
+from memepipe.ensemble import (read_predictions, stack_equal_weight,
+                               write_predictions)
 from memepipe.errors import ConfigError, StageError
 from memepipe.generator import generate_dataset
+from memepipe.rules import PredictionSet
 from memepipe.pipeline import (PipelineConfig, build_config, detect,
                                load_config_file, run_pipeline, score, simulate)
 
@@ -134,7 +136,7 @@ BRANCH_DIGESTS = {
         "report.txt":
             "27618e7621ff7fa5bfed9c259483959aee3e84f987fa00f1383747fbab383a0a",
     }),
-    "both_off": ({"adjust_placement": "both_off"}, {
+    "no_rule2": ({"rule2": False}, {
         "stacked.csv":
             "a52ef94a146ac90dd4a49688c4bc37d6a509b2d1d3e1a2d7edc5ca196ffde315",
         "submission.csv":
@@ -265,6 +267,8 @@ def test_config_validation_errors(tmp_path):
         build_config(str(tmp_path), {}, {"n": 5})
     with pytest.raises(ConfigError, match="adjust_placement"):
         build_config(str(tmp_path), {}, {"adjust_placement": "sometimes"})
+    with pytest.raises(ConfigError, match="adjust_placement"):
+        build_config(str(tmp_path), {}, {"adjust_placement": "both_off"})
     with pytest.raises(ConfigError, match="lo"):
         build_config(str(tmp_path), {}, {"hi": 0.2, "lo": 0.8})
     with pytest.raises(ConfigError, match="k must be"):
@@ -469,6 +473,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli("pipeline", "--outdir", str(tmp_path / "x"), "--n", "5") == 2
     assert run_cli("pipeline", "--outdir", str(tmp_path / "x"),
                    "--image-amplitude", "-1") == 2
+    # simulator settings are checked before the corpus is generated
+    for flag, value, message in (("--sigma", "-1", "sigma must be positive"),
+                                 ("--pseudo-label-boost", "0", "pseudo_label_boost"),
+                                 ("--noise-correlation", "2", "noise_correlation")):
+        capsys.readouterr()
+        assert run_cli("pipeline", "--outdir", str(tmp_path / "x"), flag, value) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
     # malformed input data
     bad = tmp_path / "bad.jsonl"
     bad.write_text("{broken\n")
@@ -522,6 +534,17 @@ def test_cli_stack_writes_submission_rows(tmp_path):
         f"{i},{stacked.mean_score[i]:.9f},{stacked.label[i]}\n"
         for i in sorted(stacked.mean_score))
     assert (tmp_path / "stacked.csv").read_text() == expected
+
+
+def test_cli_stack_names_the_file_whose_ids_differ(tmp_path, capsys):
+    paths = []
+    for name, ids in (("a", [0, 1, 2]), ("b", [0, 1, 2]), ("c", [0, 1, 3]),
+                      ("d", [0, 1])):
+        paths.append(str(tmp_path / f"{name}.csv"))
+        write_predictions(PredictionSet(name, {i: 0.5 for i in ids}), paths[-1])
+    assert run_cli("stack", "--preds", *paths, "--out", str(tmp_path / "out.csv")) == 3
+    assert f"{paths[2]}: ids differ from those of {paths[0]}" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_cli_adjust_round_trip(tmp_path, capsys):
