@@ -164,6 +164,9 @@ def cmd_adjust(args):
 def cmd_simulate(args):
     _non_negative(args.model_index, "--model-index")
     records = read_manifest(args.manifest)
+    unlabelled = next((rec.id for rec in records if rec.label is None), None)
+    if unlabelled is not None:
+        raise DataFormatError(f"{args.manifest}: meme {unlabelled} has no label to simulate from")
     groups = read_groups(args.tuples) if args.tuples else []
     pseudo = read_pseudo_labels(args.pseudo) if args.pseudo else None
     cfg = from_number_fields(SimulatorConfig, args)

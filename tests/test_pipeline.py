@@ -510,6 +510,18 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "sim.csv").exists()
 
 
+def test_cli_simulate_unlabelled_manifest_is_a_data_error(tmp_path, capsys):
+    manifest = tmp_path / "manifest.jsonl"
+    write_manifest([MemeRecord(0, "0.pgm", "t", 1, "test"),
+                    MemeRecord(1, "1.pgm", "u", None, "test"),
+                    MemeRecord(2, "2.pgm", "v", None, "test")], manifest)
+    assert run_cli("simulate", "--manifest", str(manifest),
+                   "--out", str(tmp_path / "sim.csv")) == 3
+    err = capsys.readouterr().err
+    assert f"data error: {manifest}: meme 1 has no label" in err
+    assert not (tmp_path / "sim.csv").exists()
+
+
 def test_cli_tuples_rejects_unknown_split_names(tmp_path, capsys):
     out = tmp_path / "run"
     run_quick(out)

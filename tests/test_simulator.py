@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import memepipe
+from memepipe import simulator
 from memepipe.dataset import MemeRecord
 from memepipe.metrics import auroc
 from memepipe.simulator import (CATEGORY_INDEPENDENT, CATEGORY_THREE,
@@ -241,3 +247,78 @@ def test_simulate_rejects_negative_id_as_numpy_does():
         simulate_predictions(memes, [], None, SimulatorConfig(), 0)
     with pytest.raises(ValueError, match="non-negative"):
         shared_noise(SimulatorConfig(), [-1])
+
+
+# the three seed-word shapes: the shared draw, a per-model draw, and a seed
+# and model at the top of the uint32 range
+@pytest.mark.parametrize("prefix", [(7, 0), (7, 1, 3), (2**32 - 1, 1, 2**32 - 2)])
+def test_bulk_draws_match_numpy_bit_for_bit(prefix):
+    ids = list(range(50_000))
+    tables = simulator._ziggurat()
+    assert tables is not None
+    words = np.array([(*prefix, i) for i in ids], np.uint32)
+    fast_x, fast = simulator._bulk_normals(words, *tables)
+    want = np.array([np.random.default_rng([*prefix, i]).standard_normal() for i in ids])
+    got = simulator._normals(prefix, ids)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(fast_x[fast].view(np.uint64), want[fast].view(np.uint64))
+    slow = np.flatnonzero(~fast)
+    assert 0 < len(slow) < 0.03 * len(ids)
+    # the ziggurat strip is the low byte of the first raw output; strip 1
+    # has ki = 0, so none of its draws can take the fast path
+    strips = {int(np.random.PCG64([*prefix, int(i)]).random_raw()) & 0xFF for i in slow}
+    assert 1 in strips
+
+
+@pytest.fixture
+def fresh_tables():
+    simulator._ziggurat.cache_clear()
+    yield
+    simulator._ziggurat.cache_clear()
+
+
+def test_corrupted_table_falls_back_to_numpy(monkeypatch, fresh_tables):
+    read = simulator._read_tables
+
+    def off_by_one_ulp():
+        wi, ki = read()
+        wi[100] = np.nextafter(wi[100], 1.0)
+        return wi, ki
+
+    monkeypatch.setattr(simulator, "_read_tables", off_by_one_ulp)
+    assert simulator._ziggurat() is None
+
+    def never(*args):
+        raise AssertionError("bulk path used after a failed self-check")
+
+    monkeypatch.setattr(simulator, "_bulk_normals", never)
+    memes = recs({i: i % 2 for i in range(300)})
+    cfg = SimulatorConfig(seed=11)
+    assert simulate_predictions(memes, [], None, cfg, 2).scores == \
+        _reference_scores(memes, cfg, 2)
+
+
+_WORDS = st.integers(0, 2**32 - 1) | st.sampled_from([0, 1, 2**31, 2**32 - 2, 2**32 - 1])
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=_WORDS, model_index=_WORDS,
+       ids=st.lists(_WORDS, min_size=1, max_size=20, unique=True),
+       big_ids=st.lists(st.integers(2**32, 2**70), max_size=3, unique=True))
+def test_simulate_matches_reference_for_any_words(seed, model_index, ids, big_ids):
+    memes = recs({i: i % 2 for i in ids + big_ids})
+    cfg = SimulatorConfig(seed=seed)
+    expected = _reference_scores(memes, cfg, model_index)
+    shared = shared_noise(cfg, [rec.id for rec in memes])
+    assert simulate_predictions(memes, [], None, cfg, model_index).scores == expected
+    assert simulate_predictions(memes, [], None, cfg, model_index, shared).scores == expected
+
+
+def test_import_reads_no_ziggurat_tables():
+    # perfbench's setup_s times this import; the tables are built on first use
+    code = ("import memepipe.cli, memepipe.simulator as s; "
+            "print(s._ziggurat.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(memepipe.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "0"
