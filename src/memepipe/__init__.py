@@ -13,8 +13,7 @@ from .dataset import (DatasetComposition, GeneratorNoise, MemeRecord,
                       read_manifest, read_pgm, write_manifest, write_pgm)
 from .ensemble import (StackedPrediction, read_predictions, stack_equal_weight,
                        write_predictions)
-from .errors import (ConfigError, DataFormatError, ManifestError,
-                     PredictionFormatError, StageError)
+from .errors import ConfigError, DataFormatError, StageError
 from .generator import GeneratedDataset, generate_dataset, image_hashes
 from .metrics import EvaluationReport, accuracy, auroc, evaluate, roc_curve
 from .phash import hamming, phash
@@ -33,8 +32,7 @@ __all__ = [
     "read_pgm", "write_manifest", "write_pgm",
     "StackedPrediction", "read_predictions", "stack_equal_weight",
     "write_predictions",
-    "ConfigError", "DataFormatError", "ManifestError",
-    "PredictionFormatError", "StageError",
+    "ConfigError", "DataFormatError", "StageError",
     "GeneratedDataset", "generate_dataset", "image_hashes",
     "EvaluationReport", "accuracy", "auroc", "evaluate", "roc_curve",
     "hamming", "phash",

@@ -2,10 +2,12 @@
 
 Subcommands mirror the pipeline stages so each artifact can be produced or
 inspected on its own; `pipeline` chains them end to end.  Exit codes:
-0 success, 2 config error, 3 data-format error, 4 stage failure.
+0 success, 2 config error, 3 data error, 4 stage or I/O failure; the class
+of the error raised at the fault decides which (see errors.py).
 """
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 
@@ -65,6 +67,15 @@ def _splits(text, flag):
     return wanted
 
 
+@contextlib.contextmanager
+def _in_file(path):
+    """Name path, the file at fault, in a DataFormatError raised inside."""
+    try:
+        yield
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
 def _say(args, message):
     if not getattr(args, "quiet", False):
         print(message, file=sys.stderr)
@@ -92,6 +103,8 @@ def cmd_hash(args):
 def cmd_cluster(args):
     records = read_manifest(args.manifest)
     hashes = read_hashes(args.hashes)
+    if {meme_id for meme_id, _ in hashes} != {rec.id for rec in records}:
+        raise DataFormatError(f"{args.hashes}: ids differ from those of {args.manifest}")
     assignment = ClusterAssignment(image=cluster_images(hashes, args.threshold),
                                    text=cluster_texts(records))
     write_clusters(assignment, args.out)
@@ -111,7 +124,8 @@ def cmd_stats(args):
                f"independent={stats.independent_frac:.6f}")
     if args.tuples:
         groups = read_groups(args.tuples)
-        ts = tuple_stats(groups, stats.n)
+        with _in_file(args.clusters):
+            ts = tuple_stats(groups, stats.n)
         print(f"three-tuple frac    {ts.three_tuple_frac:.4f}")
         print(f"two-tuple frac      {ts.two_tuple_frac:.4f}")
         machine += (f" three_tuple={ts.three_tuple_frac:.6f}"
@@ -126,11 +140,16 @@ def cmd_tuples(args):
                 if args.unimodal_scope else ())
     records = read_manifest(args.manifest)
     assignment = read_clusters(args.clusters)
-    groups = detect_tuples([rec for rec in records
-                            if scope is None or rec.split in scope], assignment)
-    if unimodal:
-        labeled = [rec for rec in records if rec.split in unimodal]
-        groups = groups + detect_unimodal_hate(labeled, assignment)
+    # a missing label is the manifest's fault, a missing cluster the clusters file's
+    labeled = [rec for rec in records if rec.split in unimodal]
+    unlabelled = next((rec.id for rec in labeled if rec.label is None), None)
+    if unlabelled is not None:
+        raise DataFormatError(f"{args.manifest}: meme {unlabelled} has no label")
+    with _in_file(args.clusters):
+        groups = detect_tuples([rec for rec in records
+                                if scope is None or rec.split in scope], assignment)
+        if unimodal:
+            groups = groups + detect_unimodal_hate(labeled, assignment)
     write_groups(groups, args.out)
     _say(args, f"found {len(groups)} groups -> {args.out}")
     return 0
@@ -148,9 +167,11 @@ def cmd_adjust(args):
     groups = read_groups(args.tuples)
     preds = read_predictions(args.preds)
     if args.rule == "1":
-        out = apply_rule1(groups, preds)
+        with _in_file(args.preds):
+            out = apply_rule1(groups, preds)
     elif args.rule == "2":
-        out = apply_rule2(groups, preds, args.hi, args.lo)
+        with _in_file(args.preds):
+            out = apply_rule2(groups, preds, args.hi, args.lo)
     else:
         if not args.clusters:
             raise ConfigError("--clusters is required for --rule unimodal")
@@ -164,13 +185,11 @@ def cmd_adjust(args):
 def cmd_simulate(args):
     _non_negative(args.model_index, "--model-index")
     records = read_manifest(args.manifest)
-    unlabelled = next((rec.id for rec in records if rec.label is None), None)
-    if unlabelled is not None:
-        raise DataFormatError(f"{args.manifest}: meme {unlabelled} has no label to simulate from")
     groups = read_groups(args.tuples) if args.tuples else []
     pseudo = read_pseudo_labels(args.pseudo) if args.pseudo else None
     cfg = from_number_fields(SimulatorConfig, args)
-    preds = simulate_predictions(records, groups, pseudo, cfg, args.model_index)
+    with _in_file(args.manifest):
+        preds = simulate_predictions(records, groups, pseudo, cfg, args.model_index)
     write_predictions(preds, args.out)
     _say(args, f"simulated model {args.model_index} -> {args.out}")
     return 0
@@ -196,9 +215,10 @@ def cmd_evaluate(args):
         raise ConfigError(f"no labeled records in split {args.split!r}")
     missing = [i for i in truth if i not in scores]
     if missing:
-        raise DataFormatError(f"submission is missing ids, e.g. {missing[:5]}")
-    report = evaluate({i: scores[i] for i in truth},
-                      {i: labels[i] for i in truth}, truth)
+        raise DataFormatError(f"{args.submission}: missing ids, e.g. {missing[:5]}")
+    with _in_file(args.truth):
+        report = evaluate({i: scores[i] for i in truth},
+                          {i: labels[i] for i in truth}, truth)
     print(report.to_text(), end="")
     print(report.machine_line())
     return 0
@@ -321,10 +341,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataFormatError, KeyError) as exc:
+    except DataFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except (StageError, OSError) as exc:

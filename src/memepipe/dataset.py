@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, ManifestError
+from .errors import ConfigError, DataFormatError
 
 SPLITS = ("train", "dev", "test")
 
@@ -37,10 +37,10 @@ class DatasetComposition:
 
     def __post_init__(self):
         fracs = self.as_tuple()
-        if any(f < 0 for f in fracs):
-            raise ValueError(f"composition fractions must be >= 0, got {fracs}")
+        if not all(f >= 0 for f in fracs):   # `not >=` rejects NaN too
+            raise ConfigError(f"composition fractions must be >= 0, got {fracs}")
         if abs(sum(fracs) - 1.0) > 1e-9:
-            raise ValueError(f"composition fractions must sum to 1, got {sum(fracs)}")
+            raise ConfigError(f"composition fractions must sum to 1, got {sum(fracs)}")
 
     def as_tuple(self):
         return (self.multimodal_hate, self.unimodal_hate,
@@ -55,10 +55,13 @@ class DatasetComposition:
 
     @classmethod
     def parse(cls, text):
-        parts = [p.strip() for p in text.split(",")]
-        if len(parts) != 5:
-            raise ValueError(f"expected 5 comma-separated fractions, got {text!r}")
-        return cls(*[float(p) for p in parts])
+        try:
+            fracs = [float(p) for p in text.split(",")]
+        except ValueError:
+            fracs = []
+        if len(fracs) != 5:
+            raise ConfigError(f"expected 5 comma-separated fractions, got {text!r}")
+        return cls(*fracs)
 
 
 @dataclass(frozen=True)
@@ -70,96 +73,103 @@ class GeneratorNoise:
     label_noise: float = 0.0          # chance a recorded label is flipped
 
     def __post_init__(self):
-        if self.image_amplitude < 0:
-            raise ValueError("image_amplitude must be >= 0")
+        if not self.image_amplitude >= 0:   # `not >=` rejects NaN too
+            raise ConfigError("image_amplitude must be >= 0")
         for name in ("text_perturb_prob", "label_noise"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+                raise ConfigError(f"{name} must be in [0, 1], got {v}")
 
 
 def _check_record(rec, where):
     if not isinstance(rec.id, int) or isinstance(rec.id, bool) or rec.id < 0:
-        raise ManifestError(f"{where}: id must be a non-negative integer, got {rec.id!r}")
+        raise DataFormatError(f"{where}: id must be a non-negative integer, got {rec.id!r}")
     if not isinstance(rec.img, str) or not rec.img:
-        raise ManifestError(f"{where}: img must be a non-empty string")
+        raise DataFormatError(f"{where}: img must be a non-empty string")
     if not isinstance(rec.text, str):
-        raise ManifestError(f"{where}: text must be a string")
+        raise DataFormatError(f"{where}: text must be a string")
     if rec.split not in SPLITS:
-        raise ManifestError(f"{where}: split must be one of {SPLITS}, got {rec.split!r}")
+        raise DataFormatError(f"{where}: split must be one of {SPLITS}, got {rec.split!r}")
     if rec.label is not None and rec.label not in (0, 1):
-        raise ManifestError(f"{where}: label must be 0 or 1, got {rec.label!r}")
+        raise DataFormatError(f"{where}: label must be 0 or 1, got {rec.label!r}")
     if rec.split == "train" and rec.label is None:
-        raise ManifestError(f"{where}: train record {rec.id} is missing a label")
+        raise DataFormatError(f"{where}: train record {rec.id} is missing a label")
+
+
+def _numbered_lines(path):
+    """(line number, stripped line) for each line of a UTF-8 text file; a
+    file that is not UTF-8 raises DataFormatError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    return enumerate((line.strip() for line in text.split("\n")), start=1)
 
 
 def read_manifest(path):
     """Parse a manifest file into records, in file order.
 
-    Raises ManifestError (with the path and offending line number) on
+    Raises DataFormatError (with the path and offending line number) on
     malformed JSON, missing or invalid fields, and duplicate ids.
     """
     records = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}: line {lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ManifestError(f"{where}: invalid JSON: {exc}") from None
-            if not isinstance(obj, dict):
-                raise ManifestError(f"{where}: expected an object")
-            for key in ("id", "img", "text", "split"):
-                if key not in obj:
-                    raise ManifestError(f"{where}: missing field {key!r}")
-            rec = MemeRecord(id=obj["id"], img=obj["img"], text=obj["text"],
-                             label=obj.get("label"), split=obj["split"])
-            _check_record(rec, where)
-            if rec.id in seen:
-                raise ManifestError(f"{where}: duplicate id {rec.id}")
-            seen.add(rec.id)
-            records.append(rec)
+    for lineno, line in _numbered_lines(path):
+        if not line:
+            continue
+        where = f"{path}: line {lineno}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{where}: invalid JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise DataFormatError(f"{where}: expected an object")
+        for key in ("id", "img", "text", "split"):
+            if key not in obj:
+                raise DataFormatError(f"{where}: missing field {key!r}")
+        rec = MemeRecord(id=obj["id"], img=obj["img"], text=obj["text"],
+                         label=obj.get("label"), split=obj["split"])
+        _check_record(rec, where)
+        if rec.id in seen:
+            raise DataFormatError(f"{where}: duplicate id {rec.id}")
+        seen.add(rec.id)
+        records.append(rec)
     return records
 
 
-def read_csv(path, columns, parse, header=True, error=DataFormatError):
+def read_csv(path, columns, parse, header=True):
     """Read a comma-separated file into a dict id -> value, in file order.
 
     With header=True the first line must be the column names joined by
     commas.  Blank lines are skipped; every other line has one field per
     column and goes to parse(*fields), which returns (id, value) or raises
-    ValueError.  An id may not repeat.  Faults raise `error` with path and line.
+    ValueError.  An id may not repeat.  Faults raise DataFormatError with path
+    and line.
     """
     rows = {}
     expected = ",".join(columns)
-    with open(path, encoding="utf-8") as fh:
-        start = 1
-        if header:
-            first = fh.readline().strip()
-            if first != expected:
-                raise error(f"{path}: line 1: expected header {expected!r}, "
-                            f"got {first!r}")
-            start = 2
-        for lineno, line in enumerate(fh, start=start):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(columns):
-                raise error(f"{path}: line {lineno}: expected {expected}, "
-                            f"got {len(parts)} fields")
-            try:
-                key, value = parse(*parts)
-            except ValueError as exc:
-                raise error(f"{path}: line {lineno}: malformed row {line!r}: "
-                            f"{exc}") from None
-            if key in rows:
-                raise error(f"{path}: line {lineno}: duplicate id {key}")
-            rows[key] = value
+    lines = _numbered_lines(path)
+    if header:
+        _, first = next(lines)
+        if first != expected:
+            raise DataFormatError(f"{path}: line 1: expected header {expected!r}, "
+                                  f"got {first!r}")
+    for lineno, line in lines:
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != len(columns):
+            raise DataFormatError(f"{path}: line {lineno}: expected {expected}, "
+                                  f"got {len(parts)} fields")
+        try:
+            key, value = parse(*parts)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: line {lineno}: malformed row {line!r}: "
+                                  f"{exc}") from None
+        if key in rows:
+            raise DataFormatError(f"{path}: line {lineno}: duplicate id {key}")
+        rows[key] = value
     return rows
 
 
@@ -169,7 +179,7 @@ def write_manifest(records, path):
     for rec in records:
         _check_record(rec, f"record id {rec.id}")
         if rec.id in seen:
-            raise ManifestError(f"duplicate id {rec.id}")
+            raise DataFormatError(f"duplicate id {rec.id}")
         seen.add(rec.id)
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
@@ -227,6 +237,16 @@ def read_pgm(path):
 
 
 def read_images(manifest_path, records):
-    """Map meme id -> pixels, reading each record's image relative to the manifest."""
+    """Map meme id -> pixels, reading each record's image relative to the
+    manifest.  An image too small to hash is rejected here, by its path."""
+    from .phash import BLOCK_SIDE  # phash imports this module
     root = os.path.dirname(os.path.abspath(manifest_path))
-    return {rec.id: read_pgm(os.path.join(root, rec.img)) for rec in records}
+    images = {}
+    for rec in records:
+        path = os.path.join(root, rec.img)
+        images[rec.id] = pixels = read_pgm(path)
+        if min(pixels.shape) < BLOCK_SIDE:
+            h, w = pixels.shape
+            raise DataFormatError(f"{path}: degenerate image {h}x{w}: need at least "
+                                  f"{BLOCK_SIDE}x{BLOCK_SIDE} pixels")
+    return images

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .dataset import read_csv
-from .errors import PredictionFormatError
+from .errors import DataFormatError
 from .rules import PredictionSet
 
 
@@ -34,7 +34,7 @@ def stack_equal_weight(sets):
         if set(ps.scores) != ids:
             missing = ids.symmetric_difference(ps.scores)
             sample = sorted(missing)[:5]
-            raise ValueError(f"prediction sets disagree on ids, e.g. {sample}")
+            raise DataFormatError(f"prediction sets disagree on ids, e.g. {sample}")
     mean_score = {}
     label = {}
     for meme_id in ids:
@@ -70,8 +70,7 @@ def _submission_row(meme_id, proba, label):
 def read_predictions(path):
     """Parse an `id,proba` CSV; the model id is the file stem."""
     path = Path(path)
-    scores = read_csv(path, ("id", "proba"), _prediction_row,
-                      error=PredictionFormatError)
+    scores = read_csv(path, ("id", "proba"), _prediction_row)
     return PredictionSet(path.stem, scores)
 
 
@@ -87,7 +86,6 @@ def write_submission(stacked, path, ids=None):
 
 def read_submission(path):
     """Parse a submission into (scores, labels) keyed by id."""
-    rows = read_csv(path, ("id", "proba", "label"), _submission_row,
-                    error=PredictionFormatError)
+    rows = read_csv(path, ("id", "proba", "label"), _submission_row)
     return ({i: proba for i, (proba, _) in rows.items()},
             {i: label for i, (_, label) in rows.items()})

@@ -1,24 +1,21 @@
 """Shared error types.
 
-DataFormatError and its subclasses mean an input file is malformed (CLI exit
-code 3).  ConfigError means the run was asked for something inconsistent
-(exit 2).  StageError wraps a pipeline stage failure (exit 4).
+The class of the error raised at a fault alone sets the CLI exit code:
+- ConfigError, exit 2: a setting is out of range or inconsistent, including
+  a corpus too large for the hash space to hold;
+- DataFormatError, exit 3: input data is malformed or inconsistent;
+- StageError or OSError, exit 4: a pipeline stage failed, or a file could
+  not be read or written.
+ConfigError and DataFormatError are ValueErrors, so a library caller may
+catch both as one.
 """
 
 
-class DataFormatError(Exception):
+class DataFormatError(ValueError):
     pass
 
 
-class ManifestError(DataFormatError):
-    pass
-
-
-class PredictionFormatError(DataFormatError):
-    pass
-
-
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 

@@ -28,6 +28,7 @@ from scipy.fft import idctn
 from .clustering import normalize_text
 from .dataset import (DatasetComposition, GeneratorNoise, MemeRecord,
                       write_manifest, write_pgm)
+from .errors import ConfigError
 from .phash import HASH_BITS, hamming, phash
 from .tuples import ThreeTuple, TwoTuple, UnimodalHate, write_groups
 
@@ -93,8 +94,8 @@ def _fresh_base(rng, base_hashes):
         nearest = np.bitwise_count(base_hashes ^ np.uint64(h)).min(initial=HASH_BITS)
         if nearest >= _BASE_MIN_SEPARATION:
             return img, h
-    raise ValueError("exhausted retries placing a distinct base image; "
-                     "the corpus is too large for the hash space")
+    raise ConfigError("exhausted retries placing a distinct base image; "
+                      "the corpus is too large for the hash space")
 
 
 def _near_duplicate(rng, base_img, base_hash, amplitude):
@@ -106,8 +107,8 @@ def _near_duplicate(rng, base_img, base_hash, amplitude):
         dup_q = _quantize(dup)
         if hamming(phash(dup_q), base_hash) <= _DUP_MAX_RADIUS:
             return dup_q
-    raise ValueError(f"image_amplitude {amplitude} keeps pushing near-duplicates "
-                     f"more than {_DUP_MAX_RADIUS} hash bits from their base")
+    raise ConfigError(f"image_amplitude {amplitude} keeps pushing near-duplicates "
+                      f"more than {_DUP_MAX_RADIUS} hash bits from their base")
 
 
 def _fresh_text(rng, used_norms):
@@ -119,7 +120,7 @@ def _fresh_text(rng, used_norms):
         if norm not in used_norms:
             used_norms.add(norm)
             return text
-    raise ValueError("exhausted retries drawing a unique text")
+    raise ConfigError("exhausted retries drawing a unique text")
 
 
 def _text_variant(rng, text, perturb_prob):
@@ -149,7 +150,7 @@ def generate_dataset(n, composition=None, noise=None, seed=0):
     memes.  Splits are roughly 85/5/10 train/dev/test.
     """
     if n < 10:
-        raise ValueError(f"need n >= 10, got {n}")
+        raise ConfigError(f"need n >= 10, got {n}")
     comp = composition if composition is not None else DatasetComposition()
     noi = noise if noise is not None else GeneratorNoise()
     rng = np.random.default_rng(seed)

@@ -10,30 +10,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DataFormatError
+
 
 def _aligned(scores, labels):
+    """(scores, labels, positives, negatives) over sorted ids; needs both classes."""
     ids = sorted(labels)
     for meme_id in ids:
         if meme_id not in scores:
-            raise ValueError(f"no score for labeled meme {meme_id}")
+            raise DataFormatError(f"no score for labeled meme {meme_id}")
         if labels[meme_id] not in (0, 1):
-            raise ValueError(f"label for meme {meme_id} must be 0 or 1")
+            raise DataFormatError(f"label for meme {meme_id} must be 0 or 1")
     y = np.array([labels[i] for i in ids], dtype=np.int64)
     s = np.array([scores[i] for i in ids], dtype=np.float64)
-    return s, y
+    pos = int(y.sum())
+    neg = len(y) - pos
+    if pos == 0 or neg == 0:
+        raise DataFormatError(f"degenerate labels: {pos} positives, {neg} negatives")
+    return s, y, pos, neg
 
 
 def auroc(scores, labels):
     """Probability that a random positive outranks a random negative.
 
     Needs at least one positive and one negative; otherwise the metric is
-    undefined and a ValueError is raised.
+    undefined and a DataFormatError is raised.
     """
-    s, y = _aligned(scores, labels)
-    pos = int(y.sum())
-    neg = len(y) - pos
-    if pos == 0 or neg == 0:
-        raise ValueError(f"degenerate labels: {pos} positives, {neg} negatives")
+    s, y, pos, neg = _aligned(scores, labels)
     order = np.argsort(s, kind="mergesort")
     ranks = np.empty(len(s), dtype=np.float64)
     sorted_s = s[order]
@@ -51,11 +54,7 @@ def auroc(scores, labels):
 
 def roc_curve(scores, labels):
     """(FPR, TPR) staircase from (0, 0) to (1, 1), one step per distinct score."""
-    s, y = _aligned(scores, labels)
-    pos = int(y.sum())
-    neg = len(y) - pos
-    if pos == 0 or neg == 0:
-        raise ValueError(f"degenerate labels: {pos} positives, {neg} negatives")
+    s, y, pos, neg = _aligned(scores, labels)
     order = np.argsort(-s, kind="mergesort")
     s_desc = s[order]
     y_desc = y[order]
@@ -85,9 +84,9 @@ def accuracy(pred_labels, labels):
     """Fraction of exact label matches.  Coverage must be identical."""
     if set(pred_labels) != set(labels):
         diff = sorted(set(pred_labels).symmetric_difference(labels))[:5]
-        raise ValueError(f"prediction/label ids differ, e.g. {diff}")
+        raise DataFormatError(f"prediction/label ids differ, e.g. {diff}")
     if not labels:
-        raise ValueError("empty label set")
+        raise DataFormatError("empty label set")
     hits = sum(1 for meme_id in labels if pred_labels[meme_id] == labels[meme_id])
     return hits / len(labels)
 

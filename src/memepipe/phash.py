@@ -14,6 +14,7 @@ import numpy as np
 from scipy.fft import dctn
 
 from .dataset import read_csv
+from .errors import ConfigError, DataFormatError
 
 RESIZE_SIDE = 32
 BLOCK_SIDE = 8
@@ -42,7 +43,7 @@ def to_grayscale(pixels):
         return (_LUMA_R * arr[:, :, 0]
                 + _LUMA_G * arr[:, :, 1]
                 + _LUMA_B * arr[:, :, 2])
-    raise ValueError(f"expected 1 or 3 channels, got shape {arr.shape}")
+    raise DataFormatError(f"expected 1 or 3 channels, got shape {arr.shape}")
 
 
 # bounded: a real corpus can hold many image sizes, each an n_out x n_in matrix
@@ -93,8 +94,8 @@ def phash(img):
     gray = to_grayscale(img)
     h, w = gray.shape
     if h < BLOCK_SIDE or w < BLOCK_SIDE:
-        raise ValueError(f"degenerate image {h}x{w}: need at least "
-                         f"{BLOCK_SIDE}x{BLOCK_SIDE} pixels")
+        raise DataFormatError(f"degenerate image {h}x{w}: need at least "
+                              f"{BLOCK_SIDE}x{BLOCK_SIDE} pixels")
     small = resize_area(gray, RESIZE_SIDE)
     block = dct2(small)[:BLOCK_SIDE, :BLOCK_SIDE].ravel()
     ac = np.sort(block[1:])
@@ -118,7 +119,7 @@ def near_pairs(hashes, radius):
     consume them without holding all pairs at once.
     """
     if not 0 <= radius <= HASH_BITS:
-        raise ValueError(f"radius must be in [0, {HASH_BITS}], got {radius}")
+        raise ConfigError(f"radius must be in [0, {HASH_BITS}], got {radius}")
     h = np.asarray(hashes, dtype=np.uint64)
     rows = max(1, _BLOCK_ELEMS // max(len(h), 1))
     for lo in range(0, len(h), rows):
@@ -133,7 +134,7 @@ def hash_to_hex(h):
 
 def hex_to_hash(s):
     s = s.strip()
-    if len(s) != 16:
+    if len(s) != 16 or s.startswith("-"):
         raise ValueError(f"expected 16 hex digits, got {s!r}")
     return int(s, 16)
 

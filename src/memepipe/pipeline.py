@@ -63,11 +63,8 @@ class PipelineConfig:
     def validate(self):
         # the simulator and generator settings this config implies are
         # checked here, before any stage runs
-        try:
-            from_number_fields(SimulatorConfig, self).validate()
-            from_number_fields(GeneratorNoise, self)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        from_number_fields(SimulatorConfig, self).validate()
+        from_number_fields(GeneratorNoise, self)
         if self.manifest is None and self.n < 10:
             raise ConfigError(f"n must be >= 10, got {self.n}")
         if self.models < 1:
@@ -117,20 +114,20 @@ def load_config_file(path):
     """Parse a flat key=value config file; '#' starts a comment."""
     values = {}
     try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}: line {lineno}: expected key=value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _FIELD_PARSERS:
-                raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
-            values[key] = value
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}: line {lineno}: expected key=value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _FIELD_PARSERS:
+            raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
+        values[key] = value
     return values
 
 
@@ -312,6 +309,8 @@ def run_pipeline(cfg):
     else:
         def ingest():
             recs = read_manifest(cfg.manifest)
+            if not recs:
+                raise DataFormatError(f"{cfg.manifest}: no records")
             return recs, read_images(cfg.manifest, recs), []
         records, images, names = _stage("ingest", ingest, quiet)
 

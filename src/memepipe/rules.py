@@ -13,6 +13,7 @@ All adjustments copy the prediction set; inputs are never mutated.
 from dataclasses import dataclass
 
 from .dataset import MemeRecord, read_csv
+from .errors import ConfigError, DataFormatError
 from .tuples import ThreeTuple, TwoTuple, UnimodalHate
 
 
@@ -32,7 +33,7 @@ class PseudoLabelSet:
 
 def _require(scores, meme_id, rule):
     if meme_id not in scores:
-        raise KeyError(f"{rule}: meme {meme_id} missing from predictions")
+        raise DataFormatError(f"{rule}: meme {meme_id} missing from predictions")
 
 
 def apply_rule1(groups, preds):
@@ -66,7 +67,7 @@ def rule1_pseudo_labels(groups):
 def apply_rule2(groups, preds, hi=1.0, lo=0.0):
     """Polarize every TwoTuple to (hi, lo) by the larger score; ties untouched."""
     if not 0.0 <= lo < hi <= 1.0:
-        raise ValueError(f"need 0 <= lo < hi <= 1, got lo={lo} hi={hi}")
+        raise ConfigError(f"need 0 <= lo < hi <= 1, got lo={lo} hi={hi}")
     scores = dict(preds.scores)
     for g in groups:
         if not isinstance(g, TwoTuple):
@@ -131,9 +132,9 @@ def merge_pseudo_labels(train, pseudo, test):
     test_by_id = {rec.id: rec for rec in test}
     for meme_id in pseudo.labels:
         if meme_id in train_ids:
-            raise ValueError(f"pseudo-labeled id {meme_id} collides with a train record")
+            raise DataFormatError(f"pseudo-labeled id {meme_id} collides with a train record")
         if meme_id not in test_by_id:
-            raise ValueError(f"pseudo-labeled id {meme_id} not found in test records")
+            raise DataFormatError(f"pseudo-labeled id {meme_id} not found in test records")
     merged = list(train)
     for rec in test:
         if rec.id in pseudo.labels:

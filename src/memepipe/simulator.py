@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError, DataFormatError
 from .rules import PredictionSet
 from .tuples import ThreeTuple, TwoTuple, UnimodalHate
 
@@ -57,18 +58,19 @@ class SimulatorConfig:
 
     def validate(self):
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.pseudo_label_boost <= 0:
-            raise ValueError("pseudo_label_boost must be positive")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        # `not x > 0` rather than `x <= 0`, so that NaN is rejected too
+        if not self.sigma > 0:
+            raise ConfigError(f"sigma must be positive, got {self.sigma}")
+        if not self.pseudo_label_boost > 0:
+            raise ConfigError("pseudo_label_boost must be positive")
         if not 0.0 <= self.noise_correlation <= 1.0:
-            raise ValueError("noise_correlation must be in [0, 1]")
+            raise ConfigError("noise_correlation must be in [0, 1]")
         for key in DEFAULT_DISCOUNTS:
             if key not in self.difficulty_discount:
-                raise ValueError(f"difficulty_discount is missing {key!r}")
-            if self.difficulty_discount[key] < 0:
-                raise ValueError(f"discount for {key!r} must be >= 0")
+                raise ConfigError(f"difficulty_discount is missing {key!r}")
+            if not self.difficulty_discount[key] >= 0:
+                raise ConfigError(f"discount for {key!r} must be >= 0")
 
 
 def member_categories(ids, groups):
@@ -223,7 +225,7 @@ def simulate_predictions(memes, groups, pseudo, cfg, model_index, shared=None):
     cfg.validate()
     for rec in memes:
         if rec.label is None:
-            raise ValueError(f"meme {rec.id} has no label to condition on")
+            raise DataFormatError(f"meme {rec.id} has no label to condition on")
     ids = [rec.id for rec in memes]
     cats = member_categories(ids, groups)
     pseudo_ids = set() if pseudo is None else set(pseudo.labels)

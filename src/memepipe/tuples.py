@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import _components
+from .dataset import _numbered_lines
 from .errors import DataFormatError
 
 
@@ -104,7 +105,7 @@ def detect_tuples(memes, assignment):
     ids = [rec.id for rec in memes]
     for meme_id in ids:
         if meme_id not in assignment.image or meme_id not in assignment.text:
-            raise ValueError(f"meme {meme_id} has no cluster assignment")
+            raise DataFormatError(f"meme {meme_id} has no cluster assignment")
     # link each meme to the first subset member of its image and text cluster
     firsts = []
     for clusters in (assignment.image, assignment.text):
@@ -133,13 +134,13 @@ def detect_unimodal_hate(labeled, assignment):
     """
     for rec in labeled:
         if rec.label is None:
-            raise ValueError(f"record {rec.id} has no label")
+            raise DataFormatError(f"record {rec.id} has no label")
     out = []
     for modality, clusters in (("image", assignment.image), ("text", assignment.text)):
         by_cluster = {}
         for rec in labeled:
             if rec.id not in clusters:
-                raise ValueError(f"meme {rec.id} has no cluster assignment")
+                raise DataFormatError(f"meme {rec.id} has no cluster assignment")
             by_cluster.setdefault(clusters[rec.id], []).append(rec)
         for cluster_id in sorted(by_cluster):
             recs = by_cluster[cluster_id]
@@ -161,7 +162,7 @@ class TupleStats:
 def tuple_stats(groups, total):
     """Fractions of the corpus covered by ThreeTuple / TwoTuple members."""
     if total <= 0:
-        raise ValueError(f"total must be positive, got {total}")
+        raise DataFormatError(f"total must be positive, got {total}")
     n_three = sum(1 for g in groups if isinstance(g, ThreeTuple))
     n_two = sum(1 for g in groups if isinstance(g, TwoTuple))
     return TupleStats(3 * n_three / total, 2 * n_two / total, n_three, n_two, total)
@@ -176,19 +177,17 @@ def write_groups(groups, path):
 
 def read_groups(path):
     groups = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
-            try:
-                groups.append(_obj_to_group(obj))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataFormatError(f"{path}: line {lineno}: bad group: {exc}") from None
+    for lineno, line in _numbered_lines(path):
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
+        try:
+            groups.append(_obj_to_group(obj))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataFormatError(f"{path}: line {lineno}: bad group: {exc}") from None
     return groups
 
 

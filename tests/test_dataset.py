@@ -6,8 +6,7 @@ from memepipe.dataset import (DatasetComposition, GeneratorNoise, MemeRecord,
                               read_manifest, read_pgm, write_manifest,
                               write_pgm)
 from memepipe.ensemble import read_predictions, read_submission
-from memepipe.errors import (DataFormatError, ManifestError,
-                             PredictionFormatError)
+from memepipe.errors import DataFormatError
 from memepipe.phash import read_hashes
 from memepipe.rules import read_pseudo_labels
 
@@ -52,17 +51,17 @@ def test_manifest_duplicate_id_rejected(tmp_path):
     path = tmp_path / "m.jsonl"
     row = '{"id": 5, "img": "a.pgm", "text": "x", "label": 1, "split": "test"}\n'
     path.write_text(row + row)
-    with pytest.raises(ManifestError, match="duplicate id 5") as err:
+    with pytest.raises(DataFormatError, match="duplicate id 5") as err:
         read_manifest(path)
     assert f"{path}: line 2:" in str(err.value)
-    with pytest.raises(ManifestError, match="duplicate"):
+    with pytest.raises(DataFormatError, match="duplicate"):
         write_manifest([rec(5), rec(5)], tmp_path / "out.jsonl")
 
 
 def test_manifest_train_requires_label(tmp_path):
     path = tmp_path / "m.jsonl"
     path.write_text('{"id": 1, "img": "a.pgm", "text": "x", "split": "train"}\n')
-    with pytest.raises(ManifestError, match="missing a label") as err:
+    with pytest.raises(DataFormatError, match="missing a label") as err:
         read_manifest(path)
     assert f"{path}: line 1:" in str(err.value)
 
@@ -72,7 +71,7 @@ def test_manifest_field_errors(tmp_path):
 
     def error(text, match):
         path.write_text(text)
-        with pytest.raises(ManifestError, match=match) as err:
+        with pytest.raises(DataFormatError, match=match) as err:
             read_manifest(path)
         return str(err.value)
 
@@ -101,10 +100,10 @@ CSV_READERS = {
     "clusters": (read_clusters, DataFormatError, None,
                  ("1,1,1", "2,1,2"), "1,a,1", None,
                  lambda out: list(out.image)),
-    "predictions": (read_predictions, PredictionFormatError, "id,proba",
+    "predictions": (read_predictions, DataFormatError, "id,proba",
                     ("1,0.25", "2,0.75"), "1,high", "1,1.5",
                     lambda out: list(out.scores)),
-    "submission": (read_submission, PredictionFormatError, "id,proba,label",
+    "submission": (read_submission, DataFormatError, "id,proba,label",
                    ("1,0.25,0", "2,0.75,1"), "1,0.25,yes", "1,0.25,2",
                    lambda out: list(out[0])),
     "pseudo_labels": (read_pseudo_labels, DataFormatError, "id,label,rule",

@@ -4,7 +4,7 @@ import pytest
 from memepipe.ensemble import (read_predictions, read_submission,
                                stack_equal_weight, write_predictions,
                                write_submission)
-from memepipe.errors import PredictionFormatError
+from memepipe.errors import DataFormatError
 from memepipe.rules import PredictionSet
 
 
@@ -70,16 +70,16 @@ def test_predictions_round_trip(tmp_path):
 def test_predictions_file_errors(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text("id;proba\n")
-    with pytest.raises(PredictionFormatError, match="header"):
+    with pytest.raises(DataFormatError, match="header"):
         read_predictions(path)
     path.write_text("id,proba\n1,1.2\n")
-    with pytest.raises(PredictionFormatError, match="outside"):
+    with pytest.raises(DataFormatError, match="outside"):
         read_predictions(path)
     path.write_text("id,proba\n1,0.5\n1,0.6\n")
-    with pytest.raises(PredictionFormatError, match="duplicate"):
+    with pytest.raises(DataFormatError, match="duplicate"):
         read_predictions(path)
     path.write_text("id,proba\nx,0.5\n")
-    with pytest.raises(PredictionFormatError, match="line 2"):
+    with pytest.raises(DataFormatError, match="line 2"):
         read_predictions(path)
 
 
@@ -112,8 +112,8 @@ def test_submission_subset_of_ids(tmp_path):
 def test_submission_file_errors(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("id,proba\n")
-    with pytest.raises(PredictionFormatError, match="header"):
+    with pytest.raises(DataFormatError, match="header"):
         read_submission(path)
     path.write_text("id,proba,label\n1,0.5,2\n")
-    with pytest.raises(PredictionFormatError):
+    with pytest.raises(DataFormatError):
         read_submission(path)

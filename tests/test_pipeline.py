@@ -3,10 +3,11 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from memepipe import cli, pipeline
-from memepipe.dataset import MemeRecord, read_manifest, write_manifest
+from memepipe.dataset import MemeRecord, read_manifest, write_manifest, write_pgm
 from memepipe.ensemble import (read_predictions, stack_equal_weight,
                                write_predictions)
 from memepipe.errors import ConfigError, StageError
@@ -14,6 +15,7 @@ from memepipe.generator import generate_dataset
 from memepipe.rules import PredictionSet
 from memepipe.pipeline import (PipelineConfig, build_config, detect,
                                load_config_file, run_pipeline, score, simulate)
+from memepipe.tuples import TwoTuple, write_groups
 
 
 def run_quick(out_dir, **overrides):
@@ -490,6 +492,106 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli("hash", "--manifest", str(tmp_path / "missing.jsonl"),
                    "--out", str(tmp_path / "h.csv")) == 4
     capsys.readouterr()
+    # one fault per subcommand: the class raised at the fault sets the code
+    faults = tmp_path / "faults"
+    write_faulty_inputs(faults)
+    prefixes = {2: "config error: ", 3: "data error: "}
+    for name, (argv, code, named) in EXIT_CODE_TABLE.items():
+        assert run_cli(*argv.format(d=faults).split()) == code, name
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(prefixes[code]), (name, err)
+        assert "Traceback" not in err, name
+        if named:
+            assert f"data error: {named.format(d=faults)}: " in err, (name, err)
+
+
+# name: (argv, with {d} the write_faulty_inputs directory; exit code; the
+# file a data error names, or None)
+EXIT_CODE_TABLE = {
+    "tuples, short clusters file":
+        ("tuples --manifest {d}/two.jsonl --clusters {d}/short.csv --out {d}/g.jsonl",
+         3, "{d}/short.csv"),
+    "hash, 5x5 image":
+        ("hash --manifest {d}/tiny/manifest.jsonl --out {d}/h.csv", 3, "{d}/tiny/0.pgm"),
+    "evaluate, single-class truth":
+        ("evaluate --submission {d}/sub.csv --truth {d}/two.jsonl", 3, "{d}/two.jsonl"),
+    "stats --tuples, empty clusters file":
+        ("stats --clusters {d}/empty.csv --tuples {d}/pair.jsonl", 3, "{d}/empty.csv"),
+    "adjust, missing member":
+        ("adjust --preds {d}/one.csv --tuples {d}/pair.jsonl --rule 2 --out {d}/a.csv",
+         3, "{d}/one.csv"),
+    "gen-data --n 5": ("gen-data --n 5 --outdir {d}/gen", 2, None),
+    "cluster --threshold 99":
+        ("cluster --manifest {d}/two.jsonl --hashes {d}/hashes.csv --threshold 99 "
+         "--out {d}/c.csv", 2, None),
+    "adjust --hi 0.2 --lo 0.8":
+        ("adjust --preds {d}/both.csv --tuples {d}/pair.jsonl --rule 2 --hi 0.2 --lo 0.8 "
+         "--out {d}/a.csv", 2, None),
+    "pipeline --manifest, 5x5 image":
+        ("--quiet pipeline --outdir {d}/run --manifest {d}/tiny/manifest.jsonl",
+         3, "{d}/tiny/0.pgm"),
+}
+
+
+def write_faulty_inputs(d):
+    """The input files EXIT_CODE_TABLE and ODD_INPUTS refer to."""
+    (d / "tiny").mkdir(parents=True)
+    write_pgm(np.zeros((5, 5), dtype=np.uint8), d / "tiny" / "0.pgm")
+    write_manifest([MemeRecord(0, "0.pgm", "t", 1, "train")], d / "tiny" / "manifest.jsonl")
+    # two hateful test memes: one class only, and meme 0 lacks a cluster
+    write_manifest([MemeRecord(0, "0.pgm", "t", 1, "test"),
+                    MemeRecord(1, "1.pgm", "u", 1, "test")], d / "two.jsonl")
+    (d / "short.csv").write_text("1,1,1\n")
+    (d / "empty.csv").write_text("")
+    (d / "hashes.csv").write_text("0,0000000000000000\n1,00000000000000ff\n")
+    (d / "sub.csv").write_text("id,proba,label\n0,0.9,1\n1,0.2,0\n")
+    write_groups([TwoTuple(0, 1, "image")], d / "pair.jsonl")
+    write_predictions(PredictionSet("one", {0: 0.4}), d / "one.csv")
+    write_predictions(PredictionSet("both", {0: 0.4, 1: 0.6}), d / "both.csv")
+    (d / "binary").write_bytes(b"\xff\xfe\x00")
+    (d / "one_hash.csv").write_text("1,0000000000000000\n")
+    (d / "negative.csv").write_text("0,0000000000000000\n1,-000000000000001\n")
+    write_manifest([MemeRecord(0, "0.pgm", "t", None, "test")], d / "unlabelled.jsonl")
+    (d / "one_cluster.csv").write_text("0,0,0\n")
+
+
+# inputs a builtin error would report, with no path or the wrong exit code,
+# unless checked: name: (argv, with {d} the write_faulty_inputs directory;
+# exit code; a part of the message)
+ODD_INPUTS = {
+    "manifest not UTF-8":
+        ("hash --manifest {d}/binary --out {d}/h.csv", 3, "{d}/binary: not UTF-8"),
+    "config file not UTF-8":
+        ("pipeline --outdir {d}/run --config {d}/binary", 2, "cannot read config file"),
+    "hashes short of the manifest":
+        ("cluster --manifest {d}/two.jsonl --hashes {d}/one_hash.csv --out {d}/c.csv",
+         3, "{d}/one_hash.csv: ids differ from those of {d}/two.jsonl"),
+    "negative hash":
+        ("cluster --manifest {d}/two.jsonl --hashes {d}/negative.csv --out {d}/c.csv",
+         3, "{d}/negative.csv: line 2: malformed row"),
+    "composition not numbers":
+        ("gen-data --n 20 --outdir {d}/gen --composition a,b,c,d,e", 2, "5 comma-separated"),
+    "sigma nan": ("pipeline --outdir {d}/run --sigma nan", 2, "sigma must be positive"),
+    "image amplitude nan":
+        ("pipeline --outdir {d}/run --image-amplitude nan", 2, "image_amplitude must be >= 0"),
+    "unlabelled meme in the unimodal scope":
+        ("tuples --manifest {d}/unlabelled.jsonl --clusters {d}/one_cluster.csv "
+         "--unimodal-scope test --out {d}/g.jsonl",
+         3, "{d}/unlabelled.jsonl: meme 0 has no label"),
+    "empty manifest":
+        ("pipeline --outdir {d}/run --manifest {d}/empty.csv", 3, "{d}/empty.csv: no records"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ODD_INPUTS))
+def test_cli_odd_inputs_get_typed_errors(tmp_path, capsys, name):
+    argv, code, message = ODD_INPUTS[name]
+    write_faulty_inputs(tmp_path)
+    assert run_cli("--quiet", *argv.format(d=tmp_path).split()) == code
+    err = capsys.readouterr().err
+    assert message.format(d=tmp_path) in err
+    assert "Traceback" not in err
+
 
 
 def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):

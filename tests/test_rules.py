@@ -49,7 +49,7 @@ def test_rule1_idempotent():
 
 
 def test_rule1_missing_member_raises():
-    with pytest.raises(KeyError, match="meme 3"):
+    with pytest.raises(DataFormatError, match="meme 3"):
         apply_rule1([ThreeTuple(1, 2, 3)], preds({1: 0.4, 2: 0.8}))
 
 
@@ -104,7 +104,7 @@ def test_rule2_ignores_other_kinds():
 
 
 def test_rule2_missing_member_raises():
-    with pytest.raises(KeyError, match="rule 2"):
+    with pytest.raises(DataFormatError, match="rule 2"):
         apply_rule2([TwoTuple(1, 2, "image")], preds({1: 0.7}))
 
 
