@@ -7,7 +7,6 @@ of the error raised at the fault decides which (see errors.py).
 """
 
 import argparse
-import contextlib
 import dataclasses
 import sys
 
@@ -18,7 +17,7 @@ from .dataset import (DatasetComposition, GeneratorNoise, read_images,
                       read_manifest)
 from .ensemble import (read_predictions, read_submission, stack_equal_weight,
                        write_predictions, write_submission)
-from .errors import ConfigError, DataFormatError, StageError
+from .errors import ConfigError, DataFormatError, StageError, _in_file
 from .generator import generate_dataset, image_hashes, write_corpus
 from .metrics import evaluate
 from .phash import read_hashes, write_hashes
@@ -65,15 +64,6 @@ def _splits(text, flag):
     if bad:
         raise ConfigError(f"unknown split(s) in {flag}: {sorted(bad)}")
     return wanted
-
-
-@contextlib.contextmanager
-def _in_file(path):
-    """Name path, the file at fault, in a DataFormatError raised inside."""
-    try:
-        yield
-    except DataFormatError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def _say(args, message):

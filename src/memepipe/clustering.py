@@ -120,9 +120,15 @@ def write_clusters(assignment, path):
             fh.write(f"{meme_id},{img},{txt}\n")
 
 
+def _cluster_row(meme_id, img, txt):
+    meme_id, img, txt = int(meme_id), int(img), int(txt)
+    if min(meme_id, img, txt) < 0:
+        raise ValueError("ids must be non-negative")
+    return meme_id, (img, txt)
+
+
 def read_clusters(path):
-    rows = read_csv(path, ("id", "image_cluster", "text_cluster"),
-                    lambda meme_id, img, txt: (int(meme_id), (int(img), int(txt))),
+    rows = read_csv(path, ("id", "image_cluster", "text_cluster"), _cluster_row,
                     header=False)
     return ClusterAssignment(image={i: img for i, (img, _) in rows.items()},
                              text={i: txt for i, (_, txt) in rows.items()})

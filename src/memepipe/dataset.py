@@ -7,6 +7,7 @@ PGM (P5) files with maxval 255.
 
 import json
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,13 @@ import numpy as np
 from .errors import ConfigError, DataFormatError
 
 SPLITS = ("train", "dev", "test")
+
+# whitespace bytes and '#' comment lines, any number of them
+_PGM_SKIP = rb"(?:\s|#[^\n]*\n)*"
+# "P5", then width, height and maxval, each after whitespace; the header
+# ends at one whitespace byte (or at the end of the file)
+_PGM_HEADER = re.compile(_PGM_SKIP + rb"P5" + (rb"\s" + _PGM_SKIP + rb"(\d+)") * 3
+                         + rb"(?:\s|\Z)")
 
 
 @dataclass
@@ -81,8 +89,13 @@ class GeneratorNoise:
                 raise ConfigError(f"{name} must be in [0, 1], got {v}")
 
 
+def _is_meme_id(value):
+    """A meme id is a non-negative int, and a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def _check_record(rec, where):
-    if not isinstance(rec.id, int) or isinstance(rec.id, bool) or rec.id < 0:
+    if not _is_meme_id(rec.id):
         raise DataFormatError(f"{where}: id must be a non-negative integer, got {rec.id!r}")
     if not isinstance(rec.img, str) or not rec.img:
         raise DataFormatError(f"{where}: img must be a non-empty string")
@@ -203,34 +216,22 @@ def write_pgm(pixels, path):
 
 
 def read_pgm(path):
-    """Read a binary PGM (P5, maxval 255) file into a 2-D uint8 array."""
+    """Read a binary PGM (P5, maxval 255) file into a 2-D uint8 array.
+
+    The header is "P5", then width, height and maxval as ASCII decimal
+    digits.  Each of the three numbers follows whitespace; whitespace and
+    '#' comment lines may come before "P5" and before each number.  One
+    whitespace byte ends the header, and the pixel bytes follow.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
-    tokens = []
-    pos = 0
-    while len(tokens) < 4 and pos < len(data):
-        # header tokens are whitespace separated; '#' starts a comment line
-        if data[pos:pos + 1].isspace():
-            pos += 1
-        elif data[pos:pos + 1] == b"#":
-            nl = data.find(b"\n", pos)
-            pos = len(data) if nl < 0 else nl + 1
-        else:
-            end = pos
-            while end < len(data) and not data[end:end + 1].isspace():
-                end += 1
-            tokens.append(data[pos:end])
-            pos = end
-    if len(tokens) < 4 or tokens[0] != b"P5":
+    header = _PGM_HEADER.match(data)
+    if header is None:
         raise DataFormatError(f"{path}: not a binary PGM (P5) file")
-    try:
-        width, height, maxval = (int(t) for t in tokens[1:4])
-    except ValueError:
-        raise DataFormatError(f"{path}: malformed PGM header") from None
+    width, height, maxval = map(int, header.groups())
     if maxval != 255:
         raise DataFormatError(f"{path}: only maxval 255 is supported, got {maxval}")
-    pos += 1  # single whitespace byte after the header
-    raw = data[pos:pos + width * height]
+    raw = data[header.end():header.end() + width * height]
     if len(raw) != width * height:
         raise DataFormatError(f"{path}: truncated pixel data")
     return np.frombuffer(raw, dtype=np.uint8).reshape(height, width)

@@ -18,7 +18,6 @@ from .rules import PredictionSet
 class StackedPrediction:
     mean_score: dict
     label: dict
-    source_count: int
 
 
 def stack_equal_weight(sets):
@@ -41,7 +40,7 @@ def stack_equal_weight(sets):
         mean = math.fsum(ps.scores[meme_id] for ps in sets) / len(sets)
         mean_score[meme_id] = mean
         label[meme_id] = 1 if mean >= 0.5 else 0
-    return StackedPrediction(mean_score, label, len(sets))
+    return StackedPrediction(mean_score, label)
 
 
 def write_predictions(preds, path):

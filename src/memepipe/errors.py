@@ -10,6 +10,8 @@ ConfigError and DataFormatError are ValueErrors, so a library caller may
 catch both as one.
 """
 
+import contextlib
+
 
 class DataFormatError(ValueError):
     pass
@@ -22,5 +24,12 @@ class ConfigError(ValueError):
 class StageError(Exception):
     def __init__(self, stage, cause):
         super().__init__(f"stage '{stage}' failed: {cause}")
-        self.stage = stage
-        self.cause = cause
+
+
+@contextlib.contextmanager
+def _in_file(path):
+    """Name path, the file at fault, in a DataFormatError raised inside."""
+    try:
+        yield
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None

@@ -37,17 +37,11 @@ def auroc(scores, labels):
     undefined and a DataFormatError is raised.
     """
     s, y, pos, neg = _aligned(scores, labels)
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(len(s), dtype=np.float64)
-    sorted_s = s[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        # tied scores share the average of their 1-based ranks
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    # tied scores share the average of their 1-based ranks: a group of c
+    # scores ending at rank e gets e - (c - 1) / 2, an exact half-integer
+    _, group, counts = np.unique(s, return_inverse=True, return_counts=True,
+                                 equal_nan=False)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     pos_rank_sum = float(ranks[y == 1].sum())
     return (pos_rank_sum - pos * (pos + 1) / 2.0) / (pos * neg)
 

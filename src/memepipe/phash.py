@@ -51,17 +51,13 @@ def to_grayscale(pixels):
 def _overlap_weights(n_in, n_out):
     # w[i, j] = fraction of output cell i covered by input cell j, so each
     # row sums to 1 and the product with a pixel column is an exact
-    # area-weighted mean.  The result is shared by the cache, so read-only.
+    # area-weighted mean.  Output cell i spans [lo, lo + step) in input
+    # units, lo = i * step, and overlaps input cell [j, j + 1) by the
+    # interval overlap below.  The result is shared by the cache, so read-only.
     step = n_in / n_out
-    w = np.zeros((n_out, n_in))
-    for i in range(n_out):
-        lo = i * step
-        hi = lo + step
-        j0 = int(np.floor(lo))
-        j1 = min(int(np.ceil(hi)), n_in)
-        for j in range(j0, j1):
-            w[i, j] = min(hi, j + 1.0) - max(lo, float(j))
-    w /= step
+    lo = np.arange(n_out)[:, None] * step
+    j = np.arange(n_in, dtype=np.float64)
+    w = np.maximum(0.0, np.minimum(lo + step, j + 1.0) - np.maximum(lo, j)) / step
     w.flags.writeable = False
     return w
 
@@ -100,11 +96,9 @@ def phash(img):
     block = dct2(small)[:BLOCK_SIDE, :BLOCK_SIDE].ravel()
     ac = np.sort(block[1:])
     med = ac[(ac.size - 1) // 2]  # lower median; exact middle for odd counts
-    bits = 0
-    for i in range(1, HASH_BITS):
-        if block[i] > med:
-            bits |= 1 << i
-    return bits
+    above = block > med
+    above[0] = False
+    return int.from_bytes(np.packbits(above, bitorder="little"), "little")
 
 
 def hamming(a, b):

@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from .clustering import (ClusterAssignment, cluster_images, cluster_texts,
@@ -20,7 +21,7 @@ from .dataset import (DatasetComposition, GeneratorNoise, read_images,
                       read_manifest, write_manifest)
 from .ensemble import (StackedPrediction, stack_equal_weight,
                        write_predictions, write_submission)
-from .errors import ConfigError, DataFormatError, StageError
+from .errors import ConfigError, DataFormatError, StageError, _in_file
 from .generator import generate_dataset, image_hashes, write_corpus
 from .metrics import evaluate
 from .phash import write_hashes
@@ -245,7 +246,7 @@ def score(cfg, records, structure, sets):
         final = _stage("unimodal-signatures", unimodal_stage, quiet)
 
     labels = {meme_id: 1 if s >= 0.5 else 0 for meme_id, s in final.scores.items()}
-    final = StackedPrediction(dict(final.scores), labels, stacked.source_count)
+    final = StackedPrediction(dict(final.scores), labels)
 
     report = None
     eval_recs = [rec for rec in records if rec.split == cfg.eval_split]
@@ -254,8 +255,6 @@ def score(cfg, records, structure, sets):
         report = _stage("evaluate", lambda: evaluate(
             {i: final.mean_score[i] for i in truth},
             {i: labels[i] for i in truth}, truth), quiet)
-        if not quiet:
-            print(report.machine_line(), file=sys.stderr)
     return Scores(adjusted, final, report)
 
 
@@ -314,9 +313,12 @@ def run_pipeline(cfg):
             return recs, read_images(cfg.manifest, recs), []
         records, images, names = _stage("ingest", ingest, quiet)
 
-    structure = detect(cfg, records, images)
-    sets = simulate(cfg, records, structure.groups, structure.pseudo)
-    scores = score(cfg, records, structure, sets)
+    # a data fault found after ingest lies in the ingested corpus: name it
+    in_corpus = nullcontext() if cfg.manifest is None else _in_file(cfg.manifest)
+    with in_corpus:
+        structure = detect(cfg, records, images)
+        sets = simulate(cfg, records, structure.groups, structure.pseudo)
+        scores = score(cfg, records, structure, sets)
     names += _stage("write", lambda: _write_artifacts(
         cfg, records, structure, sets, scores), quiet)
 

@@ -23,7 +23,7 @@ outside [0, 2**32) or a failed check build a Generator each (16 us).
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,8 @@ CATEGORY_TWO = "two_tuple"
 CATEGORY_UNIMODAL = "unimodal"
 CATEGORY_INDEPENDENT = "independent"
 
-DEFAULT_DISCOUNTS = {
+# separation multiplier per difficulty category
+DIFFICULTY_DISCOUNT = {
     CATEGORY_THREE: 0.25,
     CATEGORY_TWO: 0.35,
     CATEGORY_UNIMODAL: 0.8,
@@ -48,8 +49,6 @@ DEFAULT_DISCOUNTS = {
 class SimulatorConfig:
     separation_mu: float = 1.0
     sigma: float = 1.2
-    difficulty_discount: dict = field(
-        default_factory=lambda: dict(DEFAULT_DISCOUNTS))
     pseudo_label_boost: float = 3.0
     # fraction of noise variance shared across models; calibrated so that
     # stacking 20 sets improves AUROC without leaving the per-model band
@@ -66,11 +65,6 @@ class SimulatorConfig:
             raise ConfigError("pseudo_label_boost must be positive")
         if not 0.0 <= self.noise_correlation <= 1.0:
             raise ConfigError("noise_correlation must be in [0, 1]")
-        for key in DEFAULT_DISCOUNTS:
-            if key not in self.difficulty_discount:
-                raise ConfigError(f"difficulty_discount is missing {key!r}")
-            if not self.difficulty_discount[key] >= 0:
-                raise ConfigError(f"discount for {key!r} must be >= 0")
 
 
 def member_categories(ids, groups):
@@ -231,7 +225,7 @@ def simulate_predictions(memes, groups, pseudo, cfg, model_index, shared=None):
     pseudo_ids = set() if pseudo is None else set(pseudo.labels)
     if shared is None:
         shared = shared_noise(cfg, ids)
-    seps = np.array([cfg.separation_mu * cfg.difficulty_discount[cats[i]]
+    seps = np.array([cfg.separation_mu * DIFFICULTY_DISCOUNT[cats[i]]
                      * (cfg.pseudo_label_boost if i in pseudo_ids else 1.0) for i in ids])
     signs = np.array([2 * rec.label - 1 for rec in memes], float)
     local = _normals((cfg.seed, 1, model_index), ids)

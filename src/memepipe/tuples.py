@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import _components
-from .dataset import _numbered_lines
+from .dataset import _is_meme_id, _numbered_lines
 from .errors import DataFormatError
 
 
@@ -154,9 +154,6 @@ def detect_unimodal_hate(labeled, assignment):
 class TupleStats:
     three_tuple_frac: float
     two_tuple_frac: float
-    n_three: int
-    n_two: int
-    total: int
 
 
 def tuple_stats(groups, total):
@@ -165,7 +162,7 @@ def tuple_stats(groups, total):
         raise DataFormatError(f"total must be positive, got {total}")
     n_three = sum(1 for g in groups if isinstance(g, ThreeTuple))
     n_two = sum(1 for g in groups if isinstance(g, TwoTuple))
-    return TupleStats(3 * n_three / total, 2 * n_two / total, n_three, n_two, total)
+    return TupleStats(3 * n_three / total, 2 * n_two / total)
 
 
 def write_groups(groups, path):
@@ -206,18 +203,26 @@ def _group_to_obj(g):
     raise ValueError(f"unknown group type {type(g).__name__}")
 
 
+def _ids(*values):
+    """The values, each checked to be a meme id."""
+    for value in values:
+        if not _is_meme_id(value):
+            raise ValueError(f"id must be a non-negative integer, got {value!r}")
+    return values
+
+
 def _obj_to_group(obj):
     kind = obj["kind"]
     if kind == "three_tuple":
-        return ThreeTuple(obj["pivot"], obj["image_partner"], obj["text_partner"])
+        return ThreeTuple(*_ids(obj["pivot"], obj["image_partner"], obj["text_partner"]))
     if kind == "two_tuple":
         if obj["shared"] not in ("image", "text"):
             raise ValueError(f"bad shared modality {obj['shared']!r}")
-        return TwoTuple(obj["a"], obj["b"], obj["shared"])
+        return TwoTuple(*_ids(obj["a"], obj["b"]), obj["shared"])
     if kind == "unimodal_hate":
         if obj["modality"] not in ("image", "text"):
             raise ValueError(f"bad modality {obj['modality']!r}")
-        return UnimodalHate(obj["modality"], obj["cluster"], tuple(obj["members"]))
+        return UnimodalHate(obj["modality"], *_ids(obj["cluster"]), _ids(*obj["members"]))
     if kind == "other":
-        return Other(tuple(obj["members"]))
+        return Other(_ids(*obj["members"]))
     raise ValueError(f"unknown kind {kind!r}")

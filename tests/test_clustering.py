@@ -194,3 +194,12 @@ def test_cluster_io_errors(tmp_path):
     path.write_text("a,b,c\n")
     with pytest.raises(DataFormatError):
         read_clusters(path)
+
+
+def test_cluster_file_ids_are_non_negative(tmp_path):
+    # a groups file rejects a negative cluster id, so a clusters file does too
+    path = tmp_path / "clusters.csv"
+    for row in ("-1,1,1", "1,-1,1", "1,1,-1"):
+        path.write_text("0,0,0\n" + row + "\n")
+        with pytest.raises(DataFormatError, match="line 2: malformed row"):
+            read_clusters(path)

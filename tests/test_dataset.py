@@ -197,6 +197,25 @@ def test_pgm_read_skips_comments(tmp_path):
                           np.array([[1, 2], [3, 4]], dtype=np.uint8))
 
 
+def test_pgm_read_comments_before_every_field(tmp_path):
+    path = tmp_path / "img.pgm"
+    pixels = np.array([[1, 2, 3], [4, 5, 6]], dtype=np.uint8)
+    for header in (b"# before P5\nP5 3 2 255\n",
+                   b"\n #a\n\tP5\n#b\n3\r\n# c\n2\n# d\n\n255\n",
+                   b"P5 #a\n3 #b\n 2 #c\n\x0c255\t"):
+        path.write_bytes(header + pixels.tobytes())
+        assert np.array_equal(read_pgm(path), pixels), header
+
+
+def test_pgm_read_rejects_fields_that_are_not_digits(tmp_path):
+    path = tmp_path / "img.pgm"
+    for header in (b"P5 +2 2 255\n", b"P5 2 -2 255\n", b"P5 1_0 1 255\n",
+                   b"P5 2 2 2_55\n", b"P5 2 2#c\n255\n", b"P5#c\n2 2 255\n"):
+        path.write_bytes(header + bytes(40))
+        with pytest.raises(DataFormatError, match="not a binary PGM"):
+            read_pgm(path)
+
+
 def test_pgm_read_errors(tmp_path):
     path = tmp_path / "img.pgm"
     path.write_bytes(b"P6\n2 2\n255\n" + bytes(12))

@@ -13,7 +13,6 @@ def test_stack_single_set_identity():
     out = stack_equal_weight([ps])
     assert out.mean_score == {1: 0.9, 2: 0.3}
     assert out.label == {1: 1, 2: 0}
-    assert out.source_count == 1
 
 
 def test_stack_mean_at_threshold_is_positive():

@@ -56,6 +56,37 @@ def test_auroc_matches_pair_counting():
         assert abs(got - want) <= 1e-12
 
 
+def auroc_rank_loop(scores, labels):
+    """Reference Mann-Whitney AUROC: walk the sorted scores, giving each run
+    of tied scores the average of its 1-based ranks."""
+    ids = sorted(labels)
+    s = np.array([scores[i] for i in ids], dtype=np.float64)
+    y = np.array([labels[i] for i in ids])
+    order = np.argsort(s, kind="mergesort")
+    ranks = np.empty(len(s))
+    i = 0
+    while i < len(s):
+        j = i
+        while j + 1 < len(s) and s[order[j + 1]] == s[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    pos = int(y.sum())
+    neg = len(y) - pos
+    return (float(ranks[y == 1].sum()) - pos * (pos + 1) / 2.0) / (pos * neg)
+
+
+def test_auroc_equals_the_rank_loop_bit_for_bit():
+    rng = np.random.default_rng(22)
+    for trial in range(200):
+        scores, labels = random_instance(rng)
+        if trial % 2:
+            # signed zeros tie with each other
+            scores = {i: (-0.0 if v < 0.3 else 0.0) if v < 0.6 else v
+                      for i, v in scores.items()}
+        assert auroc(scores, labels) == auroc_rank_loop(scores, labels)
+
+
 def test_auroc_matches_trapezoid_area():
     rng = np.random.default_rng(21)
     for trial in range(100):

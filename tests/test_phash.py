@@ -104,6 +104,28 @@ def test_resize_weights_are_shared_and_read_only():
     assert np.array_equal(resize_area(m, 32), first)
 
 
+def overlap_weights_loop(n_in, n_out):
+    """Reference resize weights, one output cell at a time: the overlap of
+    [lo, hi) with each input cell [j, j + 1) it touches, over the step."""
+    step = n_in / n_out
+    w = np.zeros((n_out, n_in))
+    for i in range(n_out):
+        lo = i * step
+        hi = lo + step
+        for j in range(int(np.floor(lo)), min(int(np.ceil(hi)), n_in)):
+            w[i, j] = min(hi, j + 1.0) - max(lo, float(j))
+    w /= step
+    return w
+
+
+def test_overlap_weights_equal_the_loop_bit_for_bit():
+    for n_in in range(8, 131):
+        for n_out in (1, 8, 32):
+            w = phash_module._overlap_weights(n_in, n_out)
+            assert np.array_equal(w, overlap_weights_loop(n_in, n_out)), (n_in, n_out)
+            assert not np.signbit(w).any(), (n_in, n_out)
+
+
 def test_resize_rejects_bad_inputs():
     with pytest.raises(ValueError):
         resize_area(np.zeros(4), 2)
@@ -176,6 +198,18 @@ def test_phash_bit_count_with_distinct_coefficients():
             assert phash(img).bit_count() == 31
             checked += 1
     assert checked > 0
+
+
+def test_phash_bit_i_is_coefficient_i_above_the_median():
+    rng = np.random.default_rng(9)
+    for trial in range(30):
+        img = rng.uniform(0, 255, size=(int(rng.integers(8, 80)), 40))
+        if trial % 3 == 0:
+            img = np.rint(img / 128) * 128   # few levels, so coefficients tie
+        block = dct2(resize_area(img, 32))[:8, :8].ravel()
+        med = np.sort(block[1:])[31]
+        want = sum(1 << i for i in range(1, HASH_BITS) if block[i] > med)
+        assert phash(img) == want
 
 
 def test_phash_affine_invariance():

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 
 from memepipe import cli, pipeline
 from memepipe.dataset import MemeRecord, read_manifest, write_manifest, write_pgm
-from memepipe.ensemble import (read_predictions, stack_equal_weight,
-                               write_predictions)
+from memepipe.ensemble import (read_predictions, read_submission,
+                               stack_equal_weight, write_predictions)
 from memepipe.errors import ConfigError, StageError
 from memepipe.generator import generate_dataset
 from memepipe.rules import PredictionSet
@@ -400,7 +401,7 @@ def test_every_config_key_has_a_matching_flag(tmp_path, monkeypatch, capsys):
 
 def test_cli_stage_chain_matches_pipeline(tmp_path):
     out = tmp_path / "run"
-    run_quick(out, save_images=True)
+    run_quick(out, n=300, models=2, k=2, save_images=True)
     work = tmp_path / "stages"
     work.mkdir()
 
@@ -427,6 +428,54 @@ def test_cli_stage_chain_matches_pipeline(tmp_path):
                    "--out", str(work / "sim-03.csv")) == 0
     assert (work / "sim-03.csv").read_bytes() == \
         (out / "preds" / "sim-03.csv").read_bytes()
+
+    # rule 2 on each simulated set gives the pipeline's adjusted set
+    names = sorted(os.listdir(out / "preds"))
+    assert len(names) == 4
+    for name in names:
+        assert run_cli("--quiet", "adjust", "--preds", str(out / "preds" / name),
+                       "--tuples", str(work / "tuples.jsonl"), "--rule", "2",
+                       "--out", str(work / f"adjusted-{name}")) == 0
+        assert (work / f"adjusted-{name}").read_bytes() == \
+            (out / "preds_adjusted" / name).read_bytes()
+
+    # stacking those and then rule 1 gives stacked.csv, up to the rounding of
+    # the stacked file to nine decimals
+    assert run_cli("--quiet", "stack", "--preds",
+                   *(str(work / f"adjusted-{name}") for name in names),
+                   "--out", str(work / "stacked-submission.csv")) == 0
+    # stack writes a submission; adjust reads it without the label column
+    scores, _ = read_submission(work / "stacked-submission.csv")
+    write_predictions(PredictionSet("stacked", scores), work / "stacked-raw.csv")
+    assert run_cli("--quiet", "adjust", "--preds", str(work / "stacked-raw.csv"),
+                   "--tuples", str(work / "tuples.jsonl"), "--rule", "1",
+                   "--out", str(work / "stacked.csv")) == 0
+    got = read_predictions(work / "stacked.csv").scores
+    want = read_predictions(out / "stacked.csv").scores
+    assert got.keys() == want.keys()
+    for meme_id, score in want.items():
+        assert math.isclose(got[meme_id], score, rel_tol=0, abs_tol=1e-9 + 1e-12)
+
+    # the unimodal rule over the train split's all-hateful clusters gives the
+    # stacked.csv of a run with unimodal=true
+    assert run_cli("--quiet", "tuples", "--manifest", str(out / "manifest.jsonl"),
+                   "--clusters", str(work / "clusters.csv"), "--unimodal-scope", "train",
+                   "--out", str(work / "unimodal.jsonl")) == 0
+    assert run_cli("--quiet", "adjust", "--preds", str(out / "stacked.csv"),
+                   "--tuples", str(work / "unimodal.jsonl"), "--rule", "unimodal",
+                   "--clusters", str(work / "clusters.csv"),
+                   "--out", str(work / "unimodal.csv")) == 0
+    assert hashlib.sha256((work / "unimodal.csv").read_bytes()).hexdigest() == \
+        BRANCH_DIGESTS["unimodal"][1]["stacked.csv"]
+
+    # pseudo-label labels every three-tuple member; the pipeline keeps the
+    # held-out ones
+    assert run_cli("--quiet", "pseudo-label", "--tuples", str(work / "tuples.jsonl"),
+                   "--out", str(work / "pseudo.csv")) == 0
+    every = (work / "pseudo.csv").read_text().splitlines()
+    held_out = (out / "pseudo_labels.csv").read_text().splitlines()
+    assert (len(every) - 1, len(held_out) - 1) == (180, 25)
+    assert set(held_out) <= set(every)
 
 
 def test_cli_gen_data_and_stats(tmp_path, capsys):
@@ -470,6 +519,19 @@ def test_cli_pipeline_command(tmp_path, capsys):
     assert (out / "submission.csv").exists()
 
 
+def test_cli_pipeline_prints_stages_on_stderr_and_one_result_on_stdout(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("pipeline", "--outdir", str(out), "--n", "100", "--models", "1",
+                   "--k", "2", "--no-images") == 0
+    printed = capsys.readouterr()
+    assert printed.out.startswith("RESULT auroc=")
+    assert printed.out.count("RESULT") == 1 and "RESULT" not in printed.err
+    assert printed.err.splitlines() == [
+        "[generate]", "[hash]", "[cluster]", "[tuples]", "[pseudo-label]",
+        "[simulate]", "[adjust-before]", "[stack]", "[rule1-override]",
+        "[evaluate]", "[write]", f"submission: {out / 'submission.csv'}"]
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # config error
     assert run_cli("pipeline", "--outdir", str(tmp_path / "x"), "--n", "5") == 2
@@ -503,6 +565,7 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert "Traceback" not in err, name
         if named:
             assert f"data error: {named.format(d=faults)}: " in err, (name, err)
+    assert not (faults / "pseudo.csv").exists()
 
 
 # name: (argv, with {d} the write_faulty_inputs directory; exit code; the
@@ -530,6 +593,26 @@ EXIT_CODE_TABLE = {
     "pipeline --manifest, 5x5 image":
         ("--quiet pipeline --outdir {d}/run --manifest {d}/tiny/manifest.jsonl",
          3, "{d}/tiny/0.pgm"),
+    "pipeline --manifest, unlabelled eval split":
+        ("--quiet pipeline --outdir {d}/run --manifest {d}/corpus/unlabelled.jsonl",
+         3, "{d}/corpus/unlabelled.jsonl"),
+    "pipeline --manifest, single-class eval split":
+        ("--quiet pipeline --outdir {d}/run --manifest {d}/corpus/one_class.jsonl",
+         3, "{d}/corpus/one_class.jsonl"),
+    "pipeline, rule1=maybe": ("pipeline --outdir {d}/run --config {d}/maybe.cfg", 2, None),
+    "pipeline --models 0": ("pipeline --outdir {d}/run --models 0", 2, None),
+    "pipeline --eval-split train":
+        ("pipeline --outdir {d}/run --eval-split train", 2, None),
+    "pseudo-label, string pivot":
+        ("pseudo-label --tuples {d}/string_pivot.jsonl --out {d}/pseudo.csv",
+         3, "{d}/string_pivot.jsonl"),
+    "adjust --rule unimodal without --clusters":
+        ("adjust --preds {d}/both.csv --tuples {d}/pair.jsonl --rule unimodal "
+         "--out {d}/a.csv", 2, None),
+    "evaluate, split without labels":
+        ("evaluate --submission {d}/sub.csv --truth {d}/unlabelled.jsonl", 2, None),
+    "evaluate, submission short of the truth":
+        ("evaluate --submission {d}/sub.csv --truth {d}/three.jsonl", 3, "{d}/sub.csv"),
 }
 
 
@@ -553,6 +636,24 @@ def write_faulty_inputs(d):
     (d / "negative.csv").write_text("0,0000000000000000\n1,-000000000000001\n")
     write_manifest([MemeRecord(0, "0.pgm", "t", None, "test")], d / "unlabelled.jsonl")
     (d / "one_cluster.csv").write_text("0,0,0\n")
+    write_manifest([MemeRecord(i, f"{i}.pgm", "t", i % 2, "test") for i in range(3)],
+                   d / "three.jsonl")
+    (d / "maybe.cfg").write_text("rule1 = maybe\n")
+    (d / "string_pivot.jsonl").write_text(
+        '{"kind": "two_tuple", "a": 0, "b": 1, "shared": "image"}\n'
+        '{"kind": "three_tuple", "pivot": "a", "image_partner": 1, "text_partner": 2}\n')
+    # a four-meme corpus whose eval split lacks labels, or has one class
+    (d / "corpus").mkdir()
+    rng = np.random.default_rng(0)
+    for i in range(4):
+        write_pgm(rng.integers(0, 256, size=(16, 16), dtype=np.uint8),
+                  d / "corpus" / f"{i}.pgm")
+    for name, eval_labels in (("unlabelled", (None, None)), ("one_class", (1, 1))):
+        write_manifest([MemeRecord(0, "0.pgm", "a", 0, "train"),
+                        MemeRecord(1, "1.pgm", "b", 1, "train"),
+                        MemeRecord(2, "2.pgm", "c", eval_labels[0], "test"),
+                        MemeRecord(3, "3.pgm", "d", eval_labels[1], "test")],
+                       d / "corpus" / f"{name}.jsonl")
 
 
 # inputs a builtin error would report, with no path or the wrong exit code,

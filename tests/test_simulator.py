@@ -149,10 +149,6 @@ def test_config_validation():
         SimulatorConfig(pseudo_label_boost=-1.0).validate()
     with pytest.raises(ValueError, match="seed"):
         SimulatorConfig(seed=-1).validate()
-    cfg = SimulatorConfig()
-    del cfg.difficulty_discount["two_tuple"]
-    with pytest.raises(ValueError, match="two_tuple"):
-        cfg.validate()
 
 
 def test_raising_separation_never_hurts_any_score():

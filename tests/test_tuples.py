@@ -154,7 +154,7 @@ def test_unimodal_hate_requires_labels():
 
 def test_tuple_stats_single_triple():
     stats = tuple_stats([ThreeTuple(1, 2, 3)], 3)
-    assert stats == TupleStats(1.0, 0.0, 1, 0, 3)
+    assert stats == TupleStats(1.0, 0.0)
 
 
 def test_tuple_stats_mixed():
@@ -192,3 +192,16 @@ def test_groups_file_errors(tmp_path):
     path.write_text('{"kind": "three_tuple", "pivot": 1}\n')
     with pytest.raises(DataFormatError):
         read_groups(path)
+    # every id is a non-negative integer, as in a manifest
+    good = '{"kind": "other", "members": [0, 1]}\n'
+    for bad in ('"three_tuple", "pivot": "a", "image_partner": 1, "text_partner": 2',
+                '"two_tuple", "a": -4, "b": 1.5, "shared": "image"',
+                '"two_tuple", "a": 1, "b": 1.5, "shared": "image"',
+                '"two_tuple", "a": true, "b": 2, "shared": "text"',
+                '"unimodal_hate", "modality": "image", "cluster": -1, "members": [1, 2]',
+                '"unimodal_hate", "modality": "text", "cluster": 1, "members": [1, null]',
+                '"other", "members": "12"',
+                '"other", "members": 12'):
+        path.write_text(good + '{"kind": ' + bad + "}\n")
+        with pytest.raises(DataFormatError, match=r"line 2: bad group"):
+            read_groups(path)
