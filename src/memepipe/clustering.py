@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import read_csv
+from .dataset import _parse_id, read_csv
 from .phash import near_pairs
 
 
@@ -120,11 +120,8 @@ def write_clusters(assignment, path):
             fh.write(f"{meme_id},{img},{txt}\n")
 
 
-def _cluster_row(meme_id, img, txt):
-    meme_id, img, txt = int(meme_id), int(img), int(txt)
-    if min(meme_id, img, txt) < 0:
-        raise ValueError("ids must be non-negative")
-    return meme_id, (img, txt)
+def _cluster_row(img, txt):
+    return _parse_id(img), _parse_id(txt)
 
 
 def read_clusters(path):

@@ -151,32 +151,45 @@ def read_manifest(path):
     return records
 
 
-def read_csv(path, columns, parse, header=True):
+def _parse_id(field):
+    """A meme id written in a CSV field: ASCII decimal digits only, so no
+    sign, space or underscore, as the JSON files' ids are non-negative ints."""
+    if not (field.isascii() and field.isdigit()):
+        raise ValueError(f"id must be a non-negative integer, got {field!r}")
+    return int(field)
+
+
+def read_csv(path, columns, parse, header=True, ignored=()):
     """Read a comma-separated file into a dict id -> value, in file order.
 
+    The first column is the id, read by `_parse_id`, and may not repeat.
     With header=True the first line must be the column names joined by
-    commas.  Blank lines are skipped; every other line has one field per
-    column and goes to parse(*fields), which returns (id, value) or raises
-    ValueError.  An id may not repeat.  Faults raise DataFormatError with path
-    and line.
+    commas, or those followed by the `ignored` names, whose fields are then
+    dropped.  Blank lines are skipped; every other line has one field per
+    column, and parse(*fields after the id) returns the value or raises
+    ValueError.  Faults raise DataFormatError with path and line.
     """
     rows = {}
-    expected = ",".join(columns)
+    names = columns
     lines = _numbered_lines(path)
     if header:
         _, first = next(lines)
-        if first != expected:
-            raise DataFormatError(f"{path}: line 1: expected header {expected!r}, "
-                                  f"got {first!r}")
+        if first == ",".join(columns + ignored):
+            names = columns + ignored
+        elif first != ",".join(columns):
+            raise DataFormatError(f"{path}: line 1: expected header "
+                                  f"{','.join(columns)!r}, got {first!r}")
+    expected = ",".join(names)
     for lineno, line in lines:
         if not line:
             continue
         parts = line.split(",")
-        if len(parts) != len(columns):
+        if len(parts) != len(names):
             raise DataFormatError(f"{path}: line {lineno}: expected {expected}, "
                                   f"got {len(parts)} fields")
         try:
-            key, value = parse(*parts)
+            key = _parse_id(parts[0])
+            value = parse(*parts[1:len(columns)])
         except ValueError as exc:
             raise DataFormatError(f"{path}: line {lineno}: malformed row {line!r}: "
                                   f"{exc}") from None

@@ -1,8 +1,9 @@
 """Equal-weight stacking and prediction file IO.
 
 Prediction files are CSV with header `id,proba`; submissions add a `label`
-column.  Probabilities are written with nine decimal places so a round trip
-stays within 1e-9.
+column, and read as prediction files with that column ignored.
+Probabilities are written with nine decimal places so a round trip stays
+within 1e-9.
 """
 
 import math
@@ -51,25 +52,25 @@ def write_predictions(preds, path):
             fh.write(f"{meme_id},{preds.scores[meme_id]:.9f}\n")
 
 
-def _prediction_row(meme_id, proba):
-    proba = float(proba)
+def _proba(field):
+    proba = float(field)
     if not 0.0 <= proba <= 1.0:
         raise ValueError(f"probability {proba} outside [0, 1]")
-    return int(meme_id), proba
+    return proba
 
 
-def _submission_row(meme_id, proba, label):
-    meme_id, proba = _prediction_row(meme_id, proba)
-    label = int(label)
+def _submission_row(proba, label):
+    proba, label = _proba(proba), int(label)
     if label not in (0, 1):
         raise ValueError(f"label must be 0 or 1, got {label}")
-    return meme_id, (proba, label)
+    return proba, label
 
 
 def read_predictions(path):
-    """Parse an `id,proba` CSV; the model id is the file stem."""
+    """Parse an `id,proba` CSV, or a submission with its label column
+    ignored; the model id is the file stem."""
     path = Path(path)
-    scores = read_csv(path, ("id", "proba"), _prediction_row)
+    scores = read_csv(path, ("id", "proba"), _proba, ignored=("label",))
     return PredictionSet(path.stem, scores)
 
 

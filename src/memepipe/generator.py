@@ -17,19 +17,28 @@ Two guarantees make downstream detection exact rather than probabilistic:
 
 All randomness flows through one seeded generator, so equal inputs give
 byte-identical manifests and images.
+
+A base image's DCT is zero outside its 8x8 low-frequency block, so its
+pixels are the rank-8 product B.T @ block @ B, where B is the first 8 rows
+of the 64-point DCT-II matrix.  That differs from scipy's full `idctn` only
+by rounding, which can change an image only where a pixel rounds to a
+different integer.  So a base with any pixel within 1e-9 of a half integer
+is rebuilt with `idctn`, and so is a near-duplicate whose perturbed caption
+band has such a pixel, with the same noise; the images are bit-identical to
+the `idctn` ones and the random draws are unchanged.
 """
 
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import idctn
 
 from .clustering import normalize_text
 from .dataset import (DatasetComposition, GeneratorNoise, MemeRecord,
                       write_manifest, write_pgm)
 from .errors import ConfigError
-from .phash import HASH_BITS, hamming, phash
+from .phash import HASH_BITS, dct_rows, hamming, phash
 from .tuples import ThreeTuple, TwoTuple, UnimodalHate, write_groups
 
 IMAGE_SIDE = 64
@@ -45,6 +54,9 @@ _SYLLABLES = [c + v for c in "bdfglmnprst" for v in "aeiou"]
 _VOCAB = [a + b for a in _SYLLABLES for b in _SYLLABLES][:200]
 
 _COLS = np.arange(IMAGE_SIDE, dtype=np.float64)
+_LOW_ROWS = dct_rows(IMAGE_SIDE, _LOW_BLOCK)
+# a pixel this close to a half integer may round apart on the two paths
+_HALF_TOL = 1e-9
 
 
 @dataclass
@@ -68,42 +80,77 @@ def _quantize(img):
     return np.clip(np.rint(img), 0, 255).astype(np.uint8)
 
 
+def _near_half(img):
+    # some pixel's distance to the nearest integer is within _HALF_TOL of .5
+    return bool(np.abs(img - np.rint(img)).max() >= 0.5 - _HALF_TOL)
+
+
+class _Base(NamedTuple):
+    """A base image: its pixels and what they are made of."""
+
+    pixels: np.ndarray   # 64x64 float; quantizes as _render(..., exact=True) does
+    u8: np.ndarray       # _quantize(pixels)
+    block: np.ndarray    # the 8x8 low-frequency DCT coefficients
+    stripes: np.ndarray  # the row added to every caption-band row
+
+
+def _render(block, stripes, exact=False):
+    # the inverse orthonormal DCT-II of a 64x64 coefficient matrix that is
+    # zero outside its top-left `block`, plus the caption stripes: a rank-8
+    # product, or scipy's idctn with exact=True
+    if exact:
+        from scipy.fft import idctn  # the reference path only: slow to import
+        coef = np.zeros((IMAGE_SIDE, IMAGE_SIDE))
+        coef[:_LOW_BLOCK, :_LOW_BLOCK] = block
+        img = idctn(coef, type=2, norm="ortho")
+    else:
+        img = _LOW_ROWS.T @ block @ _LOW_ROWS
+    img[_BAND] += stripes
+    return img
+
+
+def _make_base(block, stripes):
+    img = _render(block, stripes)
+    if _near_half(img):
+        img = _render(block, stripes, exact=True)
+    return _Base(img, _quantize(img), block, stripes)
+
+
 def _base_image(rng):
     # random energy across the whole low-frequency DCT block keeps the 64
     # hash bits close to independent coin flips across images
-    coef = np.zeros((IMAGE_SIDE, IMAGE_SIDE))
-    coef[0, 0] = 128.0 * IMAGE_SIDE
     block = rng.normal(0.0, _COEF_SIGMA, size=(_LOW_BLOCK, _LOW_BLOCK))
-    block[0, 0] = 0.0
-    coef[:_LOW_BLOCK, :_LOW_BLOCK] += block
-    img = idctn(coef, type=2, norm="ortho")
+    block[0, 0] = 128.0 * IMAGE_SIDE
     freq = int(rng.integers(8, 13))
     phase = rng.uniform(0.0, 2.0 * np.pi)
     amp = rng.uniform(15.0, 30.0)
     # integer frequency: the stripes sum to zero along x, so they stay out
     # of the hash's low-frequency block
-    img[_BAND] += amp * np.cos(2.0 * np.pi * freq * _COLS / IMAGE_SIDE + phase)
-    return img
+    return _make_base(block, amp * np.cos(2.0 * np.pi * freq * _COLS / IMAGE_SIDE + phase))
 
 
 def _fresh_base(rng, base_hashes):
     # base_hashes: uint64 array of the bases placed so far
     for _ in range(500):
-        img = _base_image(rng)
-        h = phash(_quantize(img))
+        base = _base_image(rng)
+        h = phash(base.u8)
         nearest = np.bitwise_count(base_hashes ^ np.uint64(h)).min(initial=HASH_BITS)
         if nearest >= _BASE_MIN_SEPARATION:
-            return img, h
+            return base, h
     raise ConfigError("exhausted retries placing a distinct base image; "
                       "the corpus is too large for the hash space")
 
 
-def _near_duplicate(rng, base_img, base_hash, amplitude):
+def _near_duplicate(rng, base, base_hash, amplitude):
     if amplitude == 0.0:
-        return _quantize(base_img)
+        return base.u8.copy()   # each meme owns its pixel array
     for _ in range(50):
-        dup = base_img.copy()
-        dup[_BAND] += rng.uniform(-amplitude, amplitude, size=dup[_BAND].shape)
+        noise = rng.uniform(-amplitude, amplitude, size=base.pixels[_BAND].shape)
+        dup = base.pixels.copy()
+        dup[_BAND] += noise
+        if _near_half(dup[_BAND]):
+            dup = _render(base.block, base.stripes, exact=True)
+            dup[_BAND] += noise
         dup_q = _quantize(dup)
         if hamming(phash(dup_q), base_hash) <= _DUP_MAX_RADIUS:
             return dup_q
@@ -178,10 +225,10 @@ def generate_dataset(n, composition=None, noise=None, seed=0):
 
     def fresh_base():
         nonlocal n_bases
-        img, h = _fresh_base(rng, base_hashes[:n_bases])
+        base, h = _fresh_base(rng, base_hashes[:n_bases])
         base_hashes[n_bases] = h
         n_bases += 1
-        return img, h
+        return base, h
 
     # every shape below is built from these three draw sequences; each
     # image_partner is called right after the single that placed its base,
@@ -190,7 +237,7 @@ def generate_dataset(n, composition=None, noise=None, seed=0):
         base, h = fresh_base()
         if text is None:
             text = _fresh_text(rng, used_norms)
-        return emit(_quantize(base), text, label, category), base, h, text
+        return emit(base.u8, text, label, category), base, h, text
 
     def image_partner(base, h, label, category):
         dup = _near_duplicate(rng, base, h, noi.image_amplitude)
@@ -199,7 +246,7 @@ def generate_dataset(n, composition=None, noise=None, seed=0):
     def text_partner(text, label, category):
         base, _ = fresh_base()
         variant = _text_variant(rng, text, noi.text_perturb_prob)
-        return emit(_quantize(base), variant, label, category)
+        return emit(base.u8, variant, label, category)
 
     triples = min(c_mm, c_btc, c_bic)
     pivots_left = c_mm - triples

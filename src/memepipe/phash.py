@@ -6,12 +6,25 @@ median.  The result is a 64-bit integer, row-major over the block, bit 0
 (the DC position) always zero.  Hashing works on real-valued pixels; nothing
 is quantized mid-pipeline, so scaling or shifting intensities leaves the
 hash unchanged.
+
+The resize and the DCT are both linear and only the 8x8 block is read, so
+`phash` computes the block as a product of rank 8 per side:
+block = P(h) @ gray @ P(w).T, where P(n) = D8 @ A(n), A(n) is the 32 x n
+area-resize matrix and D8 the first 8 rows of the 32-point DCT-II matrix.
+This differs from the reference `dct2(resize_area(gray, 32))` only by
+rounding, which can change a bit only when a coefficient sits next to the
+median.  So when the gap on either side of the median over the sorted AC
+coefficients, ac[31] - ac[30] or ac[32] - ac[31], is at most
+1e-9 * max|gray|, the hash is taken from the reference path instead, and
+the two paths give the same hash.  The tolerance scales with the pixels
+because the rounding error does: on a near-flat image the AC coefficients
+are far smaller than the error of a product over the large DC level.  Only
+the reference path imports scipy.
 """
 
 import functools
 
 import numpy as np
-from scipy.fft import dctn
 
 from .dataset import read_csv
 from .errors import ConfigError, DataFormatError
@@ -19,6 +32,9 @@ from .errors import ConfigError, DataFormatError
 RESIZE_SIDE = 32
 BLOCK_SIDE = 8
 HASH_BITS = BLOCK_SIDE * BLOCK_SIDE
+
+# fast path: a median gap up to this times max|gray| takes the reference path
+_GAP_TOL = 1e-9
 
 # elements of one row block's XOR matrix in near_pairs (1 MB of uint64)
 _BLOCK_ELEMS = 1 << 17
@@ -62,6 +78,29 @@ def _overlap_weights(n_in, n_out):
     return w
 
 
+@functools.lru_cache(maxsize=None)
+def dct_rows(n, k):
+    """The first k rows of the orthonormal n-point DCT-II matrix, k x n.
+
+    Row u is sqrt(2/n) cos(pi (2j + 1) u / 2n) over j, and row 0 is scaled by
+    1/sqrt(2).  The result is shared by the cache, so read-only.
+    """
+    u = np.arange(k)[:, None]
+    j = np.arange(n)
+    d = np.sqrt(2.0 / n) * np.cos(np.pi * (2 * j + 1) * u / (2 * n))
+    d[0] /= np.sqrt(2.0)
+    d.flags.writeable = False
+    return d
+
+
+@functools.lru_cache(maxsize=64)
+def _projection(n_in):
+    # the 8 x n_in map from a pixel column to its hash-block coefficients
+    p = dct_rows(RESIZE_SIDE, BLOCK_SIDE) @ _overlap_weights(n_in, RESIZE_SIDE)
+    p.flags.writeable = False
+    return p
+
+
 def resize_area(m, s):
     """Resize a 2-D matrix to s x s by exact area-weighted averaging."""
     m = np.asarray(m, dtype=np.float64)
@@ -76,6 +115,7 @@ def resize_area(m, s):
 
 def dct2(m):
     """Orthonormal 2-D DCT-II.  Energy-preserving; a constant c maps to c*s at (0,0)."""
+    from scipy.fft import dctn  # the reference path only: scipy.fft is slow to import
     return dctn(np.asarray(m, dtype=np.float64), type=2, norm="ortho")
 
 
@@ -92,13 +132,17 @@ def phash(img):
     if h < BLOCK_SIDE or w < BLOCK_SIDE:
         raise DataFormatError(f"degenerate image {h}x{w}: need at least "
                               f"{BLOCK_SIDE}x{BLOCK_SIDE} pixels")
-    small = resize_area(gray, RESIZE_SIDE)
-    block = dct2(small)[:BLOCK_SIDE, :BLOCK_SIDE].ravel()
+    block = (_projection(h) @ gray @ _projection(w).T).ravel()
     ac = np.sort(block[1:])
-    med = ac[(ac.size - 1) // 2]  # lower median; exact middle for odd counts
-    above = block > med
-    above[0] = False
-    return int.from_bytes(np.packbits(above, bitorder="little"), "little")
+    mid = (ac.size - 1) // 2      # lower median; exact middle for odd counts
+    below, med, above = ac[mid - 1:mid + 2].tolist()
+    tol = _GAP_TOL * np.abs(gray).max()
+    if not (med - below > tol and above - med > tol):   # NaN fails `>` too
+        block = dct2(resize_area(gray, RESIZE_SIDE))[:BLOCK_SIDE, :BLOCK_SIDE].ravel()
+        med = np.sort(block[1:])[mid]
+    bits = block > med
+    bits[0] = False
+    return int.from_bytes(np.packbits(bits, bitorder="little"), "little")
 
 
 def hamming(a, b):
@@ -142,6 +186,5 @@ def write_hashes(entries, path):
 
 def read_hashes(path):
     """Parse `id,hash_hex` lines into (meme_id, hash) pairs, in file order."""
-    rows = read_csv(path, ("id", "hash_hex"),
-                    lambda meme_id, h: (int(meme_id), hex_to_hash(h)), header=False)
+    rows = read_csv(path, ("id", "hash_hex"), hex_to_hash, header=False)
     return list(rows.items())

@@ -108,11 +108,11 @@ def write_pseudo_labels(pseudo, path):
                      f"{pseudo.provenance.get(meme_id, 'rule1')}\n")
 
 
-def _pseudo_label_row(meme_id, label, rule):
+def _pseudo_label_row(label, rule):
     label = int(label)
     if label not in (0, 1):
         raise ValueError(f"label must be 0 or 1, got {label}")
-    return int(meme_id), (label, rule)
+    return label, rule
 
 
 def read_pseudo_labels(path):

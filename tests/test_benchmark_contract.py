@@ -37,4 +37,10 @@ def test_traced_pipeline_feeds_layer_metrics(tmp_path):
     assert code == 0
     metrics = spans.layer_metrics(tracer.spans, "run", wall_s)
     assert metrics["simulator.sets"] == 2
-    assert metrics["generator.phash_calls"] > 0
+    # the counts perfbench's generator.phash_calls and phash.us_per_image
+    # rest on: 60 memes placed from 61 candidates, then one hash stage call
+    # per meme, each a span of its own
+    assert metrics["generator.phash_calls"] == 61
+    stage = [s for s in tracer.spans if s.name == "phash.phash"
+             and tracer.spans[s.parent].name == "generator.image_hashes"]
+    assert len(stage) == 60

@@ -135,6 +135,10 @@ def test_csv_reader_contract(tmp_path, name):
         rejects(top + [row1, row2, out_of_range.replace("1,", "3,", 1)], first + 2)
     rejects(top + [row1, "", row2, row1], first + 3)
 
+    # an id is ASCII digits only, as int() alone would take all of these
+    for bad_id in ("-1", "+1", "1_0", "1 ", "\u0661"):
+        rejects(top + [row1, bad_id + row2[1:]], first + 1)
+
     path.write_text("\n".join(top + ["", row1, "   ", "", row2, ""]) + "\n")
     assert ids(read(path)) == [1, 2]
 

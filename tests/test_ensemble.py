@@ -89,6 +89,20 @@ def test_predictions_parse_three_rows(tmp_path):
     assert ps.scores == {1: 0.25, 2: 0.5, 3: 0.75}
 
 
+def test_predictions_read_a_submission_without_its_labels(tmp_path):
+    path = tmp_path / "stacked.csv"
+    write_submission(stack_equal_weight([PredictionSet("a", {1: 0.9, 2: 0.2})]), path)
+    ps = read_predictions(path)
+    assert ps.model_id == "stacked"
+    assert ps.scores == {1: 0.9, 2: 0.2}
+    path.write_text("id,proba,label\n1,0.9,1\n2,0.2\n")
+    with pytest.raises(DataFormatError, match="line 3: expected id,proba,label"):
+        read_predictions(path)
+    path.write_text("id,label\n1,1\n")
+    with pytest.raises(DataFormatError, match="expected header 'id,proba'"):
+        read_predictions(path)
+
+
 def test_submission_round_trip(tmp_path):
     sets = [PredictionSet("a", {1: 0.9, 2: 0.2, 3: 0.6})]
     stacked = stack_equal_weight(sets)

@@ -3,13 +3,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from memepipe.clustering import (ClusterAssignment, cluster_images,
                                  cluster_texts, normalize_text)
 from memepipe.dataset import (DatasetComposition, GeneratorNoise, read_pgm)
 from memepipe.generator import (generate_dataset, image_hashes, write_images,
-                                _BASE_MIN_SEPARATION, _DUP_MAX_RADIUS,
-                                _fresh_base)
+                                _BAND, _BASE_MIN_SEPARATION, _DUP_MAX_RADIUS,
+                                _base_image, _fresh_base, _make_base,
+                                _near_duplicate, _near_half, _quantize, _render)
 from memepipe.phash import hamming, phash
 from memepipe.tuples import ThreeTuple, TwoTuple, detect_tuples
 
@@ -121,16 +123,81 @@ def test_bases_stay_separated():
 def test_fresh_base_accepts_at_exactly_the_minimum_separation():
     # the first candidate of a seed, against placed bases whose nearest one
     # sits exactly at the minimum separation, then one bit closer
-    first_img, first = _fresh_base(np.random.default_rng(5), np.empty(0, np.uint64))
+    first_base, first = _fresh_base(np.random.default_rng(5), np.empty(0, np.uint64))
     far = first ^ (((1 << 40) - 1) << 1)
     for bits, accepted in ((_BASE_MIN_SEPARATION, True),
                            (_BASE_MIN_SEPARATION - 1, False)):
         near = first ^ (((1 << bits) - 1) << 1)
         placed = np.array([far, near, far], dtype=np.uint64)
-        img, h = _fresh_base(np.random.default_rng(5), placed)
+        base, h = _fresh_base(np.random.default_rng(5), placed)
         assert (h == first) is accepted
-        assert np.array_equal(img, first_img) is accepted
+        assert np.array_equal(base.pixels, first_base.pixels) is accepted
         assert min(hamming(h, int(other)) for other in placed) >= _BASE_MIN_SEPARATION
+
+
+@pytest.fixture
+def idctn_calls(monkeypatch):
+    """Counts the calls the generator makes to its reference path."""
+    calls = []
+    idctn = scipy.fft.idctn
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return idctn(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "idctn", counted)
+    return calls
+
+
+def test_base_pixels_equal_the_reference_path(idctn_calls):
+    rng = np.random.default_rng(14)
+    for _ in range(50):
+        base = _base_image(rng)
+        exact = _render(base.block, base.stripes, exact=True)
+        assert np.array_equal(_quantize(base.pixels), _quantize(exact))
+        assert np.abs(base.pixels - exact).max() < 1e-11
+    assert len(idctn_calls) == 50     # only the exact renders above
+
+
+def test_base_on_a_half_integer_takes_the_reference_path(idctn_calls):
+    # DC 128.5 * 64 and no other energy: every pixel outside the caption
+    # band is 128.5 on the fast path, where scipy's rounding may land on
+    # either side of it
+    block = np.zeros((8, 8))
+    block[0, 0] = 128.5 * 64
+    stripes = _base_image(np.random.default_rng(15)).stripes
+    assert (_render(block, stripes)[:_BAND.start] == 128.5).all()
+    base = _make_base(block, stripes)
+    assert idctn_calls == [(64, 64)]
+    assert np.array_equal(base.pixels, _render(block, stripes, exact=True))
+
+
+class FixedNoise:
+    """Stands in for the generator's rng: every uniform draw is `noise`."""
+
+    def __init__(self, noise):
+        self.noise = noise
+        self.draws = 0
+
+    def uniform(self, low, high, size):
+        assert size == self.noise.shape
+        self.draws += 1
+        return self.noise
+
+
+def test_near_duplicate_on_a_half_integer_takes_the_reference_path(idctn_calls):
+    base = _base_image(np.random.default_rng(16))
+    assert not _near_half(base.pixels) and not idctn_calls
+    band = base.pixels[_BAND]
+    noise = np.zeros(band.shape)
+    noise[2, 5] = np.floor(band[2, 5]) + 0.5 - band[2, 5]
+    rng = FixedNoise(noise)
+    dup = _near_duplicate(rng, base, phash(_quantize(base.pixels)), 4.0)
+    assert idctn_calls == [(64, 64)]
+    assert rng.draws == 1
+    want = _render(base.block, base.stripes, exact=True)
+    want[_BAND] += noise
+    assert np.array_equal(dup, _quantize(want))
 
 
 def test_shared_texts_normalize_equal():
@@ -239,6 +306,16 @@ PINNED_DATASET_DIGESTS = {
     ("text_pairs", "flat_dups_label_noise"):
         "fd21db3471cff55978129debc2fcfaa652960977026a1a15c836f3e92e12f875",
 }
+
+
+# generate_dataset(2000, seed=7), recorded before base images and hash blocks
+# were computed as rank-8 products: 2000 memes reach rounding boundaries that
+# 97 never do
+PINNED_LARGE_DIGEST = "c16e766cc430a6b61b1443953041f999462e3f35d48a62e29c67d1035a0eae33"
+
+
+def test_large_corpus_matches_pinned_digest():
+    assert dataset_digest(generate_dataset(2000, seed=7)) == PINNED_LARGE_DIGEST
 
 
 @pytest.mark.parametrize("noise_name", sorted(PINNED_NOISE))

@@ -1,11 +1,16 @@
 import importlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import memepipe
 from memepipe.errors import DataFormatError
-from memepipe.phash import (HASH_BITS, dct2, hamming, hash_to_hex,
+from memepipe.phash import (HASH_BITS, dct2, dct_rows, hamming, hash_to_hex,
                             hex_to_hash, near_pairs, phash, read_hashes,
                             resize_area, to_grayscale, write_hashes)
 
@@ -210,6 +215,103 @@ def test_phash_bit_i_is_coefficient_i_above_the_median():
         med = np.sort(block[1:])[31]
         want = sum(1 << i for i in range(1, HASH_BITS) if block[i] > med)
         assert phash(img) == want
+
+
+def reference_phash(img):
+    """The hash by its definition: area resize, scipy's DCT, and the sign of
+    each block coefficient against the lower median of the 63 AC ones."""
+    block = dct2(resize_area(to_grayscale(img), 32))[:8, :8].ravel()
+    med = np.sort(block[1:])[31]
+    return sum(1 << i for i in range(1, HASH_BITS) if block[i] > med)
+
+
+@pytest.fixture
+def dct2_calls(monkeypatch):
+    """Counts the calls phash makes to its reference path."""
+    calls = []
+
+    def counted(m):
+        calls.append(np.shape(m))
+        return dct2(m)
+
+    monkeypatch.setattr(phash_module, "dct2", counted)
+    return calls
+
+
+def test_dct_rows_are_the_leading_rows_of_the_dct_matrix():
+    # the 2-D DCT of an n x n impulse at (j, 0) is column j of the matrix,
+    # scaled by its own row-0 entry; the double-sum oracle checks dct2
+    for n, k in ((8, 8), (9, 3)):
+        full = dct_rows(n, n)
+        assert np.allclose(full @ full.T, np.eye(n), atol=1e-12)
+        assert np.array_equal(dct_rows(n, k), full[:k])
+        for j in range(n):
+            impulse = np.zeros((n, n))
+            impulse[j, 0] = 1.0
+            assert np.allclose(dct2_oracle(impulse)[:, 0], full[:, j] * full[0, 0],
+                               atol=1e-12)
+    assert not dct_rows(32, 8).flags.writeable
+
+
+def test_phash_fast_path_skips_the_reference(dct2_calls):
+    rng = np.random.default_rng(11)
+    for shape in ((64, 64), (8, 200), (33, 47, 3)):
+        img = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        assert phash(img) == reference_phash(img)
+    assert dct2_calls == []
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(h=st.integers(8, 200), w=st.integers(8, 200), rgb=st.booleans(),
+       kind=st.sampled_from(["uint8", "levels", "float", "near_flat"]),
+       seed=st.integers(0, 2**32 - 1), noise_exp=st.floats(-14, -10),
+       level=st.floats(-1e3, 1e3))
+def test_phash_equals_the_reference_path(h, w, rgb, kind, seed, noise_exp, level):
+    rng = np.random.default_rng(seed)
+    shape = (h, w, 3) if rgb else (h, w)
+    if kind == "uint8":
+        img = rng.integers(0, 256, size=shape, dtype=np.uint8)
+    elif kind == "levels":       # few grey levels, so coefficients tie
+        img = (rng.integers(0, 3, size=shape) * 127).astype(np.uint8)
+    elif kind == "float":
+        img = rng.uniform(-300.0, 300.0, size=shape)
+    else:
+        img = level + 10.0 ** noise_exp * rng.standard_normal(shape)
+    assert phash(img) == reference_phash(img)
+
+
+def test_phash_near_flat_images_take_the_reference_path(dct2_calls):
+    # a constant plus noise far below the rounding error of the fast path's
+    # products: a tolerance scaled by the AC coefficients lets rounding pick
+    # the bits here, and one scaled by the pixels does not
+    rng = np.random.default_rng(12)
+    count = 0
+    for shape in ((64, 64), (10, 10), (33, 47), (100, 8)):
+        for noise in (1e-14, 1e-13, 1e-12, 1e-11, 1e-10):
+            for level in (0.7, 128.0, 255.0, 1e4):
+                img = level + noise * rng.standard_normal(shape)
+                assert phash(img) == reference_phash(img)
+                count += 1
+    assert len(dct2_calls) == count
+
+
+def test_phash_tied_median_takes_the_reference_path(dct2_calls):
+    # constant along each row: every coefficient off the block's first column
+    # is zero, so the median is a 56-way tie that rounding would split
+    rng = np.random.default_rng(13)
+    img = np.repeat(rng.uniform(0.0, 255.0, size=(50, 1)), 70, axis=1)
+    assert phash(img) == reference_phash(img)
+    assert dct2_calls == [(32, 32)]
+
+
+def test_import_loads_no_scipy():
+    # scipy.fft is slow to import, and only the reference paths need it
+    code = ("import sys, memepipe.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(memepipe.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_phash_affine_invariance():

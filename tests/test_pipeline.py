@@ -9,8 +9,8 @@ import pytest
 
 from memepipe import cli, pipeline
 from memepipe.dataset import MemeRecord, read_manifest, write_manifest, write_pgm
-from memepipe.ensemble import (read_predictions, read_submission,
-                               stack_equal_weight, write_predictions)
+from memepipe.ensemble import (read_predictions, stack_equal_weight,
+                               write_predictions)
 from memepipe.errors import ConfigError, StageError
 from memepipe.generator import generate_dataset
 from memepipe.rules import PredictionSet
@@ -445,9 +445,7 @@ def test_cli_stage_chain_matches_pipeline(tmp_path):
                    *(str(work / f"adjusted-{name}") for name in names),
                    "--out", str(work / "stacked-submission.csv")) == 0
     # stack writes a submission; adjust reads it without the label column
-    scores, _ = read_submission(work / "stacked-submission.csv")
-    write_predictions(PredictionSet("stacked", scores), work / "stacked-raw.csv")
-    assert run_cli("--quiet", "adjust", "--preds", str(work / "stacked-raw.csv"),
+    assert run_cli("--quiet", "adjust", "--preds", str(work / "stacked-submission.csv"),
                    "--tuples", str(work / "tuples.jsonl"), "--rule", "1",
                    "--out", str(work / "stacked.csv")) == 0
     got = read_predictions(work / "stacked.csv").scores
@@ -634,6 +632,10 @@ def write_faulty_inputs(d):
     (d / "binary").write_bytes(b"\xff\xfe\x00")
     (d / "one_hash.csv").write_text("1,0000000000000000\n")
     (d / "negative.csv").write_text("0,0000000000000000\n1,-000000000000001\n")
+    (d / "negative_id.csv").write_text("id,proba\n-1,0.5\n")
+    (d / "underscore_id.csv").write_text("id,proba\n0,0.5\n1_0,0.25\n")
+    (d / "negative_pseudo.csv").write_text("id,label,rule\n-3,1,rule1\n")
+    (d / "signed_hash_id.csv").write_text("0,0000000000000000\n+1,00000000000000ff\n")
     write_manifest([MemeRecord(0, "0.pgm", "t", None, "test")], d / "unlabelled.jsonl")
     (d / "one_cluster.csv").write_text("0,0,0\n")
     write_manifest([MemeRecord(i, f"{i}.pgm", "t", i % 2, "test") for i in range(3)],
@@ -681,6 +683,19 @@ ODD_INPUTS = {
          3, "{d}/unlabelled.jsonl: meme 0 has no label"),
     "empty manifest":
         ("pipeline --outdir {d}/run --manifest {d}/empty.csv", 3, "{d}/empty.csv: no records"),
+    "negative prediction id":
+        ("adjust --preds {d}/negative_id.csv --tuples {d}/pair.jsonl --rule 2 "
+         "--out {d}/a.csv", 3, "{d}/negative_id.csv: line 2: malformed row '-1,0.5'"),
+    "underscored prediction id":
+        ("adjust --preds {d}/underscore_id.csv --tuples {d}/pair.jsonl --rule 2 "
+         "--out {d}/a.csv", 3, "{d}/underscore_id.csv: line 3: malformed row '1_0,0.25'"),
+    "negative pseudo-label id":
+        ("simulate --manifest {d}/two.jsonl --tuples {d}/pair.jsonl "
+         "--pseudo {d}/negative_pseudo.csv --out {d}/sim.csv",
+         3, "{d}/negative_pseudo.csv: line 2: malformed row '-3,1,rule1'"),
+    "signed hash id":
+        ("cluster --manifest {d}/two.jsonl --hashes {d}/signed_hash_id.csv --out {d}/c.csv",
+         3, "{d}/signed_hash_id.csv: line 2: malformed row '+1,00000000000000ff'"),
 }
 
 
