@@ -292,7 +292,7 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="simulate one base model's predictions")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--tuples", help="groups file driving difficulty categories")
+    p.add_argument("--tuples", help="groups file driving difficulty discounts")
     p.add_argument("--pseudo", help="pseudo-label file enabling the boost")
     p.add_argument("--model-index", type=int, default=0)
     _add_number_flags(p, SimulatorConfig)

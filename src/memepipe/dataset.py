@@ -103,7 +103,8 @@ def _check_record(rec, where):
         raise DataFormatError(f"{where}: text must be a string")
     if rec.split not in SPLITS:
         raise DataFormatError(f"{where}: split must be one of {SPLITS}, got {rec.split!r}")
-    if rec.label is not None and rec.label not in (0, 1):
+    # type(), not isinstance(): True == 1 and 1.0 == 1, but neither is a label
+    if rec.label is not None and (type(rec.label) is not int or rec.label not in (0, 1)):
         raise DataFormatError(f"{where}: label must be 0 or 1, got {rec.label!r}")
     if rec.split == "train" and rec.label is None:
         raise DataFormatError(f"{where}: train record {rec.id} is missing a label")
@@ -156,6 +157,13 @@ def _parse_id(field):
     sign, space or underscore, as the JSON files' ids are non-negative ints."""
     if not (field.isascii() and field.isdigit()):
         raise ValueError(f"id must be a non-negative integer, got {field!r}")
+    return int(field)
+
+
+def _parse_label(field):
+    """A label written in a CSV field: exactly `0` or `1`."""
+    if field not in ("0", "1"):
+        raise ValueError(f"label must be 0 or 1, got {field!r}")
     return int(field)
 
 

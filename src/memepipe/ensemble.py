@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dataset import read_csv
+from .dataset import _parse_label, read_csv
 from .errors import DataFormatError
 from .rules import PredictionSet
 
@@ -60,10 +60,7 @@ def _proba(field):
 
 
 def _submission_row(proba, label):
-    proba, label = _proba(proba), int(label)
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label}")
-    return proba, label
+    return _proba(proba), _parse_label(label)
 
 
 def read_predictions(path):

@@ -22,10 +22,11 @@ A base image's DCT is zero outside its 8x8 low-frequency block, so its
 pixels are the rank-8 product B.T @ block @ B, where B is the first 8 rows
 of the 64-point DCT-II matrix.  That differs from scipy's full `idctn` only
 by rounding, which can change an image only where a pixel rounds to a
-different integer.  So a base with any pixel within 1e-9 of a half integer
-is rebuilt with `idctn`, and so is a near-duplicate whose perturbed caption
-band has such a pixel, with the same noise; the images are bit-identical to
-the `idctn` ones and the random draws are unchanged.
+different integer.  So one render path makes every image, base or
+near-duplicate: the rank-8 product plus the caption stripes and noise, redone
+on `idctn` with the same additions when any pixel lies within 1e-9 of a half
+integer.  The images are bit-identical to the `idctn` ones and the random
+draws are unchanged.
 """
 
 import os
@@ -88,32 +89,27 @@ def _near_half(img):
 class _Base(NamedTuple):
     """A base image: its pixels and what they are made of."""
 
-    pixels: np.ndarray   # 64x64 float; quantizes as _render(..., exact=True) does
-    u8: np.ndarray       # _quantize(pixels)
+    u8: np.ndarray       # _render(block, stripes)
     block: np.ndarray    # the 8x8 low-frequency DCT coefficients
     stripes: np.ndarray  # the row added to every caption-band row
 
 
-def _render(block, stripes, exact=False):
-    # the inverse orthonormal DCT-II of a 64x64 coefficient matrix that is
-    # zero outside its top-left `block`, plus the caption stripes: a rank-8
-    # product, or scipy's idctn with exact=True
-    if exact:
+def _render(block, stripes, noise=0.0):
+    """The quantized inverse orthonormal DCT-II of a 64x64 coefficient matrix
+    that is zero outside its top-left `block`, plus the caption stripes, then
+    the noise, in the caption band: a rank-8 product, or scipy's idctn where
+    some pixel may round apart on the two."""
+    img = _LOW_ROWS.T @ block @ _LOW_ROWS
+    img[_BAND] += stripes
+    img[_BAND] += noise
+    if _near_half(img):
         from scipy.fft import idctn  # the reference path only: slow to import
         coef = np.zeros((IMAGE_SIDE, IMAGE_SIDE))
         coef[:_LOW_BLOCK, :_LOW_BLOCK] = block
         img = idctn(coef, type=2, norm="ortho")
-    else:
-        img = _LOW_ROWS.T @ block @ _LOW_ROWS
-    img[_BAND] += stripes
-    return img
-
-
-def _make_base(block, stripes):
-    img = _render(block, stripes)
-    if _near_half(img):
-        img = _render(block, stripes, exact=True)
-    return _Base(img, _quantize(img), block, stripes)
+        img[_BAND] += stripes
+        img[_BAND] += noise
+    return _quantize(img)
 
 
 def _base_image(rng):
@@ -126,7 +122,8 @@ def _base_image(rng):
     amp = rng.uniform(15.0, 30.0)
     # integer frequency: the stripes sum to zero along x, so they stay out
     # of the hash's low-frequency block
-    return _make_base(block, amp * np.cos(2.0 * np.pi * freq * _COLS / IMAGE_SIDE + phase))
+    stripes = amp * np.cos(2.0 * np.pi * freq * _COLS / IMAGE_SIDE + phase)
+    return _Base(_render(block, stripes), block, stripes)
 
 
 def _fresh_base(rng, base_hashes):
@@ -145,13 +142,8 @@ def _near_duplicate(rng, base, base_hash, amplitude):
     if amplitude == 0.0:
         return base.u8.copy()   # each meme owns its pixel array
     for _ in range(50):
-        noise = rng.uniform(-amplitude, amplitude, size=base.pixels[_BAND].shape)
-        dup = base.pixels.copy()
-        dup[_BAND] += noise
-        if _near_half(dup[_BAND]):
-            dup = _render(base.block, base.stripes, exact=True)
-            dup[_BAND] += noise
-        dup_q = _quantize(dup)
+        noise = rng.uniform(-amplitude, amplitude, size=(_BAND.stop - _BAND.start, IMAGE_SIDE))
+        dup_q = _render(base.block, base.stripes, noise)
         if hamming(phash(dup_q), base_hash) <= _DUP_MAX_RADIUS:
             return dup_q
     raise ConfigError(f"image_amplitude {amplitude} keeps pushing near-duplicates "

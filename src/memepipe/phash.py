@@ -171,8 +171,9 @@ def hash_to_hex(h):
 
 
 def hex_to_hash(s):
-    s = s.strip()
-    if len(s) != 16 or s.startswith("-"):
+    """Read exactly 16 ASCII hex digits: no sign, prefix, underscore or
+    space, all of which int(s, 16) would take."""
+    if len(s) != 16 or not set(s) <= set("0123456789abcdefABCDEF"):
         raise ValueError(f"expected 16 hex digits, got {s!r}")
     return int(s, 16)
 

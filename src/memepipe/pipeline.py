@@ -204,10 +204,8 @@ def detect(cfg, records, images):
     if cfg.rule1:
         def pseudo_stage():
             held_ids = {rec.id for rec in records if rec.split != "train"}
-            full = rule1_pseudo_labels(groups)
-            return PseudoLabelSet(
-                labels={i: v for i, v in full.labels.items() if i in held_ids},
-                provenance={i: v for i, v in full.provenance.items() if i in held_ids})
+            full = rule1_pseudo_labels(groups).labels
+            return PseudoLabelSet({i: v for i, v in full.items() if i in held_ids})
         pseudo = _stage("pseudo-label", pseudo_stage, quiet)
     return Structure(hashes, assignment, groups, pseudo)
 

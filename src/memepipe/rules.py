@@ -12,7 +12,7 @@ All adjustments copy the prediction set; inputs are never mutated.
 
 from dataclasses import dataclass
 
-from .dataset import MemeRecord, read_csv
+from .dataset import MemeRecord, _parse_label, read_csv
 from .errors import ConfigError, DataFormatError
 from .tuples import ThreeTuple, TwoTuple, UnimodalHate
 
@@ -27,8 +27,7 @@ class PredictionSet:
 
 @dataclass
 class PseudoLabelSet:
-    labels: dict       # meme id -> 0/1
-    provenance: dict   # meme id -> rule name
+    labels: dict       # meme id -> 0/1, each implied by rule 1
 
 
 def _require(scores, meme_id, rule):
@@ -53,15 +52,13 @@ def apply_rule1(groups, preds):
 def rule1_pseudo_labels(groups):
     """Pseudo-labels implied by ThreeTuples: pivot 1, partners 0."""
     labels = {}
-    provenance = {}
     for g in groups:
         if not isinstance(g, ThreeTuple):
             continue
         for meme_id, label in ((g.pivot_id, 1), (g.image_partner_id, 0),
                                (g.text_partner_id, 0)):
             labels[meme_id] = label
-            provenance[meme_id] = "rule1"
-    return PseudoLabelSet(labels, provenance)
+    return PseudoLabelSet(labels)
 
 
 def apply_rule2(groups, preds, hi=1.0, lo=0.0):
@@ -100,25 +97,21 @@ def apply_unimodal_signatures(signatures, assignment, preds):
 
 
 def write_pseudo_labels(pseudo, path):
-    """Write `id,label,rule` CSV, sorted by id."""
+    """Write `id,label,rule` CSV, sorted by id; the rule is always rule1."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("id,label,rule\n")
         for meme_id in sorted(pseudo.labels):
-            fh.write(f"{meme_id},{pseudo.labels[meme_id]},"
-                     f"{pseudo.provenance.get(meme_id, 'rule1')}\n")
+            fh.write(f"{meme_id},{pseudo.labels[meme_id]},rule1\n")
 
 
 def _pseudo_label_row(label, rule):
-    label = int(label)
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label}")
-    return label, rule
+    if rule != "rule1":
+        raise ValueError(f"rule must be rule1, got {rule!r}")
+    return _parse_label(label)
 
 
 def read_pseudo_labels(path):
-    rows = read_csv(path, ("id", "label", "rule"), _pseudo_label_row)
-    return PseudoLabelSet({i: label for i, (label, _) in rows.items()},
-                          {i: rule for i, (_, rule) in rows.items()})
+    return PseudoLabelSet(read_csv(path, ("id", "label", "rule"), _pseudo_label_row))
 
 
 def merge_pseudo_labels(train, pseudo, test):

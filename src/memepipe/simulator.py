@@ -1,9 +1,9 @@
 """Synthetic base-model predictions with a controlled difficulty profile.
 
 Each meme's score is logistic(separation * sign + noise), where the
-separation shrinks by a per-category discount (confounder members are hard
-to tell apart), grows by a boost for pseudo-labeled ids (modeling the gain
-from retraining on merged pseudo-labels), and the noise splits into a
+separation shrinks by a discount per group kind (confounder members are
+hard to tell apart), grows by a boost for pseudo-labeled ids (modeling the
+gain from retraining on merged pseudo-labels), and the noise splits into a
 component shared by every model and a per-model remainder.  Real base
 models make correlated mistakes; without the shared part, averaging 20
 models would wash the noise out entirely.
@@ -31,18 +31,9 @@ from .errors import ConfigError, DataFormatError
 from .rules import PredictionSet
 from .tuples import ThreeTuple, TwoTuple, UnimodalHate
 
-CATEGORY_THREE = "three_tuple"
-CATEGORY_TWO = "two_tuple"
-CATEGORY_UNIMODAL = "unimodal"
-CATEGORY_INDEPENDENT = "independent"
-
-# separation multiplier per difficulty category
-DIFFICULTY_DISCOUNT = {
-    CATEGORY_THREE: 0.25,
-    CATEGORY_TWO: 0.35,
-    CATEGORY_UNIMODAL: 0.8,
-    CATEGORY_INDEPENDENT: 1.0,
-}
+# separation multiplier per group kind, in precedence order: a meme in
+# groups of several kinds takes the last kind's discount, others keep 1.0
+DIFFICULTY_DISCOUNT = {UnimodalHate: 0.8, TwoTuple: 0.35, ThreeTuple: 0.25}
 
 
 @dataclass
@@ -67,22 +58,17 @@ class SimulatorConfig:
             raise ConfigError("noise_correlation must be in [0, 1]")
 
 
-def member_categories(ids, groups):
-    """Difficulty category per meme id.
-
-    ThreeTuple membership wins over TwoTuple, which wins over UnimodalHate;
-    everything else is independent.
-    """
-    cats = {meme_id: CATEGORY_INDEPENDENT for meme_id in ids}
-    by_kind = ((UnimodalHate, CATEGORY_UNIMODAL), (TwoTuple, CATEGORY_TWO),
-               (ThreeTuple, CATEGORY_THREE))
-    for kind, cat in by_kind:
+def member_discounts(ids, groups):
+    """Difficulty discount per meme id: ThreeTuple membership wins over
+    TwoTuple, which wins over UnimodalHate; everything else is 1.0."""
+    discounts = dict.fromkeys(ids, 1.0)
+    for kind, discount in DIFFICULTY_DISCOUNT.items():
         for g in groups:
             if isinstance(g, kind):
                 for meme_id in g.member_ids():
-                    if meme_id in cats:
-                        cats[meme_id] = cat
-    return cats
+                    if meme_id in discounts:
+                        discounts[meme_id] = discount
+    return discounts
 
 
 def _logistic(z):
@@ -211,7 +197,7 @@ def simulate_predictions(memes, groups, pseudo, cfg, model_index, shared=None):
     """One simulated model's scores for every meme.
 
     memes must carry labels (the generator's recorded truth); groups drive
-    the difficulty category; pseudo (optional) marks ids whose separation
+    the difficulty discounts; pseudo (optional) marks ids whose separation
     gets the pseudo-label boost.  shared, if given, is shared_noise(cfg, ids)
     for the same seed and covers every meme; without it the draws are made
     here.
@@ -221,11 +207,11 @@ def simulate_predictions(memes, groups, pseudo, cfg, model_index, shared=None):
         if rec.label is None:
             raise DataFormatError(f"meme {rec.id} has no label to condition on")
     ids = [rec.id for rec in memes]
-    cats = member_categories(ids, groups)
+    discounts = member_discounts(ids, groups)
     pseudo_ids = set() if pseudo is None else set(pseudo.labels)
     if shared is None:
         shared = shared_noise(cfg, ids)
-    seps = np.array([cfg.separation_mu * DIFFICULTY_DISCOUNT[cats[i]]
+    seps = np.array([cfg.separation_mu * discounts[i]
                      * (cfg.pseudo_label_boost if i in pseudo_ids else 1.0) for i in ids])
     signs = np.array([2 * rec.label - 1 for rec in memes], float)
     local = _normals((cfg.seed, 1, model_index), ids)

@@ -1,14 +1,21 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from memepipe.clustering import read_clusters
+from memepipe.clustering import read_clusters, write_clusters
 from memepipe.dataset import (DatasetComposition, GeneratorNoise, MemeRecord,
                               read_manifest, read_pgm, write_manifest,
                               write_pgm)
-from memepipe.ensemble import read_predictions, read_submission
+from memepipe.ensemble import (StackedPrediction, read_predictions,
+                               read_submission, write_predictions,
+                               write_submission)
 from memepipe.errors import DataFormatError
-from memepipe.phash import read_hashes
-from memepipe.rules import read_pseudo_labels
+from memepipe.phash import read_hashes, write_hashes
+from memepipe.rules import (PredictionSet, read_pseudo_labels,
+                            write_pseudo_labels)
 
 
 def rec(meme_id, split="train", label=0, text="some text"):
@@ -84,37 +91,49 @@ def test_manifest_field_errors(tmp_path):
     assert f"{path}: line 1:" in error(
         '{"id": true, "img": "a.pgm", "text": "x", "label": 1, '
         '"split": "test"}\n', "id")
+    # a label is the int 0 or 1, though true == 1 and 0.0 == 0
+    for bad_label in ("true", "false", "0.0", "1.0"):
+        assert f"{path}: line 1:" in error(
+            '{"id": 1, "img": "a.pgm", "text": "x", "label": %s, '
+            '"split": "test"}\n' % bad_label, "label")
     assert f"{path}: line 1:" in error(
         '{"id": 1, "img": "a.pgm", "text": "x", "label": 1, '
         '"split": "val"}\n', "split")
     assert f"{path}: line 1:" in error("[1, 2]\n", "object")
 
 
-# reader, its error class, header line (None: headerless), rows with ids 1
-# and 2, a row with a malformed field, a row with an out-of-range value
-# (None: no range), and the ids of what the reader returns
+# reader, its writer, its error class, header line (None: headerless), rows
+# with ids 1 and 2, a row with a malformed field, a row with an out-of-range
+# value (None: no range), rows whose field a bare int() or int(s, 16) would
+# take, and the ids of what the reader returns
 CSV_READERS = {
-    "hashes": (read_hashes, DataFormatError, None,
+    "hashes": (read_hashes, write_hashes, DataFormatError, None,
                ("1,00000000000000aa", "2,00000000000000bb"), "1,xyz", None,
+               ("1,+00000000000000a", "1,0x0000000000000b", "1,0000_0000000000a"),
                lambda out: [meme_id for meme_id, _ in out]),
-    "clusters": (read_clusters, DataFormatError, None,
+    "clusters": (read_clusters, write_clusters, DataFormatError, None,
                  ("1,1,1", "2,1,2"), "1,a,1", None,
+                 ("1,+1,1", "1, 1,1", "1,0_1,1"),
                  lambda out: list(out.image)),
-    "predictions": (read_predictions, DataFormatError, "id,proba",
-                    ("1,0.25", "2,0.75"), "1,high", "1,1.5",
+    "predictions": (read_predictions, write_predictions, DataFormatError, "id,proba",
+                    ("1,0.25", "2,0.75"), "1,high", "1,1.5", (),
                     lambda out: list(out.scores)),
-    "submission": (read_submission, DataFormatError, "id,proba,label",
+    "submission": (read_submission,
+                   lambda out, path: write_submission(StackedPrediction(*out), path),
+                   DataFormatError, "id,proba,label",
                    ("1,0.25,0", "2,0.75,1"), "1,0.25,yes", "1,0.25,2",
+                   ("1,0.25,+1", "1,0.25, 1", "1,0.25,0_1"),
                    lambda out: list(out[0])),
-    "pseudo_labels": (read_pseudo_labels, DataFormatError, "id,label,rule",
-                      ("1,1,rule1", "2,0,rule1"), "x,1,rule1", "1,3,rule1",
+    "pseudo_labels": (read_pseudo_labels, write_pseudo_labels, DataFormatError,
+                      "id,label,rule", ("1,1,rule1", "2,0,rule1"), "x,1,rule1",
+                      "1,3,rule1", ("1,+1,rule1", "1, 1,rule1", "1,0_1,rule1"),
                       lambda out: list(out.labels)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CSV_READERS))
 def test_csv_reader_contract(tmp_path, name):
-    read, error, header, (row1, row2), malformed, out_of_range, ids = \
+    read, _, error, header, (row1, row2), malformed, out_of_range, bad_fields, ids = \
         CSV_READERS[name]
     path = tmp_path / f"{name}.csv"
     top = [header] if header else []
@@ -138,9 +157,33 @@ def test_csv_reader_contract(tmp_path, name):
     # an id is ASCII digits only, as int() alone would take all of these
     for bad_id in ("-1", "+1", "1_0", "1 ", "\u0661"):
         rejects(top + [row1, bad_id + row2[1:]], first + 1)
+    # so is a label or cluster id, and a hash is 16 hex digits
+    for bad_row in bad_fields:
+        rejects(top + [row2, bad_row], first + 1)
 
     path.write_text("\n".join(top + ["", row1, "   ", "", row2, ""]) + "\n")
     assert ids(read(path)) == [1, 2]
+
+
+@pytest.mark.parametrize("name", sorted(CSV_READERS))
+def test_csv_writer_round_trip(tmp_path, name):
+    read, write, _, header, rows, *_ = CSV_READERS[name]
+    path = tmp_path / "in.csv"
+    path.write_text("\n".join(([header] if header else []) + list(rows)) + "\n")
+    write(read(path), tmp_path / "a.csv")
+    write(read(tmp_path / "a.csv"), tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(scores=st.dictionaries(st.integers(0, 2**40), st.floats(0.0, 1.0), max_size=20))
+def test_prediction_file_round_trip(scores):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.csv"
+        write_predictions(PredictionSet("model", scores), path)
+        back = read_predictions(path).scores
+    assert list(back) == sorted(scores)
+    assert all(abs(back[i] - scores[i]) <= 1e-9 for i in scores)
 
 
 def test_composition_default_counts():

@@ -10,7 +10,7 @@ from memepipe.clustering import (ClusterAssignment, cluster_images,
 from memepipe.dataset import (DatasetComposition, GeneratorNoise, read_pgm)
 from memepipe.generator import (generate_dataset, image_hashes, write_images,
                                 _BAND, _BASE_MIN_SEPARATION, _DUP_MAX_RADIUS,
-                                _base_image, _fresh_base, _make_base,
+                                _LOW_ROWS, _base_image, _fresh_base,
                                 _near_duplicate, _near_half, _quantize, _render)
 from memepipe.phash import hamming, phash
 from memepipe.tuples import ThreeTuple, TwoTuple, detect_tuples
@@ -131,7 +131,7 @@ def test_fresh_base_accepts_at_exactly_the_minimum_separation():
         placed = np.array([far, near, far], dtype=np.uint64)
         base, h = _fresh_base(np.random.default_rng(5), placed)
         assert (h == first) is accepted
-        assert np.array_equal(base.pixels, first_base.pixels) is accepted
+        assert np.array_equal(base.u8, first_base.u8) is accepted
         assert min(hamming(h, int(other)) for other in placed) >= _BASE_MIN_SEPARATION
 
 
@@ -149,14 +149,31 @@ def idctn_calls(monkeypatch):
     return calls
 
 
+def rank8(block, stripes):
+    """The fast path's floats: the rank-8 product plus the caption stripes."""
+    img = _LOW_ROWS.T @ block @ _LOW_ROWS
+    img[_BAND] += stripes
+    return img
+
+
+def reference(block, stripes, noise=0.0):
+    """The quantized render built on scipy's full idctn."""
+    coef = np.zeros((64, 64))
+    coef[:8, :8] = block
+    img = scipy.fft.idctn(coef, type=2, norm="ortho")
+    img[_BAND] += stripes
+    img[_BAND] += noise
+    return _quantize(img), img
+
+
 def test_base_pixels_equal_the_reference_path(idctn_calls):
     rng = np.random.default_rng(14)
     for _ in range(50):
         base = _base_image(rng)
-        exact = _render(base.block, base.stripes, exact=True)
-        assert np.array_equal(_quantize(base.pixels), _quantize(exact))
-        assert np.abs(base.pixels - exact).max() < 1e-11
-    assert len(idctn_calls) == 50     # only the exact renders above
+        want, exact = reference(base.block, base.stripes)
+        assert np.array_equal(base.u8, want)
+        assert np.abs(rank8(base.block, base.stripes) - exact).max() < 1e-11
+    assert len(idctn_calls) == 50     # only the references above
 
 
 def test_base_on_a_half_integer_takes_the_reference_path(idctn_calls):
@@ -166,10 +183,10 @@ def test_base_on_a_half_integer_takes_the_reference_path(idctn_calls):
     block = np.zeros((8, 8))
     block[0, 0] = 128.5 * 64
     stripes = _base_image(np.random.default_rng(15)).stripes
-    assert (_render(block, stripes)[:_BAND.start] == 128.5).all()
-    base = _make_base(block, stripes)
+    assert (rank8(block, stripes)[:_BAND.start] == 128.5).all()
+    u8 = _render(block, stripes)
     assert idctn_calls == [(64, 64)]
-    assert np.array_equal(base.pixels, _render(block, stripes, exact=True))
+    assert np.array_equal(u8, reference(block, stripes)[0])
 
 
 class FixedNoise:
@@ -187,17 +204,15 @@ class FixedNoise:
 
 def test_near_duplicate_on_a_half_integer_takes_the_reference_path(idctn_calls):
     base = _base_image(np.random.default_rng(16))
-    assert not _near_half(base.pixels) and not idctn_calls
-    band = base.pixels[_BAND]
+    band = rank8(base.block, base.stripes)[_BAND]
+    assert not _near_half(band) and not idctn_calls
     noise = np.zeros(band.shape)
     noise[2, 5] = np.floor(band[2, 5]) + 0.5 - band[2, 5]
     rng = FixedNoise(noise)
-    dup = _near_duplicate(rng, base, phash(_quantize(base.pixels)), 4.0)
+    dup = _near_duplicate(rng, base, phash(base.u8), 4.0)
     assert idctn_calls == [(64, 64)]
     assert rng.draws == 1
-    want = _render(base.block, base.stripes, exact=True)
-    want[_BAND] += noise
-    assert np.array_equal(dup, _quantize(want))
+    assert np.array_equal(dup, reference(base.block, base.stripes, noise)[0])
 
 
 def test_shared_texts_normalize_equal():

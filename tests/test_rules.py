@@ -56,7 +56,6 @@ def test_rule1_missing_member_raises():
 def test_rule1_pseudo_labels_basic():
     out = rule1_pseudo_labels([ThreeTuple(7, 8, 9), TwoTuple(1, 2, "text")])
     assert out.labels == {7: 1, 8: 0, 9: 0}
-    assert out.provenance == {7: "rule1", 8: "rule1", 9: "rule1"}
 
 
 def test_rule1_pseudo_labels_empty():
@@ -135,13 +134,12 @@ def test_unimodal_signature_after_rule1_wins():
 
 
 def test_pseudo_label_file_round_trip(tmp_path):
-    pl = PseudoLabelSet({3: 1, 1: 0}, {3: "rule1", 1: "rule1"})
+    pl = PseudoLabelSet({3: 1, 1: 0})
     path = tmp_path / "pseudo.csv"
     write_pseudo_labels(pl, path)
     assert path.read_text().splitlines()[0] == "id,label,rule"
     back = read_pseudo_labels(path)
     assert back.labels == pl.labels
-    assert back.provenance == pl.provenance
 
 
 def test_pseudo_label_file_errors(tmp_path):
@@ -151,6 +149,9 @@ def test_pseudo_label_file_errors(tmp_path):
         read_pseudo_labels(path)
     path.write_text("id,label,rule\n1,2,rule1\n")
     with pytest.raises(DataFormatError, match="label"):
+        read_pseudo_labels(path)
+    path.write_text("id,label,rule\n1,1,rule1\n2,0,rule2\n")
+    with pytest.raises(DataFormatError, match="line 3: .*rule must be rule1"):
         read_pseudo_labels(path)
     path.write_text("id,label,rule\n1,1,rule1\n1,0,rule1\n")
     with pytest.raises(DataFormatError, match="duplicate"):
@@ -166,7 +167,7 @@ def test_merge_pseudo_labels_grows_train():
     train = [_rec(1, "train", 1)]
     test = [_rec(10, "test"), _rec(11, "test"), _rec(12, "test"),
             _rec(13, "test")]
-    pl = PseudoLabelSet({10: 1, 11: 0, 12: 0}, {})
+    pl = PseudoLabelSet({10: 1, 11: 0, 12: 0})
     merged = merge_pseudo_labels(train, pl, test)
     assert len(merged) == 4
     added = {r.id: r for r in merged[1:]}
@@ -179,17 +180,17 @@ def test_merge_pseudo_labels_grows_train():
 
 def test_merge_pseudo_labels_empty_is_identity():
     train = [_rec(1, "train", 1)]
-    merged = merge_pseudo_labels(train, PseudoLabelSet({}, {}), [_rec(2, "test")])
+    merged = merge_pseudo_labels(train, PseudoLabelSet({}), [_rec(2, "test")])
     assert merged == train
 
 
 def test_merge_pseudo_labels_rejects_collision():
     with pytest.raises(ValueError, match="collides"):
-        merge_pseudo_labels([_rec(1, "train", 1)], PseudoLabelSet({1: 1}, {}),
+        merge_pseudo_labels([_rec(1, "train", 1)], PseudoLabelSet({1: 1}),
                             [_rec(1, "test")])
 
 
 def test_merge_pseudo_labels_rejects_unknown_id():
     with pytest.raises(ValueError, match="not found"):
-        merge_pseudo_labels([_rec(1, "train", 1)], PseudoLabelSet({99: 1}, {}),
+        merge_pseudo_labels([_rec(1, "train", 1)], PseudoLabelSet({99: 1}),
                             [_rec(2, "test")])

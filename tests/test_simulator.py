@@ -11,9 +11,7 @@ import memepipe
 from memepipe import simulator
 from memepipe.dataset import MemeRecord
 from memepipe.metrics import auroc
-from memepipe.simulator import (CATEGORY_INDEPENDENT, CATEGORY_THREE,
-                                CATEGORY_TWO, CATEGORY_UNIMODAL,
-                                SimulatorConfig, member_categories,
+from memepipe.simulator import (SimulatorConfig, member_discounts,
                                 shared_noise, simulate_predictions)
 from memepipe.rules import PseudoLabelSet
 from memepipe.tuples import ThreeTuple, TwoTuple, UnimodalHate
@@ -24,34 +22,32 @@ def recs(labels):
                        split="test") for i, v in labels.items()]
 
 
-def test_member_categories_default_independent():
-    cats = member_categories([1, 2], [])
-    assert cats == {1: CATEGORY_INDEPENDENT, 2: CATEGORY_INDEPENDENT}
+def test_member_discounts_default_independent():
+    assert member_discounts([1, 2], []) == {1: 1.0, 2: 1.0}
 
 
-def test_member_categories_kinds():
+def test_member_discounts_kinds():
     groups = [ThreeTuple(1, 2, 3), TwoTuple(4, 5, "image"),
               UnimodalHate("text", 6, (6, 7))]
-    cats = member_categories(range(1, 9), groups)
-    assert cats[1] == cats[2] == cats[3] == CATEGORY_THREE
-    assert cats[4] == cats[5] == CATEGORY_TWO
-    assert cats[6] == cats[7] == CATEGORY_UNIMODAL
-    assert cats[8] == CATEGORY_INDEPENDENT
+    discounts = member_discounts(range(1, 9), groups)
+    assert discounts[1] == discounts[2] == discounts[3] == 0.25
+    assert discounts[4] == discounts[5] == 0.35
+    assert discounts[6] == discounts[7] == 0.8
+    assert discounts[8] == 1.0
 
 
-def test_member_categories_precedence():
+def test_member_discounts_precedence():
     # an id inside overlapping groups takes the strongest structure
     groups = [UnimodalHate("image", 1, (1, 2)), TwoTuple(1, 3, "image"),
               ThreeTuple(1, 4, 5)]
-    cats = member_categories([1, 2, 3], groups)
-    assert cats[1] == CATEGORY_THREE
-    assert cats[2] == CATEGORY_UNIMODAL
-    assert cats[3] == CATEGORY_TWO
+    discounts = member_discounts([1, 2, 3], groups)
+    assert discounts[1] == 0.25
+    assert discounts[2] == 0.8
+    assert discounts[3] == 0.35
 
 
-def test_member_categories_ignores_outside_ids():
-    cats = member_categories([1], [ThreeTuple(1, 2, 3)])
-    assert cats == {1: CATEGORY_THREE}
+def test_member_discounts_ignores_outside_ids():
+    assert member_discounts([1], [ThreeTuple(1, 2, 3)]) == {1: 0.25}
 
 
 def test_simulate_deterministic():
@@ -121,7 +117,7 @@ def test_simulate_pseudo_boost_helps():
     labels = {i: i % 2 for i in range(100)}
     memes = recs(labels)
     cfg = SimulatorConfig(sigma=0.5, seed=6)
-    pseudo = PseudoLabelSet({i: labels[i] for i in range(0, 100, 3)}, {})
+    pseudo = PseudoLabelSet({i: labels[i] for i in range(0, 100, 3)})
     plain = simulate_predictions(memes, [], None, cfg, 0)
     boosted = simulate_predictions(memes, [], pseudo, cfg, 0)
     for i in pseudo.labels:
@@ -197,7 +193,7 @@ def test_pseudo_boost_lifts_subset_auroc_on_paired_seeds():
         groups.append(ThreeTuple(base, base + 1, base + 2))
         labels[base], labels[base + 1], labels[base + 2] = 1, 0, 0
     memes = recs(labels)
-    pseudo = PseudoLabelSet(dict(labels), {})
+    pseudo = PseudoLabelSet(dict(labels))
     for seed in range(10):
         cfg = SimulatorConfig(seed=seed)
         plain = simulate_predictions(memes, groups, None, cfg, 0)
