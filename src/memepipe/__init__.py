@@ -20,7 +20,7 @@ from .phash import hamming, phash
 from .rules import (PredictionSet, PseudoLabelSet, apply_rule1, apply_rule2,
                     apply_unimodal_signatures, merge_pseudo_labels,
                     rule1_pseudo_labels)
-from .simulator import SimulatorConfig, simulate_predictions
+from .simulator import SimulatorConfig, population, simulate_predictions
 from .tuples import (Other, ThreeTuple, TupleStats, TwoTuple, UnimodalHate,
                      detect_tuples, detect_unimodal_hate, tuple_stats)
 
@@ -38,7 +38,7 @@ __all__ = [
     "hamming", "phash",
     "PredictionSet", "PseudoLabelSet", "apply_rule1", "apply_rule2",
     "apply_unimodal_signatures", "merge_pseudo_labels", "rule1_pseudo_labels",
-    "SimulatorConfig", "simulate_predictions",
+    "SimulatorConfig", "population", "simulate_predictions",
     "Other", "ThreeTuple", "TupleStats", "TwoTuple", "UnimodalHate",
     "detect_tuples", "detect_unimodal_hate", "tuple_stats",
 ]

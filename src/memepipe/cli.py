@@ -26,7 +26,7 @@ from .pipeline import (PipelineConfig, build_config, from_number_fields,
 from .rules import (apply_rule1, apply_rule2, apply_unimodal_signatures,
                     read_pseudo_labels, rule1_pseudo_labels,
                     write_pseudo_labels)
-from .simulator import SimulatorConfig, simulate_predictions
+from .simulator import SimulatorConfig, population, simulate_predictions
 from .tuples import (detect_tuples, detect_unimodal_hate, read_groups,
                      tuple_stats, write_groups)
 
@@ -179,7 +179,8 @@ def cmd_simulate(args):
     pseudo = read_pseudo_labels(args.pseudo) if args.pseudo else None
     cfg = from_number_fields(SimulatorConfig, args)
     with _in_file(args.manifest):
-        preds = simulate_predictions(records, groups, pseudo, cfg, args.model_index)
+        preds = simulate_predictions(population(records, groups, pseudo, cfg),
+                                     args.model_index)
     write_predictions(preds, args.out)
     _say(args, f"simulated model {args.model_index} -> {args.out}")
     return 0

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import _parse_id, read_csv
+from .dataset import _parse_id, read_csv, write_lines
 from .phash import near_pairs
 
 
@@ -80,9 +80,6 @@ class ClusterAssignment:
     def ids(self):
         return sorted(self.image)
 
-    def pair(self, meme_id):
-        return self.image[meme_id], self.text[meme_id]
-
 
 @dataclass(frozen=True)
 class CorpusStats:
@@ -114,10 +111,8 @@ def corpus_stats(assignment):
 
 def write_clusters(assignment, path):
     """Write `id,image_cluster,text_cluster` lines, sorted by id."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for meme_id in assignment.ids():
-            img, txt = assignment.pair(meme_id)
-            fh.write(f"{meme_id},{img},{txt}\n")
+    write_lines(path, [f"{meme_id},{assignment.image[meme_id]},{assignment.text[meme_id]}"
+                       for meme_id in assignment.ids()])
 
 
 def _cluster_row(img, txt):

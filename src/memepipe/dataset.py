@@ -207,21 +207,26 @@ def read_csv(path, columns, parse, header=True, ignored=()):
     return rows
 
 
+def write_lines(path, lines):
+    """Write each line, ended by a newline, to a UTF-8 text file in one call."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join([*lines, ""]))
+
+
 def write_manifest(records, path):
     """Write records as line-delimited JSON.  Round-trips through read_manifest."""
-    seen = set()
+    seen, lines = set(), []
     for rec in records:
         _check_record(rec, f"record id {rec.id}")
         if rec.id in seen:
             raise DataFormatError(f"duplicate id {rec.id}")
         seen.add(rec.id)
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            obj = {"id": rec.id, "img": rec.img, "text": rec.text}
-            if rec.label is not None:
-                obj["label"] = rec.label
-            obj["split"] = rec.split
-            fh.write(json.dumps(obj) + "\n")
+        obj = {"id": rec.id, "img": rec.img, "text": rec.text}
+        if rec.label is not None:
+            obj["label"] = rec.label
+        obj["split"] = rec.split
+        lines.append(json.dumps(obj))
+    write_lines(path, lines)
 
 
 def write_pgm(pixels, path):

@@ -7,12 +7,16 @@ within 1e-9.
 """
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dataset import _parse_label, read_csv
+from .dataset import _parse_label, read_csv, write_lines
 from .errors import DataFormatError
 from .rules import PredictionSet
+
+# ASCII digits, an optional point and exponent: float() also takes signs, spaces, '_'
+_PROBA = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 @dataclass
@@ -35,24 +39,25 @@ def stack_equal_weight(sets):
             missing = ids.symmetric_difference(ps.scores)
             sample = sorted(missing)[:5]
             raise DataFormatError(f"prediction sets disagree on ids, e.g. {sample}")
-    mean_score = {}
-    label = {}
-    for meme_id in ids:
-        mean = math.fsum(ps.scores[meme_id] for ps in sets) / len(sets)
-        mean_score[meme_id] = mean
-        label[meme_id] = 1 if mean >= 0.5 else 0
-    return StackedPrediction(mean_score, label)
+    return thresholded({meme_id: math.fsum(ps.scores[meme_id] for ps in sets) / len(sets)
+                        for meme_id in ids})
+
+
+def thresholded(scores):
+    """The scores as a StackedPrediction, labelled 1 iff score >= 0.5."""
+    return StackedPrediction(scores, {meme_id: 1 if s >= 0.5 else 0
+                                      for meme_id, s in scores.items()})
 
 
 def write_predictions(preds, path):
     """Write a prediction set as `id,proba` CSV, sorted by id."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("id,proba\n")
-        for meme_id in sorted(preds.scores):
-            fh.write(f"{meme_id},{preds.scores[meme_id]:.9f}\n")
+    write_lines(path, ["id,proba", *(f"{meme_id},{preds.scores[meme_id]:.9f}"
+                                     for meme_id in sorted(preds.scores))])
 
 
 def _proba(field):
+    if not _PROBA.fullmatch(field):
+        raise ValueError(f"probability must be a decimal number, got {field!r}")
     proba = float(field)
     if not 0.0 <= proba <= 1.0:
         raise ValueError(f"probability {proba} outside [0, 1]")
@@ -73,12 +78,9 @@ def read_predictions(path):
 
 def write_submission(stacked, path, ids=None):
     """Write `id,proba,label` rows for the given ids (default: all), sorted."""
-    keep = sorted(stacked.mean_score) if ids is None else sorted(ids)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("id,proba,label\n")
-        for meme_id in keep:
-            fh.write(f"{meme_id},{stacked.mean_score[meme_id]:.9f},"
-                     f"{stacked.label[meme_id]}\n")
+    write_lines(path, ["id,proba,label", *(
+        f"{meme_id},{stacked.mean_score[meme_id]:.9f},{stacked.label[meme_id]}"
+        for meme_id in sorted(stacked.mean_score if ids is None else ids))])
 
 
 def read_submission(path):

@@ -26,7 +26,7 @@ import functools
 
 import numpy as np
 
-from .dataset import read_csv
+from .dataset import read_csv, write_lines
 from .errors import ConfigError, DataFormatError
 
 RESIZE_SIDE = 32
@@ -180,9 +180,7 @@ def hex_to_hash(s):
 
 def write_hashes(entries, path):
     """Write `id,hash_hex` lines for (meme_id, hash) pairs."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for meme_id, h in entries:
-            fh.write(f"{meme_id},{hash_to_hex(h)}\n")
+    write_lines(path, [f"{meme_id},{hash_to_hex(h)}" for meme_id, h in entries])
 
 
 def read_hashes(path):

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from .clustering import (ClusterAssignment, cluster_images, cluster_texts,
                          corpus_stats, write_clusters)
 from .dataset import (DatasetComposition, GeneratorNoise, read_images,
-                      read_manifest, write_manifest)
-from .ensemble import (StackedPrediction, stack_equal_weight,
+                      read_manifest, write_lines, write_manifest)
+from .ensemble import (StackedPrediction, stack_equal_weight, thresholded,
                        write_predictions, write_submission)
 from .errors import ConfigError, DataFormatError, StageError, _in_file
 from .generator import generate_dataset, image_hashes, write_corpus
@@ -28,7 +28,7 @@ from .phash import write_hashes
 from .rules import (PredictionSet, PseudoLabelSet, apply_rule1, apply_rule2,
                     apply_unimodal_signatures, merge_pseudo_labels,
                     rule1_pseudo_labels, write_pseudo_labels)
-from .simulator import SimulatorConfig, shared_noise, simulate_predictions
+from .simulator import SimulatorConfig, population, simulate_predictions
 from .tuples import detect_tuples, detect_unimodal_hate, tuple_stats, write_groups
 
 PLACEMENTS = ("before_stacking", "after_stacking")
@@ -211,12 +211,10 @@ def detect(cfg, records, images):
 
 
 def simulate(cfg, records, groups, pseudo):
-    """models x k simulated prediction sets over one shared-noise draw."""
+    """models x k simulated prediction sets over one population."""
     def simulate_stage():
-        sim_cfg = from_number_fields(SimulatorConfig, cfg)
-        shared = shared_noise(sim_cfg, [rec.id for rec in records])
-        return [simulate_predictions(records, groups, pseudo, sim_cfg, idx, shared)
-                for idx in range(cfg.models * cfg.k)]
+        pop = population(records, groups, pseudo, from_number_fields(SimulatorConfig, cfg))
+        return [simulate_predictions(pop, idx) for idx in range(cfg.models * cfg.k)]
     return _stage("simulate", simulate_stage, cfg.quiet)
 
 
@@ -243,8 +241,7 @@ def score(cfg, records, structure, sets):
             return apply_unimodal_signatures(signatures, structure.assignment, final)
         final = _stage("unimodal-signatures", unimodal_stage, quiet)
 
-    labels = {meme_id: 1 if s >= 0.5 else 0 for meme_id, s in final.scores.items()}
-    final = StackedPrediction(dict(final.scores), labels)
+    final = thresholded(final.scores)
 
     report = None
     eval_recs = [rec for rec in records if rec.split == cfg.eval_split]
@@ -252,7 +249,7 @@ def score(cfg, records, structure, sets):
         truth = {rec.id: rec.label for rec in eval_recs}
         report = _stage("evaluate", lambda: evaluate(
             {i: final.mean_score[i] for i in truth},
-            {i: labels[i] for i in truth}, truth), quiet)
+            {i: final.label[i] for i in truth}, truth), quiet)
     return Scores(adjusted, final, report)
 
 
@@ -283,9 +280,7 @@ def _write_artifacts(cfg, records, structure, sets, scores):
     eval_ids = [rec.id for rec in records if rec.split == cfg.eval_split]
     write_submission(scores.final, out("submission.csv"), eval_ids)
     if scores.report is not None:
-        with open(out("report.txt"), "w", encoding="utf-8") as fh:
-            fh.write(scores.report.to_text())
-            fh.write(scores.report.machine_line() + "\n")
+        write_lines(out("report.txt"), [scores.report.to_text() + scores.report.machine_line()])
     return names
 
 
@@ -336,10 +331,8 @@ def run_pipeline(cfg):
             "two_tuple_frac": tstats.two_tuple_frac,
         },
     }
-    with open(os.path.join(cfg.out_dir, "run_manifest.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(run_manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_lines(os.path.join(cfg.out_dir, "run_manifest.json"),
+                [json.dumps(run_manifest, indent=2, sort_keys=True)])
     return PipelineResult(scores.report, artifacts["submission.csv"], artifacts,
                           scores.final)
 

@@ -12,7 +12,7 @@ All adjustments copy the prediction set; inputs are never mutated.
 
 from dataclasses import dataclass
 
-from .dataset import MemeRecord, _parse_label, read_csv
+from .dataset import MemeRecord, _parse_label, read_csv, write_lines
 from .errors import ConfigError, DataFormatError
 from .tuples import ThreeTuple, TwoTuple, UnimodalHate
 
@@ -35,30 +35,25 @@ def _require(scores, meme_id, rule):
         raise DataFormatError(f"{rule}: meme {meme_id} missing from predictions")
 
 
+def _rule1_labels(groups):
+    """(id, label) for each member of each ThreeTuple: pivot 1, partners 0."""
+    for g in groups:
+        if isinstance(g, ThreeTuple):
+            yield from ((g.pivot_id, 1), (g.image_partner_id, 0), (g.text_partner_id, 0))
+
+
 def apply_rule1(groups, preds):
     """Force every ThreeTuple to (pivot=1, partners=0).  Other kinds are ignored."""
     scores = dict(preds.scores)
-    for g in groups:
-        if not isinstance(g, ThreeTuple):
-            continue
-        for meme_id in g.member_ids():
-            _require(scores, meme_id, "rule 1")
-        scores[g.pivot_id] = 1.0
-        scores[g.image_partner_id] = 0.0
-        scores[g.text_partner_id] = 0.0
+    for meme_id, label in _rule1_labels(groups):
+        _require(scores, meme_id, "rule 1")
+        scores[meme_id] = float(label)
     return PredictionSet(preds.model_id, scores)
 
 
 def rule1_pseudo_labels(groups):
     """Pseudo-labels implied by ThreeTuples: pivot 1, partners 0."""
-    labels = {}
-    for g in groups:
-        if not isinstance(g, ThreeTuple):
-            continue
-        for meme_id, label in ((g.pivot_id, 1), (g.image_partner_id, 0),
-                               (g.text_partner_id, 0)):
-            labels[meme_id] = label
-    return PseudoLabelSet(labels)
+    return PseudoLabelSet(dict(_rule1_labels(groups)))
 
 
 def apply_rule2(groups, preds, hi=1.0, lo=0.0):
@@ -98,10 +93,8 @@ def apply_unimodal_signatures(signatures, assignment, preds):
 
 def write_pseudo_labels(pseudo, path):
     """Write `id,label,rule` CSV, sorted by id; the rule is always rule1."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("id,label,rule\n")
-        for meme_id in sorted(pseudo.labels):
-            fh.write(f"{meme_id},{pseudo.labels[meme_id]},rule1\n")
+    write_lines(path, ["id,label,rule", *(f"{meme_id},{pseudo.labels[meme_id]},rule1"
+                                          for meme_id in sorted(pseudo.labels))])
 
 
 def _pseudo_label_row(label, rule):

@@ -10,9 +10,10 @@ models would wash the noise out entirely.
 
 Every draw is seeded from (seed, stream, [model], id), so scores never
 depend on iteration order and adding models or memes never perturbs
-existing ones.  The shared draw depends on (seed, id) alone, so a run of
-many models makes it once per meme (shared_noise) and hands it to each
-simulate_predictions call.
+existing ones.  Everything but the per-model draw depends on the run
+alone: population() checks the config and labels, computes each meme's
+mean (separation times sign) and the shared draw once, and each
+simulate_predictions(pop, model_index) call adds one model's own draw.
 
 Each draw equals np.random.default_rng(words).standard_normal() bit for bit,
 computed in bulk: SeedSequence, PCG64 and the fast path of numpy's ziggurat
@@ -24,6 +25,7 @@ outside [0, 2**32) or a failed check build a Generator each (16 us).
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -183,24 +185,21 @@ def _normals(prefix, ids):
     return out
 
 
-def shared_noise(cfg, ids):
-    """The model-shared standard normal draw of each id, keyed by id.
+class Population(NamedTuple):
+    """The model-independent part of a run's scores, one entry per meme."""
 
-    It depends on cfg.seed and the id alone, so one call serves every
-    simulate_predictions call of a run that uses the same seed.
-    """
-    ids = list(ids)
-    return dict(zip(ids, _normals((cfg.seed, 0), ids).tolist()))
+    cfg: SimulatorConfig
+    ids: list
+    mean: np.ndarray              # separation times the label's sign
+    shared: np.ndarray            # sqrt(noise_correlation) times the shared draw
 
 
-def simulate_predictions(memes, groups, pseudo, cfg, model_index, shared=None):
-    """One simulated model's scores for every meme.
+def population(memes, groups, pseudo, cfg):
+    """The per-run work behind every simulate_predictions call of a run.
 
     memes must carry labels (the generator's recorded truth); groups drive
     the difficulty discounts; pseudo (optional) marks ids whose separation
-    gets the pseudo-label boost.  shared, if given, is shared_noise(cfg, ids)
-    for the same seed and covers every meme; without it the draws are made
-    here.
+    gets the pseudo-label boost.
     """
     cfg.validate()
     for rec in memes:
@@ -209,16 +208,19 @@ def simulate_predictions(memes, groups, pseudo, cfg, model_index, shared=None):
     ids = [rec.id for rec in memes]
     discounts = member_discounts(ids, groups)
     pseudo_ids = set() if pseudo is None else set(pseudo.labels)
-    if shared is None:
-        shared = shared_noise(cfg, ids)
     seps = np.array([cfg.separation_mu * discounts[i]
                      * (cfg.pseudo_label_boost if i in pseudo_ids else 1.0) for i in ids])
     signs = np.array([2 * rec.label - 1 for rec in memes], float)
-    local = _normals((cfg.seed, 1, model_index), ids)
+    shared = math.sqrt(cfg.noise_correlation) * _normals((cfg.seed, 0), ids)
+    return Population(cfg, ids, seps * signs, shared)
+
+
+def simulate_predictions(pop, model_index):
+    """One simulated model's scores for every meme of a population."""
+    cfg = pop.cfg
+    local = _normals((cfg.seed, 1, model_index), pop.ids)
     # float64 arrays in the scalar formula's order give the same bits, but
     # numpy's exp can differ from math.exp in the last bit, so _logistic stays
-    noise = cfg.sigma * (math.sqrt(cfg.noise_correlation) * np.array([shared[i] for i in ids])
-                         + math.sqrt(1.0 - cfg.noise_correlation) * local)
-    z = seps * signs + noise
-    scores = {meme_id: _logistic(v) for meme_id, v in zip(ids, z.tolist())}
+    z = pop.mean + cfg.sigma * (pop.shared + math.sqrt(1.0 - cfg.noise_correlation) * local)
+    scores = {meme_id: _logistic(v) for meme_id, v in zip(pop.ids, z.tolist())}
     return PredictionSet(f"sim-{model_index:02d}", scores)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import _components
-from .dataset import _is_meme_id, _numbered_lines
+from .dataset import _is_meme_id, _numbered_lines, write_lines
 from .errors import DataFormatError
 
 
@@ -167,9 +167,7 @@ def tuple_stats(groups, total):
 
 def write_groups(groups, path):
     """Serialize groups as line-delimited JSON with kind and role tags."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for g in groups:
-            fh.write(json.dumps(_group_to_obj(g)) + "\n")
+    write_lines(path, [json.dumps(_group_to_obj(g)) for g in groups])
 
 
 def read_groups(path):

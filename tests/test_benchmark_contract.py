@@ -37,6 +37,11 @@ def test_traced_pipeline_feeds_layer_metrics(tmp_path):
     assert code == 0
     metrics = spans.layer_metrics(tracer.spans, "run", wall_s)
     assert metrics["simulator.sets"] == 2
+    # two sets, their two rule 2 copies and stacked.csv; the rules' changed
+    # scores are summed over every call, so a writer or rule refactor that
+    # moves a traced count fails here
+    assert metrics["ensemble.files_written"] == 5
+    assert (metrics["rules.rule1_changed"], metrics["rules.rule2_changed"]) == (36, 12)
     # the counts perfbench's generator.phash_calls and phash.us_per_image
     # rest on: 60 memes placed from 61 candidates, then one hash stage call
     # per meme, each a span of its own

@@ -116,13 +116,15 @@ CSV_READERS = {
                  ("1,+1,1", "1, 1,1", "1,0_1,1"),
                  lambda out: list(out.image)),
     "predictions": (read_predictions, write_predictions, DataFormatError, "id,proba",
-                    ("1,0.25", "2,0.75"), "1,high", "1,1.5", (),
+                    ("1,0.25", "2,0.75"), "1,high", "1,1.5",
+                    ("1,+0.5", "1, 0.25", "1,0_0.75", "1,\u0660.5"),
                     lambda out: list(out.scores)),
     "submission": (read_submission,
                    lambda out, path: write_submission(StackedPrediction(*out), path),
                    DataFormatError, "id,proba,label",
                    ("1,0.25,0", "2,0.75,1"), "1,0.25,yes", "1,0.25,2",
-                   ("1,0.25,+1", "1,0.25, 1", "1,0.25,0_1"),
+                   ("1,0.25,+1", "1,0.25, 1", "1,0.25,0_1", "1,+0.5,0", "1, 0.25,0",
+                    "1,0_0.75,0", "1,\u0660.5,0"),
                    lambda out: list(out[0])),
     "pseudo_labels": (read_pseudo_labels, write_pseudo_labels, DataFormatError,
                       "id,label,rule", ("1,1,rule1", "2,0,rule1"), "x,1,rule1",

@@ -130,3 +130,10 @@ def test_submission_file_errors(tmp_path):
     path.write_text("id,proba,label\n1,0.5,2\n")
     with pytest.raises(DataFormatError):
         read_submission(path)
+
+
+def test_predictions_read_every_ascii_decimal_form(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("id,proba\n1,0.25\n2,1\n3,.5\n4,1e-05\n5,2.5E-1\n6,0.\n")
+    assert read_predictions(path).scores == {1: 0.25, 2: 1.0, 3: 0.5, 4: 1e-05,
+                                             5: 0.25, 6: 0.0}

@@ -232,6 +232,23 @@ def test_score_without_eval_labels_has_no_report():
     assert unlabeled.final == labeled.final
 
 
+def test_simulate_builds_one_population_per_run(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(name):
+        fn = getattr(pipeline, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(pipeline, name, wrapper)
+
+    counted("population")
+    counted("simulate_predictions")
+    run_quick(tmp_path / "run", models=2, k=2)
+    assert calls == ["population"] + ["simulate_predictions"] * 4
+
+
 def test_ingest_failure_names_stage(tmp_path):
     run_quick(tmp_path / "gen", save_images=True)
     img = tmp_path / "gen" / "images" / "000000.pgm"
