@@ -24,8 +24,7 @@ from .phash import read_hashes, write_hashes
 from .pipeline import (PipelineConfig, build_config, from_number_fields,
                        load_config_file, run_pipeline)
 from .rules import (apply_rule1, apply_rule2, apply_unimodal_signatures,
-                    read_pseudo_labels, rule1_pseudo_labels,
-                    write_pseudo_labels)
+                    rule1_pseudo_labels, write_pseudo_labels)
 from .simulator import SimulatorConfig, population, simulate_predictions
 from .tuples import (detect_tuples, detect_unimodal_hate, read_groups,
                      tuple_stats, write_groups)
@@ -176,11 +175,9 @@ def cmd_simulate(args):
     _non_negative(args.model_index, "--model-index")
     records = read_manifest(args.manifest)
     groups = read_groups(args.tuples) if args.tuples else []
-    pseudo = read_pseudo_labels(args.pseudo) if args.pseudo else None
     cfg = from_number_fields(SimulatorConfig, args)
     with _in_file(args.manifest):
-        preds = simulate_predictions(population(records, groups, pseudo, cfg),
-                                     args.model_index)
+        preds = simulate_predictions(population(records, groups, cfg), args.model_index)
     write_predictions(preds, args.out)
     _say(args, f"simulated model {args.model_index} -> {args.out}")
     return 0
@@ -294,7 +291,6 @@ def build_parser():
     p = sub.add_parser("simulate", help="simulate one base model's predictions")
     p.add_argument("--manifest", required=True)
     p.add_argument("--tuples", help="groups file driving difficulty discounts")
-    p.add_argument("--pseudo", help="pseudo-label file enabling the boost")
     p.add_argument("--model-index", type=int, default=0)
     _add_number_flags(p, SimulatorConfig)
     p.add_argument("--out", required=True)

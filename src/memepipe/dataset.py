@@ -6,6 +6,7 @@ PGM (P5) files with maxval 255.
 """
 
 import json
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -81,8 +82,9 @@ class GeneratorNoise:
     label_noise: float = 0.0          # chance a recorded label is flipped
 
     def __post_init__(self):
-        if not self.image_amplitude >= 0:   # `not >=` rejects NaN too
-            raise ConfigError("image_amplitude must be >= 0")
+        if not 0 <= self.image_amplitude < math.inf:   # rejects NaN too
+            raise ConfigError(f"image_amplitude must be >= 0 and finite, "
+                              f"got {self.image_amplitude}")
         for name in ("text_perturb_prob", "label_noise"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

@@ -75,6 +75,11 @@ class GeneratedDataset:
     three_tuples: list = field(default_factory=list)
     two_tuples: list = field(default_factory=list)
     unimodal_groups: list = field(default_factory=list)
+    # one uniform per meme, the generator's last draws, taken whatever the
+    # noise: label i is flipped iff label_draws[i] < label_noise.  No earlier
+    # draw reads label_noise, so at label_noise 0, label ^ (label_draws < p)
+    # is the label the same seed and settings give at label_noise p
+    label_draws: np.ndarray = None
 
 
 def _quantize(img):
@@ -294,18 +299,15 @@ def generate_dataset(n, composition=None, noise=None, seed=0):
     for meme_id in perm[n_dev:n_dev + n_test]:
         splits[meme_id] = "test"
 
-    final_labels = list(labels)
-    for meme_id in range(n):
-        if rng.random() < noi.label_noise:
-            final_labels[meme_id] = 1 - final_labels[meme_id]
-
+    label_draws = rng.random(n)
+    flips = (label_draws < noi.label_noise).tolist()
     records = [MemeRecord(id=i, img=f"images/{i:06d}.pgm", text=texts[i],
-                          label=final_labels[i], split=splits[i])
+                          label=labels[i] ^ flips[i], split=splits[i])
                for i in range(n)]
     return GeneratedDataset(records=records, images=images,
                             categories={i: categories[i] for i in range(n)},
                             three_tuples=three_tuples, two_tuples=two_tuples,
-                            unimodal_groups=unimodal_groups)
+                            unimodal_groups=unimodal_groups, label_draws=label_draws)
 
 
 def write_images(dataset, out_dir):

@@ -54,7 +54,6 @@ class PipelineConfig:
     lo: float = 0.0
     separation_mu: float = 1.0
     sigma: float = 1.2
-    pseudo_label_boost: float = 3.0
     noise_correlation: float = 0.9
     eval_split: str = "test"
     manifest: str | None = None   # ingest an existing corpus instead of generating
@@ -210,10 +209,10 @@ def detect(cfg, records, images):
     return Structure(hashes, assignment, groups, pseudo)
 
 
-def simulate(cfg, records, groups, pseudo):
+def simulate(cfg, records, groups):
     """models x k simulated prediction sets over one population."""
     def simulate_stage():
-        pop = population(records, groups, pseudo, from_number_fields(SimulatorConfig, cfg))
+        pop = population(records, groups, from_number_fields(SimulatorConfig, cfg))
         return [simulate_predictions(pop, idx) for idx in range(cfg.models * cfg.k)]
     return _stage("simulate", simulate_stage, cfg.quiet)
 
@@ -310,7 +309,7 @@ def run_pipeline(cfg):
     in_corpus = nullcontext() if cfg.manifest is None else _in_file(cfg.manifest)
     with in_corpus:
         structure = detect(cfg, records, images)
-        sets = simulate(cfg, records, structure.groups, structure.pseudo)
+        sets = simulate(cfg, records, structure.groups)
         scores = score(cfg, records, structure, sets)
     names += _stage("write", lambda: _write_artifacts(
         cfg, records, structure, sets, scores), quiet)

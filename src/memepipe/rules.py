@@ -12,7 +12,7 @@ All adjustments copy the prediction set; inputs are never mutated.
 
 from dataclasses import dataclass
 
-from .dataset import MemeRecord, _parse_label, read_csv, write_lines
+from .dataset import MemeRecord, write_lines
 from .errors import ConfigError, DataFormatError
 from .tuples import ThreeTuple, TwoTuple, UnimodalHate
 
@@ -95,16 +95,6 @@ def write_pseudo_labels(pseudo, path):
     """Write `id,label,rule` CSV, sorted by id; the rule is always rule1."""
     write_lines(path, ["id,label,rule", *(f"{meme_id},{pseudo.labels[meme_id]},rule1"
                                           for meme_id in sorted(pseudo.labels))])
-
-
-def _pseudo_label_row(label, rule):
-    if rule != "rule1":
-        raise ValueError(f"rule must be rule1, got {rule!r}")
-    return _parse_label(label)
-
-
-def read_pseudo_labels(path):
-    return PseudoLabelSet(read_csv(path, ("id", "label", "rule"), _pseudo_label_row))
 
 
 def merge_pseudo_labels(train, pseudo, test):

@@ -2,17 +2,17 @@
 
 Each meme's score is logistic(separation * sign + noise), where the
 separation shrinks by a discount per group kind (confounder members are
-hard to tell apart), grows by a boost for pseudo-labeled ids (modeling the
-gain from retraining on merged pseudo-labels), and the noise splits into a
-component shared by every model and a per-model remainder.  Real base
-models make correlated mistakes; without the shared part, averaging 20
-models would wash the noise out entirely.
+hard to tell apart) and the noise splits into a component shared by every
+model and a per-model remainder.  Real base models make correlated
+mistakes; without the shared part, averaging 20 models would wash the
+noise out entirely.
 
 Every draw is seeded from (seed, stream, [model], id), so scores never
 depend on iteration order and adding models or memes never perturbs
 existing ones.  Everything but the per-model draw depends on the run
-alone: population() checks the config and labels, computes each meme's
-mean (separation times sign) and the shared draw once, and each
+alone: population(memes, groups, cfg) checks the config and labels,
+computes each meme's mean (its discounted separation times the sign of its
+label) and the shared draw once, and each
 simulate_predictions(pop, model_index) call adds one model's own draw.
 
 Each draw equals np.random.default_rng(words).standard_normal() bit for bit,
@@ -42,7 +42,6 @@ DIFFICULTY_DISCOUNT = {UnimodalHate: 0.8, TwoTuple: 0.35, ThreeTuple: 0.25}
 class SimulatorConfig:
     separation_mu: float = 1.0
     sigma: float = 1.2
-    pseudo_label_boost: float = 3.0
     # fraction of noise variance shared across models; calibrated so that
     # stacking 20 sets improves AUROC without leaving the per-model band
     noise_correlation: float = 0.9
@@ -51,11 +50,10 @@ class SimulatorConfig:
     def validate(self):
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        # `not x > 0` rather than `x <= 0`, so that NaN is rejected too
-        if not self.sigma > 0:
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
-        if not self.pseudo_label_boost > 0:
-            raise ConfigError("pseudo_label_boost must be positive")
+        if not math.isfinite(self.separation_mu):
+            raise ConfigError(f"separation_mu must be finite, got {self.separation_mu}")
+        if not 0 < self.sigma < math.inf:
+            raise ConfigError(f"sigma must be positive and finite, got {self.sigma}")
         if not 0.0 <= self.noise_correlation <= 1.0:
             raise ConfigError("noise_correlation must be in [0, 1]")
 
@@ -194,12 +192,11 @@ class Population(NamedTuple):
     shared: np.ndarray            # sqrt(noise_correlation) times the shared draw
 
 
-def population(memes, groups, pseudo, cfg):
+def population(memes, groups, cfg):
     """The per-run work behind every simulate_predictions call of a run.
 
     memes must carry labels (the generator's recorded truth); groups drive
-    the difficulty discounts; pseudo (optional) marks ids whose separation
-    gets the pseudo-label boost.
+    the difficulty discounts.
     """
     cfg.validate()
     for rec in memes:
@@ -207,9 +204,7 @@ def population(memes, groups, pseudo, cfg):
             raise DataFormatError(f"meme {rec.id} has no label to condition on")
     ids = [rec.id for rec in memes]
     discounts = member_discounts(ids, groups)
-    pseudo_ids = set() if pseudo is None else set(pseudo.labels)
-    seps = np.array([cfg.separation_mu * discounts[i]
-                     * (cfg.pseudo_label_boost if i in pseudo_ids else 1.0) for i in ids])
+    seps = np.array([cfg.separation_mu * discounts[i] for i in ids])
     signs = np.array([2 * rec.label - 1 for rec in memes], float)
     shared = math.sqrt(cfg.noise_correlation) * _normals((cfg.seed, 0), ids)
     return Population(cfg, ids, seps * signs, shared)

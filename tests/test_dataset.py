@@ -14,8 +14,7 @@ from memepipe.ensemble import (StackedPrediction, read_predictions,
                                write_submission)
 from memepipe.errors import DataFormatError
 from memepipe.phash import read_hashes, write_hashes
-from memepipe.rules import (PredictionSet, read_pseudo_labels,
-                            write_pseudo_labels)
+from memepipe.rules import PredictionSet
 
 
 def rec(meme_id, split="train", label=0, text="some text"):
@@ -126,10 +125,6 @@ CSV_READERS = {
                    ("1,0.25,+1", "1,0.25, 1", "1,0.25,0_1", "1,+0.5,0", "1, 0.25,0",
                     "1,0_0.75,0", "1,\u0660.5,0"),
                    lambda out: list(out[0])),
-    "pseudo_labels": (read_pseudo_labels, write_pseudo_labels, DataFormatError,
-                      "id,label,rule", ("1,1,rule1", "2,0,rule1"), "x,1,rule1",
-                      "1,3,rule1", ("1,+1,rule1", "1, 1,rule1", "1,0_1,rule1"),
-                      lambda out: list(out.labels)),
 }
 
 

@@ -254,6 +254,10 @@ def test_label_noise_flips_labels_only():
     flips = sum(1 for a, b in zip(clean.records, noisy.records)
                 if a.label != b.label)
     assert 40 <= flips <= 140
+    # the clean corpus's draws give the noisy labels, as criterion 5 uses them
+    assert np.array_equal(clean.label_draws, noisy.label_draws)
+    assert [b.label for b in noisy.records] == [
+        a.label ^ bool(d < 0.3) for a, d in zip(clean.records, clean.label_draws)]
     for a, b in zip(clean.records, noisy.records):
         assert a.text == b.text and a.split == b.split
     for meme_id in clean.images:

@@ -89,21 +89,21 @@ PINNED_DIGESTS = {
     "merged_train_manifest.jsonl":
         "ef24de36a27c1c35a9bebac33b3f1f14611502143fd474065a273c8471f2dac7",
     "preds/sim-00.csv":
-        "ee858475031fd4e5d181af062841478f62bbbf9442c2701cdb3efa443b8fb700",
+        "3d1fa8d1c1d71fabd93cff90556c2821dd54f446a97fbe4c09816aacc95956bc",
     "preds/sim-01.csv":
-        "4662df9b48b6b0c31750da4d1a657851a9c50467c2787ee54988c01adec0f9f9",
+        "33edaa51497f56b90e4a9a5990ea301d9b48e077c7af2d492ea70d88562815ae",
     "preds/sim-02.csv":
-        "94c969d921e152e01dcc673f72be3c40d61950282787bcaaba0f438de948acc6",
+        "f5ec2cac0916adb100c3b8e532e20cd9f48530dc232c26cfe87b02491135a5ac",
     "preds/sim-03.csv":
-        "0a537ac2d2c72f71ea64234a0f480b4eea65c383413fa6ddf425b2c6f67b2258",
+        "e1e892f265eea24e8328cb263f266610b0177f733a88a422802f3767528e039f",
     "preds_adjusted/sim-00.csv":
-        "98a5ab18aeb2e38986946fb8955a1350505972c0749da574de2d0479d5f68bbb",
+        "ed2649d59e7032145900ecee9a69457702d59fd3658bd0fcd0805b1bca1227b7",
     "preds_adjusted/sim-01.csv":
-        "86944054480ab7c0b265f14c788e68ae59f3e0bee664d08e5212d80bce14f40b",
+        "ed396e05c23b5a5c2cc9299916d174e81c83bfce6ec73fde5f783de38d65a412",
     "preds_adjusted/sim-02.csv":
-        "cedfff75c2ec7b19bc1de006718e4c0fabf2516103cb7937858cdbb5e2bbe8af",
+        "c8ffbc78c864aa6126ae0248544aed2b07be0b04d297226be2130964f671fc68",
     "preds_adjusted/sim-03.csv":
-        "467a626f22242b12cbc8f99f8fd10cdc3a85e4d7816af35b50625e441f2c040b",
+        "1ca468150c1b688753fdd2dd7f1098b75610a2d625809deb9a062a03bc15e243",
     "pseudo_labels.csv":
         "410f9478da72eeeec5504a9bde86856e111445896e1d0dacd6cd04d75660111b",
     "report.txt":
@@ -224,7 +224,7 @@ def test_score_without_eval_labels_has_no_report():
     ds = generate_dataset(120, seed=3)
     cfg = PipelineConfig(out_dir="", quiet=True)
     structure = detect(cfg, ds.records, ds.images)
-    sets = simulate(cfg, ds.records, structure.groups, structure.pseudo)
+    sets = simulate(cfg, ds.records, structure.groups)
     labeled = score(cfg, ds.records, structure, sets)
     unlabeled = score(cfg, [dataclasses.replace(r, label=None) if r.split == "test"
                             else r for r in ds.records], structure, sets)
@@ -350,7 +350,7 @@ NON_DEFAULT = {
     "hamming_threshold": "8", "k": "3", "models": "2", "rule1": "false",
     "rule2": "false", "adjust_placement": "after_stacking", "unimodal": "true",
     "hi": "0.9", "lo": "0.1", "separation_mu": "1.5", "sigma": "0.8",
-    "pseudo_label_boost": "2.0", "noise_correlation": "0.5",
+    "noise_correlation": "0.5",
     "eval_split": "dev", "manifest": "corpus/manifest.jsonl",
     "save_images": "false", "quiet": "true",
 }
@@ -440,7 +440,6 @@ def test_cli_stage_chain_matches_pipeline(tmp_path):
 
     assert run_cli("--quiet", "simulate", "--manifest", str(out / "manifest.jsonl"),
                    "--tuples", str(work / "tuples.jsonl"),
-                   "--pseudo", str(out / "pseudo_labels.csv"),
                    "--model-index", "3", "--seed", "3",
                    "--out", str(work / "sim-03.csv")) == 0
     assert (work / "sim-03.csv").read_bytes() == \
@@ -552,9 +551,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli("pipeline", "--outdir", str(tmp_path / "x"), "--n", "5") == 2
     assert run_cli("pipeline", "--outdir", str(tmp_path / "x"),
                    "--image-amplitude", "-1") == 2
-    # simulator settings are checked before the corpus is generated
+    # simulator and generator settings are checked before the corpus is generated
     for flag, value, message in (("--sigma", "-1", "sigma must be positive"),
-                                 ("--pseudo-label-boost", "0", "pseudo_label_boost"),
+                                 ("--sigma", "inf", "sigma must be positive and finite"),
+                                 ("--separation-mu", "nan", "separation_mu must be finite"),
+                                 ("--separation-mu", "inf", "separation_mu must be finite"),
+                                 ("--image-amplitude", "inf",
+                                  "image_amplitude must be >= 0 and finite"),
                                  ("--noise-correlation", "2", "noise_correlation")):
         capsys.readouterr()
         assert run_cli("pipeline", "--outdir", str(tmp_path / "x"), flag, value) == 2
@@ -651,7 +654,6 @@ def write_faulty_inputs(d):
     (d / "negative.csv").write_text("0,0000000000000000\n1,-000000000000001\n")
     (d / "negative_id.csv").write_text("id,proba\n-1,0.5\n")
     (d / "underscore_id.csv").write_text("id,proba\n0,0.5\n1_0,0.25\n")
-    (d / "negative_pseudo.csv").write_text("id,label,rule\n-3,1,rule1\n")
     (d / "signed_hash_id.csv").write_text("0,0000000000000000\n+1,00000000000000ff\n")
     write_manifest([MemeRecord(0, "0.pgm", "t", None, "test")], d / "unlabelled.jsonl")
     (d / "one_cluster.csv").write_text("0,0,0\n")
@@ -706,10 +708,6 @@ ODD_INPUTS = {
     "underscored prediction id":
         ("adjust --preds {d}/underscore_id.csv --tuples {d}/pair.jsonl --rule 2 "
          "--out {d}/a.csv", 3, "{d}/underscore_id.csv: line 3: malformed row '1_0,0.25'"),
-    "negative pseudo-label id":
-        ("simulate --manifest {d}/two.jsonl --tuples {d}/pair.jsonl "
-         "--pseudo {d}/negative_pseudo.csv --out {d}/sim.csv",
-         3, "{d}/negative_pseudo.csv: line 2: malformed row '-3,1,rule1'"),
     "signed hash id":
         ("cluster --manifest {d}/two.jsonl --hashes {d}/signed_hash_id.csv --out {d}/c.csv",
          3, "{d}/signed_hash_id.csv: line 2: malformed row '+1,00000000000000ff'"),

@@ -5,8 +5,8 @@ from memepipe.dataset import MemeRecord
 from memepipe.errors import DataFormatError
 from memepipe.rules import (PredictionSet, PseudoLabelSet, apply_rule1,
                             apply_rule2, apply_unimodal_signatures,
-                            merge_pseudo_labels, read_pseudo_labels,
-                            rule1_pseudo_labels, write_pseudo_labels)
+                            merge_pseudo_labels, rule1_pseudo_labels,
+                            write_pseudo_labels)
 from memepipe.tuples import Other, ThreeTuple, TwoTuple, UnimodalHate
 
 
@@ -137,25 +137,7 @@ def test_pseudo_label_file_round_trip(tmp_path):
     pl = PseudoLabelSet({3: 1, 1: 0})
     path = tmp_path / "pseudo.csv"
     write_pseudo_labels(pl, path)
-    assert path.read_text().splitlines()[0] == "id,label,rule"
-    back = read_pseudo_labels(path)
-    assert back.labels == pl.labels
-
-
-def test_pseudo_label_file_errors(tmp_path):
-    path = tmp_path / "pseudo.csv"
-    path.write_text("wrong header\n")
-    with pytest.raises(DataFormatError, match="header"):
-        read_pseudo_labels(path)
-    path.write_text("id,label,rule\n1,2,rule1\n")
-    with pytest.raises(DataFormatError, match="label"):
-        read_pseudo_labels(path)
-    path.write_text("id,label,rule\n1,1,rule1\n2,0,rule2\n")
-    with pytest.raises(DataFormatError, match="line 3: .*rule must be rule1"):
-        read_pseudo_labels(path)
-    path.write_text("id,label,rule\n1,1,rule1\n1,0,rule1\n")
-    with pytest.raises(DataFormatError, match="duplicate"):
-        read_pseudo_labels(path)
+    assert path.read_bytes() == b"id,label,rule\n1,0,rule1\n3,1,rule1\n"
 
 
 def _rec(meme_id, split, label=None):

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import memepipe
-from memepipe import simulator
+from memepipe import cli, simulator
 from memepipe.dataset import MemeRecord
 from memepipe.metrics import auroc
 from memepipe.simulator import (SimulatorConfig, member_discounts, population,
                                 simulate_predictions)
-from memepipe.rules import PseudoLabelSet
 from memepipe.tuples import ThreeTuple, TwoTuple, UnimodalHate
 
 
@@ -53,8 +52,8 @@ def test_member_discounts_ignores_outside_ids():
 def test_simulate_deterministic():
     memes = recs({i: i % 2 for i in range(30)})
     cfg = SimulatorConfig(seed=5)
-    a = simulate_predictions(population(memes, [], None, cfg), 0)
-    b = simulate_predictions(population(memes, [], None, cfg), 0)
+    a = simulate_predictions(population(memes, [], cfg), 0)
+    b = simulate_predictions(population(memes, [], cfg), 0)
     assert a.scores == b.scores
     assert a.model_id == "sim-00"
 
@@ -62,30 +61,30 @@ def test_simulate_deterministic():
 def test_simulate_insensitive_to_record_order():
     memes = recs({i: i % 2 for i in range(30)})
     cfg = SimulatorConfig(seed=5)
-    fwd = simulate_predictions(population(memes, [], None, cfg), 0)
-    rev = simulate_predictions(population(list(reversed(memes)), [], None, cfg), 0)
+    fwd = simulate_predictions(population(memes, [], cfg), 0)
+    rev = simulate_predictions(population(list(reversed(memes)), [], cfg), 0)
     assert fwd.scores == rev.scores
 
 
 def test_simulate_models_differ():
     memes = recs({i: i % 2 for i in range(30)})
     cfg = SimulatorConfig(seed=5)
-    a = simulate_predictions(population(memes, [], None, cfg), 0)
-    b = simulate_predictions(population(memes, [], None, cfg), 1)
+    a = simulate_predictions(population(memes, [], cfg), 0)
+    b = simulate_predictions(population(memes, [], cfg), 1)
     assert a.scores != b.scores
     assert b.model_id == "sim-01"
 
 
 def test_simulate_scores_in_unit_interval():
     memes = recs({i: i % 2 for i in range(100)})
-    out = simulate_predictions(population(memes, [], None, SimulatorConfig(seed=1)), 0)
+    out = simulate_predictions(population(memes, [], SimulatorConfig(seed=1)), 0)
     assert all(0.0 < v < 1.0 for v in out.scores.values())
 
 
 def test_simulate_separates_labels():
     memes = recs({i: i % 2 for i in range(400)})
     cfg = SimulatorConfig(separation_mu=3.0, sigma=0.5, seed=2)
-    out = simulate_predictions(population(memes, [], None, cfg), 0)
+    out = simulate_predictions(population(memes, [], cfg), 0)
     pos = np.mean([out.scores[r.id] for r in memes if r.label == 1])
     neg = np.mean([out.scores[r.id] for r in memes if r.label == 0])
     assert pos > 0.8 and neg < 0.2
@@ -94,7 +93,7 @@ def test_simulate_separates_labels():
 def test_simulate_noise_dominates_at_large_sigma():
     memes = recs({i: i % 2 for i in range(2000)})
     cfg = SimulatorConfig(separation_mu=1.0, sigma=200.0, seed=3)
-    out = simulate_predictions(population(memes, [], None, cfg), 0)
+    out = simulate_predictions(population(memes, [], cfg), 0)
     labels = {r.id: r.label for r in memes}
     assert auroc(out.scores, labels) == pytest.approx(0.5, abs=0.03)
 
@@ -106,34 +105,18 @@ def test_simulate_confounders_are_harder():
     memes = recs(labels)
     groups = [ThreeTuple(3 * i, 3 * i + 1, 3 * i + 2) for i in range(30)]
     cfg = SimulatorConfig(sigma=0.01, seed=4)
-    out = simulate_predictions(population(memes, groups, None, cfg), 0)
+    out = simulate_predictions(population(memes, groups, cfg), 0)
     tuple_ids = {m for g in groups for m in g.member_ids()}
     hard = np.mean([out.scores[i] for i in tuple_ids])
     easy = np.mean([out.scores[i] for i in labels if i not in tuple_ids])
     assert hard < easy
 
 
-def test_simulate_pseudo_boost_helps():
-    labels = {i: i % 2 for i in range(100)}
-    memes = recs(labels)
-    cfg = SimulatorConfig(sigma=0.5, seed=6)
-    pseudo = PseudoLabelSet({i: labels[i] for i in range(0, 100, 3)})
-    plain = simulate_predictions(population(memes, [], None, cfg), 0)
-    boosted = simulate_predictions(population(memes, [], pseudo, cfg), 0)
-    for i in pseudo.labels:
-        if labels[i] == 1:
-            assert boosted.scores[i] > plain.scores[i]
-        else:
-            assert boosted.scores[i] < plain.scores[i]
-    for i in set(labels) - set(pseudo.labels):
-        assert boosted.scores[i] == plain.scores[i]
-
-
 def test_simulate_requires_labels():
     memes = recs({1: 1, 2: 0})
     memes[1].label = None
     with pytest.raises(ValueError, match="no label"):
-        simulate_predictions(population(memes, [], None, SimulatorConfig()), 0)
+        simulate_predictions(population(memes, [], SimulatorConfig()), 0)
 
 
 def test_config_validation():
@@ -141,8 +124,12 @@ def test_config_validation():
         SimulatorConfig(sigma=0.0).validate()
     with pytest.raises(ValueError):
         SimulatorConfig(noise_correlation=1.5).validate()
-    with pytest.raises(ValueError):
-        SimulatorConfig(pseudo_label_boost=-1.0).validate()
+    for field, value in (("sigma", math.inf), ("sigma", math.nan),
+                         ("separation_mu", math.inf), ("separation_mu", -math.inf),
+                         ("separation_mu", math.nan)):
+        with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+            SimulatorConfig(**{field: value}).validate()
+    SimulatorConfig(separation_mu=-1.0).validate()
     with pytest.raises(ValueError, match="seed"):
         SimulatorConfig(seed=-1).validate()
 
@@ -151,9 +138,9 @@ def test_raising_separation_never_hurts_any_score():
     labels = {i: i % 2 for i in range(120)}
     memes = recs(labels)
     groups = [ThreeTuple(0, 2, 4), TwoTuple(6, 8, "text")]
-    lo = simulate_predictions(population(memes, groups, None,
+    lo = simulate_predictions(population(memes, groups,
                                          SimulatorConfig(separation_mu=0.7, seed=9)), 0)
-    hi = simulate_predictions(population(memes, groups, None,
+    hi = simulate_predictions(population(memes, groups,
                                          SimulatorConfig(separation_mu=1.9, seed=9)), 0)
     # same seed and model, so the noise draws are shared
     for i, y in labels.items():
@@ -176,7 +163,7 @@ def test_three_tuple_members_discriminate_worse_than_independent():
     free_ids = set(labels) - tuple_ids
     hard, easy = [], []
     for seed in range(20):
-        out = simulate_predictions(population(memes, groups, None, SimulatorConfig(seed=seed)), 0)
+        out = simulate_predictions(population(memes, groups, SimulatorConfig(seed=seed)), 0)
         hard.append(auroc({i: out.scores[i] for i in tuple_ids},
                           {i: labels[i] for i in tuple_ids}))
         easy.append(auroc({i: out.scores[i] for i in free_ids},
@@ -184,20 +171,19 @@ def test_three_tuple_members_discriminate_worse_than_independent():
     assert np.mean(hard) < np.mean(easy)
 
 
-def test_pseudo_boost_lifts_subset_auroc_on_paired_seeds():
-    labels = {}
-    groups = []
-    for t in range(50):
-        base = 3 * t
-        groups.append(ThreeTuple(base, base + 1, base + 2))
-        labels[base], labels[base + 1], labels[base + 2] = 1, 0, 0
-    memes = recs(labels)
-    pseudo = PseudoLabelSet(dict(labels))
-    for seed in range(10):
-        cfg = SimulatorConfig(seed=seed)
-        plain = simulate_predictions(population(memes, groups, None, cfg), 0)
-        boosted = simulate_predictions(population(memes, groups, pseudo, cfg), 0)
-        assert auroc(boosted.scores, labels) > auroc(plain.scores, labels)
+def test_rule1_does_not_reach_the_simulator(tmp_path):
+    # rule 1 overwrites its three-tuples' scores after stacking and feeds
+    # retraining through the pseudo-label files; the simulated sets are the
+    # same whether it is on or off
+    args = ["--quiet", "pipeline", "--n", "300", "--seed", "3", "--models", "1",
+            "--no-images"]
+    assert cli.main(args + ["--outdir", str(tmp_path / "on")]) == 0
+    assert cli.main(args + ["--no-rule1", "--outdir", str(tmp_path / "off")]) == 0
+    for folder in ("preds", "preds_adjusted"):
+        on = sorted((tmp_path / "on" / folder).iterdir())
+        off = sorted((tmp_path / "off" / folder).iterdir())
+        assert [p.name for p in on] == [p.name for p in off] and on
+        assert [p.read_bytes() for p in on] == [p.read_bytes() for p in off]
 
 
 def _reference_scores(memes, cfg, model_index):
@@ -225,13 +211,13 @@ def test_simulate_matches_list_seeded_reference(seed, model_index):
     memes = recs({0: 1, 1: 0, 2**32 - 1: 1, 2**32: 0, 2**33 + 7: 1})
     cfg = SimulatorConfig(seed=seed)
     expected = _reference_scores(memes, cfg, model_index)
-    assert simulate_predictions(population(memes, [], None, cfg), model_index).scores == expected
+    assert simulate_predictions(population(memes, [], cfg), model_index).scores == expected
 
 
 def test_simulate_rejects_negative_id_as_numpy_does():
     memes = recs({-1: 1})
     with pytest.raises(ValueError, match="non-negative"):
-        population(memes, [], None, SimulatorConfig())
+        population(memes, [], SimulatorConfig())
 
 
 # the three seed-word shapes: the shared draw, a per-model draw, and a seed
@@ -279,7 +265,7 @@ def test_corrupted_table_falls_back_to_numpy(monkeypatch, fresh_tables):
     monkeypatch.setattr(simulator, "_bulk_normals", never)
     memes = recs({i: i % 2 for i in range(300)})
     cfg = SimulatorConfig(seed=11)
-    assert simulate_predictions(population(memes, [], None, cfg), 2).scores == \
+    assert simulate_predictions(population(memes, [], cfg), 2).scores == \
         _reference_scores(memes, cfg, 2)
 
 
@@ -294,7 +280,7 @@ def test_simulate_matches_reference_for_any_words(seed, model_index, ids, big_id
     memes = recs({i: i % 2 for i in ids + big_ids})
     cfg = SimulatorConfig(seed=seed)
     expected = _reference_scores(memes, cfg, model_index)
-    assert simulate_predictions(population(memes, [], None, cfg), model_index).scores == expected
+    assert simulate_predictions(population(memes, [], cfg), model_index).scores == expected
 
 
 def test_import_reads_no_ziggurat_tables():
