@@ -60,6 +60,7 @@ def apply_rule2(groups, preds, hi=1.0, lo=0.0):
     """Polarize every TwoTuple to (hi, lo) by the larger score; ties untouched."""
     if not 0.0 <= lo < hi <= 1.0:
         raise ConfigError(f"need 0 <= lo < hi <= 1, got lo={lo} hi={hi}")
+    lo += 0.0   # -0.0 passes the check above but would be written as -0.000000000
     scores = dict(preds.scores)
     for g in groups:
         if not isinstance(g, TwoTuple):

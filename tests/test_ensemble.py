@@ -1,7 +1,14 @@
+import tempfile
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from memepipe.ensemble import (read_predictions, read_submission,
+from memepipe import cli, ensemble
+from memepipe.dataset import read_csv
+from memepipe.ensemble import (_bulk_rows, _proba, read_predictions, read_submission,
                                stack_equal_weight, write_predictions,
                                write_submission)
 from memepipe.errors import DataFormatError
@@ -137,3 +144,126 @@ def test_predictions_read_every_ascii_decimal_form(tmp_path):
     path.write_text("id,proba\n1,0.25\n2,1\n3,.5\n4,1e-05\n5,2.5E-1\n6,0.\n")
     assert read_predictions(path).scores == {1: 0.25, 2: 1.0, 3: 0.5, 4: 1e-05,
                                              5: 0.25, 6: 0.0}
+
+
+def reference_bytes(scores):
+    """What the per-row writer writes: the reference for the bulk formatter."""
+    return "".join(["id,proba\n", *(f"{meme_id},{scores[meme_id]:.9f}\n"
+                                     for meme_id in sorted(scores))]).encode()
+
+
+def reference_read(path):
+    """read_csv's reading of a prediction file, or its error, as a comparable value."""
+    try:
+        return list(read_csv(path, ("id", "proba"), _proba, ignored=("label",)).items())
+    except DataFormatError as exc:
+        return DataFormatError, str(exc)
+
+
+def bulk_read(path):
+    try:
+        return list(read_predictions(path).scores.items())
+    except DataFormatError as exc:
+        return DataFormatError, str(exc)
+
+
+def assert_matches_reference(scores, path):
+    """The writer's bytes are the per-row writer's, and reading them back
+    gives read_csv's result, key order included, or its exact error."""
+    write_predictions(PredictionSet(path.stem, scores), path)
+    assert path.read_bytes() == reference_bytes(scores)
+    assert bulk_read(path) == reference_read(path)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(scores=st.dictionaries(st.integers(0, 2**63 - 1) | st.integers(0, 1200),
+                              st.floats(0.0, 1.0), max_size=40))
+def test_writer_and_reader_match_the_per_row_reference(scores):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_matches_reference(scores, Path(tmp) / "model.csv")
+
+
+# (k + 0.5) / 1e9 sits on or next to a rounding tie of the ninth place
+TIES = [(k + 0.5) / 1e9 for k in (0, 1, 7, 12345, 123456789, 499999999, 500000000,
+                                  999999998, 999999999)]
+NEAR_TIES = [float(np.nextafter(t, side)) for t in TIES for side in (0.0, 1.0)]
+# just outside the window that falls back, so the bulk path rounds them
+WINDOW_EDGES = [(k + 0.5 + d) / 1e9 for k in (0, 12345, 499999999, 999999998)
+                for d in (-2e-6, 2e-6)]
+OFF_RANGE = [0.0, 1.0, -0.0, float("nan"), float("inf"), float("-inf"), -1e-12,
+             -0.5, 1.0 + 2**-52, 1.5, 5e-324, 1 - 2**-53]
+
+
+@pytest.mark.parametrize("score", TIES + NEAR_TIES + WINDOW_EDGES + OFF_RANGE)
+def test_writer_matches_the_reference_at_every_edge(tmp_path, score):
+    assert_matches_reference({3: 0.25, 10: score, 11: 0.75}, tmp_path / "p.csv")
+
+
+def test_bulk_formatter_takes_scores_off_the_tie_window():
+    assert _bulk_rows(list(range(len(WINDOW_EDGES))), WINDOW_EDGES) is not None
+    for score in TIES + NEAR_TIES + [-0.0, float("nan"), 1.5, 1]:
+        assert _bulk_rows([1], [score]) is None
+
+
+@pytest.mark.parametrize("ids", [[0], [9], [10], [0, 9, 10, 99, 100, 12345],
+                                 [2**63 - 1], [5, 2**63 - 1], [2**63], [7, 2**63], [2**64],
+                                 [-1], [-1, 4], [True], [False, 2]])
+def test_writer_matches_the_reference_for_every_id(tmp_path, ids):
+    assert_matches_reference({meme_id: 0.125 for meme_id in ids}, tmp_path / "p.csv")
+
+
+def test_writer_writes_an_empty_set_as_its_header(tmp_path):
+    assert_matches_reference({}, tmp_path / "p.csv")
+    assert (tmp_path / "p.csv").read_bytes() == b"id,proba\n"
+
+
+@pytest.mark.parametrize("body", [
+    b"id,proba\n1,0.500000000\n1,0.600000000\n",
+    b"id,proba\n1,1.500000000\n",
+    b"id,proba\n007,0.500000000\n",
+    b"id,proba\n7,0.500000000\n007,0.600000000\n",
+    b"id,proba\r\n1,0.250000000\r\n2,0.750000000\r\n",
+    b"id,proba,label\n1,0.900000000,1\n2,0.200000000,0\n",
+    b"id,proba\n" + b"9" * 5000 + b",0.500000000\n",
+    b"id,proba\n2,0.250000000\n1,0.750000000",
+    b"id,proba\n2,0.250000000\n\n1,0.750000000\n",
+    b"id,proba\n1,0.2500000000\n",
+    b"id,proba\n1,\xff.250000000\n",
+    b"",
+])
+def test_reader_matches_read_csv_on_files_off_the_written_form(tmp_path, body):
+    path = tmp_path / "p.csv"
+    path.write_bytes(body)
+    assert bulk_read(path) == reference_read(path)
+
+
+def test_reader_rejects_near_miss_rows_in_linear_time(tmp_path):
+    # each row matches a pattern built from _PROBA in 8 ways, so whole-file
+    # backtracking over such a pattern takes 8**40 steps
+    path = tmp_path / "p.csv"
+    path.write_text("id,proba\n" + "".join(f"{i},11111111\n" for i in range(40)) + "x\n")
+    start = time.perf_counter()
+    with pytest.raises(DataFormatError, match="line 2: malformed row"):
+        read_predictions(path)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_pipeline_output_takes_both_bulk_paths(tmp_path, monkeypatch):
+    """Every prediction file a pipeline writes is formatted and read back in
+    bulk, so a change that silently loses either bulk path fails here."""
+    fallback_writes = []
+    write_lines = ensemble.write_lines
+    monkeypatch.setattr(ensemble, "write_lines", lambda path, lines: (
+        fallback_writes.append(Path(path).name), write_lines(path, lines)))
+    assert cli.main(["--quiet", "pipeline", "--n", "60", "--models", "2", "--k", "2",
+                     "--no-images", "--outdir", str(tmp_path)]) == 0
+    assert fallback_writes == ["submission.csv"]
+
+    def no_fallback(path, *args, **kwargs):
+        raise AssertionError(f"{path} was read row by row")
+    monkeypatch.setattr(ensemble, "read_csv", no_fallback)
+    paths = [*(tmp_path / "preds").iterdir(), *(tmp_path / "preds_adjusted").iterdir(),
+             tmp_path / "stacked.csv"]
+    assert len(paths) == 9
+    for path in paths:
+        assert read_predictions(path).scores

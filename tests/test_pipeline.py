@@ -781,6 +781,23 @@ def test_cli_stack_writes_submission_rows(tmp_path):
     assert (tmp_path / "stacked.csv").read_text() == expected
 
 
+def test_lo_negative_zero_writes_what_lo_zero_writes(tmp_path):
+    # -0.0 passes 0 <= lo, and must not reach a file as -0.000000000
+    base = ("--quiet", "pipeline", "--n", "60", "--models", "1", "--k", "2", "--no-images")
+    runs = {}
+    for extra in ((), ("--adjust-placement", "after_stacking", "--no-rule1")):
+        for lo in ("-0.0", "0"):
+            out = tmp_path / f"{len(extra)}{lo}"
+            assert run_cli(*base, *extra, "--lo", lo, "--outdir", str(out)) == 0
+            runs[lo] = {p.relative_to(out): p.read_bytes()
+                        for p in [*out.glob("preds_adjusted/*.csv"), out / "stacked.csv"]}
+        assert runs["-0.0"] == runs["0"]
+    paths = sorted(str(p) for p in (tmp_path / "0-0.0" / "preds_adjusted").iterdir())
+    assert len(paths) == 2
+    assert run_cli("--quiet", "stack", "--preds", *paths,
+                   "--out", str(tmp_path / "stacked.csv")) == 0
+
+
 def test_cli_stack_names_the_file_whose_ids_differ(tmp_path, capsys):
     paths = []
     for name, ids in (("a", [0, 1, 2]), ("b", [0, 1, 2]), ("c", [0, 1, 3]),
