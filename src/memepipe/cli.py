@@ -323,9 +323,31 @@ def build_parser():
     return parser
 
 
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _negative_values_joined(argv):
+    """argv with each `--flag -value` that float() reads, such as -inf, -nan
+    or -1e-3, written `--flag=-value`: argparse takes a separate such value
+    for an option and refuses the flag, so the config check would not see it."""
+    out = []
+    for token in argv:
+        if (token.startswith("-") and _is_number(token) and out and out[-1].startswith("--")
+                and out[-1] != "--" and "=" not in out[-1]):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_negative_values_joined(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except ConfigError as exc:

@@ -14,9 +14,12 @@ f-string per row.  The bulk digits come from rint(x * 1e9): for x <= 1 the
 product is within 2**-24 of the exact one, so it rounds as `:.9f` does
 unless the exact value may sit at a half; a score within 1e-6 (in units of
 the ninth place) of a half falls back, and `:.9f` decides the tie.
-`read_predictions` parses a file whose whole text is the writer's exact
-form with one split, and hands any other file, or one with a duplicate id
-or a value above 1, to `read_csv`, which reads or rejects it with its line.
+`read_predictions` parses a file in the writer's exact form from its bytes
+in numpy: each row's digits are found from its newline, and its score is
+num / 1e9 for the integer num its ten digits spell, which is float() of the
+text, as both operands are exact and the division rounds correctly.  A file
+with an id of more than 18 digits, a repeated id or a value above 1, and any
+other file, goes to `read_csv`, which reads or rejects it with its line.
 """
 
 import math
@@ -32,10 +35,10 @@ from .rules import PredictionSet
 
 # ASCII digits, an optional point and exponent: float() also takes signs, spaces, '_'
 _PROBA = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
-# what write_predictions writes; each row matches in one way only, so a
-# failed match backtracks in linear time (patterns built from _PROBA do not)
-_WRITTEN = re.compile(r"id,proba\n(?:[0-9]+,[0-9]\.[0-9]{9}\n)*")
-_HEADER = "id,proba\n"
+_HEADER = b"id,proba\n"
+_ID_DIGITS = 18   # the most an int64 always holds; longer ids go to read_csv
+# the weight of each byte of `d.ddddddddd` in units of 1e-9, '.' weighing 0
+_FRACTION_WEIGHTS = np.array([1e9, 0.0, 1e8, 1e7, 1e6, 1e5, 1e4, 1e3, 1e2, 1e1, 1e0])
 
 
 @dataclass
@@ -79,7 +82,7 @@ def write_predictions(preds, path):
                                          for meme_id, score in zip(ids, scores))])
     else:
         with open(path, "wb") as fh:
-            fh.write(_HEADER.encode() + rows)
+            fh.write(_HEADER + rows)
 
 
 def _digits(values, width):
@@ -140,25 +143,42 @@ def read_predictions(path):
 
 
 def _bulk_read(path):
-    """The scores of a file in exactly the writer's form, in file order, or
-    None for `read_csv` to read or reject."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
+    """The scores of a file in exactly the writer's form with ids of at most
+    18 digits, none repeated, and no value above 1, in file order; else None
+    for `read_csv` to read or reject."""
+    text = path.read_bytes()
+    if not (text.startswith(_HEADER) and text.endswith(b"\n")):
         return None
-    if not _WRITTEN.fullmatch(text):
+    body = np.frombuffer(text, np.uint8, offset=len(_HEADER))
+    ends = np.flatnonzero(body == ord("\n"))
+    id_len = ends - np.append(-1, ends[:-1]) - len(",d.ddddddddd\n")
+    width = int(id_len.max(initial=1))   # the longest id
+    if width > _ID_DIGITS or id_len.min(initial=1) < 1:
         return None
-    fields = text[len(_HEADER):].replace("\n", ",").split(",")
-    try:
-        ids = list(map(int, fields[0:-1:2]))
-    except ValueError:        # more digits than int() takes
+    # each byte's digit value, after _ID_DIGITS zeros so that a window as wide
+    # as the longest row starts inside the array; ',' and '.' wrap to 252, 254
+    digits = np.zeros(_ID_DIGITS + len(body), np.uint8)
+    np.subtract(body, np.uint8(ord("0")), out=digits[_ID_DIGITS:])
+    rows = np.ndarray((len(digits) - width - 11, width + 12), np.uint8, digits,
+                      strides=(1, 1))[ends + _ID_DIGITS - width - 12]
+    # each row is its id right-aligned, ',' and `d.ddddddddd`; every other
+    # byte is a digit but the newline
+    if not (np.count_nonzero(digits > 9) == 3 * len(ends) and np.all(rows[:, width] == 252)
+            and np.all(rows[:, width + 2] == 254)):
         return None
-    probas = list(map(float, fields[1::2]))
-    # the form has no sign, so only the top of [0, 1] needs a check
-    if len(set(ids)) != len(ids) or max(probas, default=0.0) > 1.0:
+    # both operands of num / 1e9 are exact, and the division rounds correctly,
+    # so the quotient is float() of the text
+    num = rows[:, width + 1:] @ _FRACTION_WEIGHTS
+    # a shorter id's row starts with bytes of the row before: mask them out
+    ids = (np.where(np.arange(width, 0, -1) <= id_len[:, None], rows[:, :width], 0)
+           @ 10 ** np.arange(width - 1, -1, -1, dtype=np.int64))
+    if num.max(initial=0.0) > 1e9:
         return None
-    return dict(zip(ids, probas))
+    if not np.all(ids[1:] > ids[:-1]):   # the writer's order; else look for repeats
+        ordered = np.sort(ids)
+        if np.any(ordered[1:] == ordered[:-1]):
+            return None
+    return dict(zip(ids.tolist(), (num / 1e9).tolist()))
 
 
 def write_submission(stacked, path, ids=None):

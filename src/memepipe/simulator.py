@@ -12,14 +12,16 @@ depend on iteration order and adding models or memes never perturbs
 existing ones.  Everything but the per-model draw depends on the run
 alone: population(memes, groups, cfg) checks the config and labels,
 computes each meme's mean (its discounted separation times the sign of its
-label) and the shared draw once, and each
+label), the ids as seed words and the shared draw once, and each
 simulate_predictions(pop, model_index) call adds one model's own draw.
 
 Each draw equals np.random.default_rng(words).standard_normal() bit for bit,
 computed in bulk: SeedSequence, PCG64 and the fast path of numpy's ziggurat
 (Marsaglia & Tsang 2000) in numpy integer arithmetic, its tables read from
-numpy on first use and checked on probes.  Other draws (about 1.5%), words
-outside [0, 2**32) or a failed check build a Generator each (16 us).
+numpy on first use and checked on probes.  The draws off the fast path
+(about 1.5%) come from one PCG64 per call, set to each draw's seeded state
+and increment in turn, so numpy computes the wedge and the tail itself.
+Words outside [0, 2**32) or a failed check build a Generator per draw.
 """
 
 import functools
@@ -71,14 +73,6 @@ def member_discounts(ids, groups):
     return discounts
 
 
-def _logistic(z):
-    # split on sign so exp never overflows
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
-
-
 _WORD_END = 1 << 32  # seed words below it can take the bulk path
 # numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -98,35 +92,65 @@ def _mul_add(a, c, b):
 
 
 def _hasher(hc, mult):
+    """numpy's SeedSequence hashmix, on an int or a uint32 array; each call
+    takes the next hash constant."""
     def hashmix(v):
         nonlocal hc
         hc, v = hc * mult & _M32, v ^ hc
-        v = v * np.uint32(hc)
+        v = v * hc & _M32
         return v ^ (v >> 16)
     return hashmix
 
 
 def _bulk_normals(words, wi, ki):
     """(draws, fast): default_rng(row).standard_normal() for each row of an
-    (m, k <= 4) uint32 array, valid where fast is True."""
+    (m, k <= 4) uint32 array, or of k columns, each a uint32 array of shape
+    (m,) or an int that every row shares.  fast marks the draws that took the
+    ziggurat's fast path."""
+    cols = list(words.T) if isinstance(words, np.ndarray) else list(words)
+    # a word every row shares is mixed as one Python int, not once per row;
+    # the products are masked so that int and uint32 array mix alike
     hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(words[:, i] if i < words.shape[1] else np.zeros(len(words), np.uint32))
-            for i in range(4)]
+    pool = [hashmix(cols[i] if i < len(cols) else 0) for i in range(4)]
     for src, dst in ((s, d) for s in range(4) for d in range(4) if s != d):
-        v = np.uint32(_MIX_L) * pool[dst] - np.uint32(_MIX_R) * hashmix(pool[src])
+        v = ((_MIX_L * pool[dst] & _M32) - (_MIX_R * hashmix(pool[src]) & _M32)) & _M32
         pool[dst] = v ^ (v >> 16)
     hashmix = _hasher(_INIT_B, _MULT_B)  # generate_state(4, np.uint64)
     w = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
     s = [w[j] | (w[j + 1] << 32) for j in range(0, 8, 2)]
-    # PCG64 seeding (state 0, step, add initstate, step), a step to draw, XSL-RR
+    # PCG64 seeding (state 0, step, add initstate, step), a step to draw, XSL-RR;
+    # the first step multiplies by 1, so it and the add are one add with carry
     inc = ((s[2] << 1) | (s[3] >> 63), (s[3] << 1) | 1)
-    hi, lo = _mul_add(_mul_add(_mul_add((s[0], s[1]), 1, inc), _PCG_MULT, inc), _PCG_MULT, inc)
+    lo = s[1] + inc[1]
+    seeded = _mul_add((s[0] + inc[0] + (lo < s[1]), lo), _PCG_MULT, inc)
+    hi, lo = _mul_add(seeded, _PCG_MULT, inc)
     x, rot = hi ^ lo, hi >> 58
     r = (x >> rot) | (x << ((64 - rot) & 63))
     # ziggurat fast path: strip, sign bit, then 52 bits of magnitude
     idx, rabs = (r & 0xFF).astype(np.intp), (r >> 9) & ((1 << 52) - 1)
     x = rabs.astype(np.float64) * wi[idx]
-    return np.where(r & 0x100 != 0, -x, x), rabs < ki[idx]
+    draws, fast = np.where(r & 0x100 != 0, -x, x), rabs < ki[idx]
+    if slow := np.flatnonzero(~fast).tolist():
+        states, incs = ([h << 64 | l for h, l in zip(a[slow].tolist(), b[slow].tolist())]
+                        for a, b in (seeded, inc))
+        draws[slow] = _steered_draws(states, incs)
+    return draws, fast
+
+
+def _pcg64_state(state, inc):
+    return {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+            "state": {"state": state, "inc": inc}}
+
+
+def _steered_draws(states, incs):
+    """standard_normal() of one PCG64 set to each (state, inc) in turn."""
+    bg = np.random.PCG64(0)
+    gen = np.random.Generator(bg)
+    out = []
+    for state, inc in zip(states, incs):
+        bg.state = _pcg64_state(state, inc)
+        out.append(gen.standard_normal())
+    return out
 
 
 def _read_tables():
@@ -138,8 +162,7 @@ def _read_tables():
 
     def probe(rabs, i):
         r = rabs << 9 | i
-        bg.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                    "state": {"state": (r - 1) * inv % (1 << 128), "inc": 1}}
+        bg.state = _pcg64_state((r - 1) * inv % (1 << 128), 1)
         x = gen.standard_normal()
         return bg.state["state"]["state"] == r, x
 
@@ -157,27 +180,32 @@ def _read_tables():
 
 @functools.cache
 def _ziggurat():
-    """The tables if the bulk path matches numpy on a fixed probe set, else None."""
+    """The tables if the bulk path matches numpy on every row of a fixed probe
+    set, some of them off the fast path, else None."""
     wi, ki = _read_tables()
     for prefix in ((0, 0), (_WORD_END - 1, 1, _WORD_END - 1)):
         words = np.array([(*prefix, i) for i in range(512)], np.uint32)
         x, fast = _bulk_normals(words, wi, ki)
-        want = np.array([np.random.default_rng(w).standard_normal()
-                         for w in words[fast].tolist()])
-        if not fast.any() or not np.array_equal(x[fast].view(np.uint64), want.view(np.uint64)):
+        want = np.array([np.random.default_rng(w).standard_normal() for w in words.tolist()])
+        if fast.all() or not fast.any() or not np.array_equal(x.view(np.uint64),
+                                                               want.view(np.uint64)):
             return None
     return wi, ki
 
 
-def _normals(prefix, ids):
-    """default_rng([*prefix, id]).standard_normal() for each id, as an array."""
+def _id_words(ids):
+    """The positions of the ids in [0, 2**32), and those ids as uint32."""
+    pos = [j for j, i in enumerate(ids) if type(i) is int and 0 <= i < _WORD_END]
+    return np.array(pos, np.intp), np.array([ids[j] for j in pos], np.uint32)
+
+
+def _normals(prefix, ids, id_words=None):
+    """default_rng([*prefix, id]).standard_normal() for each id, as an array;
+    id_words is _id_words(ids), if the caller has it already."""
     out, done = np.empty(len(ids)), np.zeros(len(ids), bool)
     if all(type(w) is int and 0 <= w < _WORD_END for w in prefix) and (tables := _ziggurat()):
-        pos = np.array([j for j, i in enumerate(ids) if type(i) is int and 0 <= i < _WORD_END],
-                       np.intp)
-        words = np.empty((len(pos), len(prefix) + 1), np.uint32)
-        words[:, :-1], words[:, -1] = prefix, [ids[j] for j in pos]
-        out[pos], done[pos] = _bulk_normals(words, *tables)
+        pos, col = _id_words(ids) if id_words is None else id_words
+        out[pos], done[pos] = _bulk_normals([*prefix, col], *tables)[0], True
     for j in np.flatnonzero(~done):
         out[j] = np.random.default_rng([*prefix, ids[j]]).standard_normal()
     return out
@@ -190,6 +218,7 @@ class Population(NamedTuple):
     ids: list
     mean: np.ndarray              # separation times the label's sign
     shared: np.ndarray            # sqrt(noise_correlation) times the shared draw
+    id_words: tuple               # _id_words(ids), for every model's draw
 
 
 def population(memes, groups, cfg):
@@ -206,16 +235,20 @@ def population(memes, groups, cfg):
     discounts = member_discounts(ids, groups)
     seps = np.array([cfg.separation_mu * discounts[i] for i in ids])
     signs = np.array([2 * rec.label - 1 for rec in memes], float)
-    shared = math.sqrt(cfg.noise_correlation) * _normals((cfg.seed, 0), ids)
-    return Population(cfg, ids, seps * signs, shared)
+    id_words = _id_words(ids)
+    shared = math.sqrt(cfg.noise_correlation) * _normals((cfg.seed, 0), ids, id_words)
+    return Population(cfg, ids, seps * signs, shared, id_words)
 
 
 def simulate_predictions(pop, model_index):
     """One simulated model's scores for every meme of a population."""
     cfg = pop.cfg
-    local = _normals((cfg.seed, 1, model_index), pop.ids)
-    # float64 arrays in the scalar formula's order give the same bits, but
-    # numpy's exp can differ from math.exp in the last bit, so _logistic stays
+    local = _normals((cfg.seed, 1, model_index), pop.ids, pop.id_words)
     z = pop.mean + cfg.sigma * (pop.shared + math.sqrt(1.0 - cfg.noise_correlation) * local)
-    scores = {meme_id: _logistic(v) for meme_id, v in zip(pop.ids, z.tolist())}
-    return PredictionSet(f"sim-{model_index:02d}", scores)
+    # the logistic split on sign so exp never overflows: 1 / (1 + exp(-z)) for
+    # z >= 0, else e / (1 + e) with e = exp(z).  numpy's exp can differ from
+    # math.exp in the last bit, so only exp is a Python call; the rest is the
+    # same IEEE operations in numpy
+    e = np.fromiter(map(math.exp, (-np.abs(z)).tolist()), np.float64, len(z))
+    scores = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return PredictionSet(f"sim-{model_index:02d}", dict(zip(pop.ids, scores.tolist())))

@@ -237,6 +237,55 @@ def test_reader_matches_read_csv_on_files_off_the_written_form(tmp_path, body):
     assert bulk_read(path) == reference_read(path)
 
 
+# files in the writer's form, which the bulk path reads: 18-digit ids (the
+# longest it takes), a short id before a long one, leading zeros, the ends of [0, 1]
+IN_FORM = [
+    b"id,proba\n" + b"9" * 18 + b",0.500000000\n",
+    b"id,proba\n5,0.250000000\n123456789012345678,0.750000000\n",
+    b"id,proba\n0007,0.500000000\n000000000000000012,0.100000000\n0,0.300000000\n",
+    b"id,proba\n1,1.000000000\n2,0.000000000\n",
+    b"id,proba\n",
+]
+# and files it hands to read_csv: a 19-digit id, a value above 1, an empty id,
+# a repeated id written with leading zeros, no final newline (after a row or
+# after digits alone), CRLF, and a row with its ',' or '.' swapped out
+OFF_FORM = [
+    b"id,proba\n" + b"9" * 19 + b",0.500000000\n",
+    b"id,proba\n5,0.250000000\n" + b"1" * 19 + b",0.750000000\n",
+    b"id,proba\n1,1.000000001\n",
+    b"id,proba\n,0.500000000\n",
+    b"id,proba\n12,0.500000000\n0012,0.500000000\n",
+    b"id,proba\n1,0.250000000",
+    b"id,proba\n1,0.250000000\r\n",
+    b"id,proba\n1,0.250000000\n123",
+    b"id,proba\n1;0.250000000\n",
+    b"id,proba\n1,0,250000000\n",
+]
+
+
+@pytest.mark.parametrize("body", IN_FORM + OFF_FORM)
+def test_reader_matches_read_csv_at_every_edge(tmp_path, body):
+    path = tmp_path / "p.csv"
+    path.write_bytes(body)
+    assert bulk_read(path) == reference_read(path)
+    assert (ensemble._bulk_read(path) is not None) == (body in IN_FORM)
+
+
+_ROW = st.tuples(st.text("0123456789", max_size=20),
+                 st.sampled_from("0019") | st.text("0123456789", min_size=1, max_size=1),
+                 st.sampled_from(["000000000", "999999999"])
+                 | st.text("0123456789", min_size=9, max_size=9))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(rows=st.lists(_ROW, max_size=12))
+def test_reader_matches_read_csv_on_any_digits_in_the_written_form(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.csv"
+        path.write_text("id,proba\n" + "".join(f"{i},{d}.{f}\n" for i, d, f in rows))
+        assert bulk_read(path) == reference_read(path)
+
+
 def test_reader_rejects_near_miss_rows_in_linear_time(tmp_path):
     # each row matches a pattern built from _PROBA in 8 ways, so whole-file
     # backtracking over such a pattern takes 8**40 steps

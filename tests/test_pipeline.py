@@ -725,6 +725,48 @@ def test_cli_odd_inputs_get_typed_errors(tmp_path, capsys, name):
 
 
 
+# a float flag's negative value given as its own argument, which argparse
+# would take for an option: name: (argv, with {d} the write_faulty_inputs
+# directory; the config error; the file the run must not write)
+NEGATIVE_FLOAT_VALUES = {
+    "pipeline separation_mu -inf":
+        ("pipeline --outdir {d}/run --separation-mu -inf",
+         "separation_mu must be finite, got -inf", "run"),
+    "pipeline sigma -nan":
+        ("pipeline --outdir {d}/run --sigma -nan", "sigma must be positive and finite", "run"),
+    "pipeline lo -1e-3":
+        ("pipeline --outdir {d}/run --lo -1e-3 --hi 0.5",
+         "need 0 <= lo < hi <= 1, got lo=-0.001 hi=0.5", "run"),
+    "simulate separation_mu -inf":
+        ("simulate --manifest {d}/two.jsonl --separation-mu -inf --out {d}/s.csv",
+         "separation_mu must be finite, got -inf", "s.csv"),
+    "simulate sigma -nan":
+        ("simulate --manifest {d}/two.jsonl --sigma -nan --out {d}/s.csv",
+         "sigma must be positive and finite", "s.csv"),
+    "adjust lo -1e-3":
+        ("adjust --preds {d}/both.csv --tuples {d}/pair.jsonl --rule 2 --lo -1e-3 "
+         "--out {d}/a.csv", "need 0 <= lo < hi <= 1, got lo=-0.001 hi=1.0", "a.csv"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_FLOAT_VALUES))
+def test_cli_negative_float_values_reach_the_config_check(tmp_path, capsys, name):
+    argv, message, unwritten = NEGATIVE_FLOAT_VALUES[name]
+    write_faulty_inputs(tmp_path)
+    assert run_cli("--quiet", *argv.format(d=tmp_path).split()) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err and "expected one argument" not in err
+    assert not (tmp_path / unwritten).exists()
+
+
+def test_cli_joins_only_number_values_to_long_flags():
+    assert cli._negative_values_joined(
+        ["--quiet", "pipeline", "--lo", "-1e-3", "--seed=-1", "--sigma", "-inf", "-h", "--",
+         "-5", "x", "-nan"]) == [
+        "--quiet", "pipeline", "--lo=-1e-3", "--seed=-1", "--sigma=-inf", "-h", "--",
+        "-5", "x", "-nan"]
+
+
 def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
     assert run_cli("pipeline", "--outdir", str(tmp_path / "x"), "--seed", "-1") == 2
     assert "seed must be >= 0" in capsys.readouterr().err

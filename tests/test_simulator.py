@@ -269,6 +269,58 @@ def test_corrupted_table_falls_back_to_numpy(monkeypatch, fresh_tables):
         _reference_scores(memes, cfg, 2)
 
 
+def test_normals_build_no_generator_per_draw(monkeypatch):
+    # the draws off the fast path come from one steered PCG64 per call; these
+    # 50k ids have such draws in strip 0 (the tail) and in wedge strips
+    prefix, ids = (7, 1, 3), list(range(50_000))
+    tables = simulator._ziggurat()
+    assert tables is not None
+    words = np.array([(*prefix, i) for i in ids], np.uint32)
+    _, fast = simulator._bulk_normals(words, *tables)
+    strips = {int(np.random.PCG64([*prefix, int(i)]).random_raw()) & 0xFF
+              for i in np.flatnonzero(~fast)}
+    assert 0 in strips and strips - {0}
+    want = np.array([np.random.default_rng([*prefix, i]).standard_normal() for i in ids])
+
+    def no_generator(*args):
+        raise AssertionError("a Generator was built for an in-range draw")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    assert np.array_equal(simulator._normals(prefix, ids).view(np.uint64),
+                          want.view(np.uint64))
+
+
+def test_corrupted_steer_falls_back_to_numpy(monkeypatch, fresh_tables):
+    steer = simulator._steered_draws
+    monkeypatch.setattr(simulator, "_steered_draws",
+                        lambda states, incs: steer([s ^ 1 for s in states], incs))
+    assert simulator._ziggurat() is None
+
+    def never(*args):
+        raise AssertionError("bulk path used after a failed self-check")
+
+    monkeypatch.setattr(simulator, "_bulk_normals", never)
+    memes = recs({i: i % 2 for i in range(300)})
+    cfg = SimulatorConfig(seed=11)
+    assert simulate_predictions(population(memes, [], cfg), 2).scores == \
+        _reference_scores(memes, cfg, 2)
+
+
+# a zero separation with the least sigma gives signed zeros; a huge sigma, infinities
+@pytest.mark.parametrize("separation_mu, sigma", [(0.0, 5e-324), (1.0, 1e308), (-1.0, 1e308)])
+def test_logistic_matches_the_scalar_formula_at_the_edges(separation_mu, sigma):
+    memes = recs({i: i % 2 for i in range(200)})
+    cfg = SimulatorConfig(separation_mu=separation_mu, sigma=sigma, seed=5)
+    with np.errstate(over="ignore"):   # sigma times a draw overflows to +-inf
+        got = simulate_predictions(population(memes, [], cfg), 1).scores
+    want = _reference_scores(memes, cfg, 1)
+    assert {0.0, 1.0} <= set(want.values()) if sigma > 1 else 0.5 in want.values()
+    assert list(got) == list(want)
+    assert np.array_equal(np.array(list(got.values())).view(np.uint64),
+                          np.array(list(want.values())).view(np.uint64))
+    assert {type(v) for v in got.values()} == {float}
+
+
 _WORDS = st.integers(0, 2**32 - 1) | st.sampled_from([0, 1, 2**31, 2**32 - 2, 2**32 - 1])
 
 
