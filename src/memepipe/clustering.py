@@ -50,10 +50,11 @@ def cluster_images(hashes, threshold):
     entries = sorted(hashes)
     ids = [meme_id for meme_id, _ in entries]
     # each row block's pairs are merged at once, so memory does not grow
-    # with the number of pairs
+    # with the number of pairs; a block without pairs changes nothing
     lab = np.arange(len(ids))
     for i, j in near_pairs([h for _, h in entries], threshold):
-        lab = _components(lab, i, j)
+        if i.size:
+            lab = _components(lab, i, j)
     return {meme_id: ids[root] for meme_id, root in zip(ids, lab.tolist())}
 
 

@@ -3,6 +3,13 @@
 A manifest is line-delimited JSON, one record per line with keys id, img,
 text, label (optional outside the train split) and split.  Images are binary
 PGM (P5) files with maxval 255.
+
+PGM files are read and written with os-level calls (os.open, os.read,
+os.write) and no buffered file object: a corpus holds thousands of small
+images, and the fixed cost per file is most of the cost.  A file is read in
+chunks of at most _READ_CHUNK bytes, and read_pgm returns a read-only view
+of the pixels in the bytes read, without a copy.  An OSError names the file,
+as open() would.
 """
 
 import json
@@ -23,6 +30,9 @@ _PGM_SKIP = rb"(?:\s|#[^\n]*\n)*"
 # ends at one whitespace byte (or at the end of the file)
 _PGM_HEADER = re.compile(_PGM_SKIP + rb"P5" + (rb"\s" + _PGM_SKIP + rb"(\d+)") * 3
                          + rb"(?:\s|\Z)")
+# bytes per os.read: one call holds a 64x64 image, and a large file is read
+# without a buffer much larger than itself
+_READ_CHUNK = 1 << 16
 
 
 @dataclass
@@ -96,20 +106,21 @@ def _is_meme_id(value):
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def _check_record(rec, where):
+def _check_record(rec):
+    """Raise DataFormatError, naming the fault alone, on an invalid record."""
     if not _is_meme_id(rec.id):
-        raise DataFormatError(f"{where}: id must be a non-negative integer, got {rec.id!r}")
+        raise DataFormatError(f"id must be a non-negative integer, got {rec.id!r}")
     if not isinstance(rec.img, str) or not rec.img:
-        raise DataFormatError(f"{where}: img must be a non-empty string")
+        raise DataFormatError("img must be a non-empty string")
     if not isinstance(rec.text, str):
-        raise DataFormatError(f"{where}: text must be a string")
+        raise DataFormatError("text must be a string")
     if rec.split not in SPLITS:
-        raise DataFormatError(f"{where}: split must be one of {SPLITS}, got {rec.split!r}")
+        raise DataFormatError(f"split must be one of {SPLITS}, got {rec.split!r}")
     # type(), not isinstance(): True == 1 and 1.0 == 1, but neither is a label
     if rec.label is not None and (type(rec.label) is not int or rec.label not in (0, 1)):
-        raise DataFormatError(f"{where}: label must be 0 or 1, got {rec.label!r}")
+        raise DataFormatError(f"label must be 0 or 1, got {rec.label!r}")
     if rec.split == "train" and rec.label is None:
-        raise DataFormatError(f"{where}: train record {rec.id} is missing a label")
+        raise DataFormatError(f"train record {rec.id} is missing a label")
 
 
 def _numbered_lines(path):
@@ -123,6 +134,33 @@ def _numbered_lines(path):
     return enumerate((line.strip() for line in text.split("\n")), start=1)
 
 
+# what json.loads and json.dumps call with their default arguments, minus
+# their per-call argument checks
+_decode_json = json.JSONDecoder().decode
+_encode_json = json.JSONEncoder().encode
+
+
+def _manifest_record(line):
+    """One manifest line as a checked record; a fault raises DataFormatError."""
+    try:
+        obj = _decode_json(line)
+    except json.JSONDecodeError:
+        try:
+            json.loads(line)    # fails too, and its message names a leading BOM
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"invalid JSON: {exc}") from None
+        raise
+    if not isinstance(obj, dict):
+        raise DataFormatError("expected an object")
+    for key in ("id", "img", "text", "split"):
+        if key not in obj:
+            raise DataFormatError(f"missing field {key!r}")
+    rec = MemeRecord(id=obj["id"], img=obj["img"], text=obj["text"],
+                     label=obj.get("label"), split=obj["split"])
+    _check_record(rec)
+    return rec
+
+
 def read_manifest(path):
     """Parse a manifest file into records, in file order.
 
@@ -134,21 +172,12 @@ def read_manifest(path):
     for lineno, line in _numbered_lines(path):
         if not line:
             continue
-        where = f"{path}: line {lineno}"
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{where}: invalid JSON: {exc}") from None
-        if not isinstance(obj, dict):
-            raise DataFormatError(f"{where}: expected an object")
-        for key in ("id", "img", "text", "split"):
-            if key not in obj:
-                raise DataFormatError(f"{where}: missing field {key!r}")
-        rec = MemeRecord(id=obj["id"], img=obj["img"], text=obj["text"],
-                         label=obj.get("label"), split=obj["split"])
-        _check_record(rec, where)
-        if rec.id in seen:
-            raise DataFormatError(f"{where}: duplicate id {rec.id}")
+            rec = _manifest_record(line)
+            if rec.id in seen:
+                raise DataFormatError(f"duplicate id {rec.id}")
+        except DataFormatError as exc:
+            raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
         seen.add(rec.id)
         records.append(rec)
     return records
@@ -219,7 +248,10 @@ def write_manifest(records, path):
     """Write records as line-delimited JSON.  Round-trips through read_manifest."""
     seen, lines = set(), []
     for rec in records:
-        _check_record(rec, f"record id {rec.id}")
+        try:
+            _check_record(rec)
+        except DataFormatError as exc:
+            raise DataFormatError(f"record id {rec.id}: {exc}") from None
         if rec.id in seen:
             raise DataFormatError(f"duplicate id {rec.id}")
         seen.add(rec.id)
@@ -227,7 +259,7 @@ def write_manifest(records, path):
         if rec.label is not None:
             obj["label"] = rec.label
         obj["split"] = rec.split
-        lines.append(json.dumps(obj))
+        lines.append(_encode_json(obj))
     write_lines(path, lines)
 
 
@@ -238,9 +270,33 @@ def write_pgm(pixels, path):
         raise ValueError(f"expected a 2-D array, got shape {arr.shape}")
     if arr.dtype != np.uint8:
         raise ValueError(f"expected uint8 pixels, got {arr.dtype}")
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii"))
-        fh.write(arr.tobytes())
+    data = memoryview(f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
+                      + arr.tobytes())
+    # 0o666 less the umask: the mode open() gives a new file
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        os.close(fd)
+
+
+def _read_bytes(path):
+    """A whole file's bytes, read in chunks of _READ_CHUNK.  An OSError names
+    the path, as open() does: os.open opens a directory, and only the
+    os.read after it fails, with no file name."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_CHUNK):
+            chunks.append(chunk)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
 
 
 def read_pgm(path):
@@ -249,20 +305,20 @@ def read_pgm(path):
     The header is "P5", then width, height and maxval as ASCII decimal
     digits.  Each of the three numbers follows whitespace; whitespace and
     '#' comment lines may come before "P5" and before each number.  One
-    whitespace byte ends the header, and the pixel bytes follow.
+    whitespace byte ends the header, and the pixel bytes follow; bytes after
+    the last pixel are ignored.  The array is a read-only view of the bytes
+    read.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = _read_bytes(path)
     header = _PGM_HEADER.match(data)
     if header is None:
         raise DataFormatError(f"{path}: not a binary PGM (P5) file")
     width, height, maxval = map(int, header.groups())
     if maxval != 255:
         raise DataFormatError(f"{path}: only maxval 255 is supported, got {maxval}")
-    raw = data[header.end():header.end() + width * height]
-    if len(raw) != width * height:
+    if len(data) - header.end() < width * height:
         raise DataFormatError(f"{path}: truncated pixel data")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(height, width)
+    return np.frombuffer(data, np.uint8, width * height, header.end()).reshape(height, width)
 
 
 def read_images(manifest_path, records):

@@ -18,8 +18,12 @@ coefficients, ac[31] - ac[30] or ac[32] - ac[31], is at most
 1e-9 * max|gray|, the hash is taken from the reference path instead, and
 the two paths give the same hash.  The tolerance scales with the pixels
 because the rounding error does: on a near-flat image the AC coefficients
-are far smaller than the error of a product over the large DC level.  Only
-the reference path imports scipy.
+are far smaller than the error of a product over the large DC level.
+max|gray| is the largest absolute grayscale value.  For a 2-D uint8 array,
+what read_pgm and the generator give, it is the max of the uint8 pixels,
+the same value without an absolute-value pass over the floats, and the
+pixels go to float64 without `to_grayscale`'s dispatch.  Only the reference
+path imports scipy.
 """
 
 import functools
@@ -127,7 +131,10 @@ def phash(img):
     DC position and is always zero.  Invariant under pixel maps a*p + b with
     a > 0.
     """
-    gray = to_grayscale(img)
+    # a 2-D uint8 array, as read_pgm and the generator give, skips
+    # to_grayscale's dispatch, and its max is already max|gray|
+    u8 = type(img) is np.ndarray and img.dtype == np.uint8 and img.ndim == 2
+    gray = img.astype(np.float64) if u8 else to_grayscale(img)
     h, w = gray.shape
     if h < BLOCK_SIDE or w < BLOCK_SIDE:
         raise DataFormatError(f"degenerate image {h}x{w}: need at least "
@@ -136,7 +143,7 @@ def phash(img):
     ac = np.sort(block[1:])
     mid = (ac.size - 1) // 2      # lower median; exact middle for odd counts
     below, med, above = ac[mid - 1:mid + 2].tolist()
-    tol = _GAP_TOL * np.abs(gray).max()
+    tol = _GAP_TOL * (float(img.max()) if u8 else np.abs(gray).max())
     if not (med - below > tol and above - med > tol):   # NaN fails `>` too
         block = dct2(resize_area(gray, RESIZE_SIDE))[:BLOCK_SIDE, :BLOCK_SIDE].ravel()
         med = np.sort(block[1:])[mid]

@@ -244,7 +244,10 @@ def simulate_predictions(pop, model_index):
     """One simulated model's scores for every meme of a population."""
     cfg = pop.cfg
     local = _normals((cfg.seed, 1, model_index), pop.ids, pop.id_words)
-    z = pop.mean + cfg.sigma * (pop.shared + math.sqrt(1.0 - cfg.noise_correlation) * local)
+    # a sigma near the float maximum overflows z to +-inf, which the
+    # logistic below maps to exactly 1 or 0
+    with np.errstate(over="ignore"):
+        z = pop.mean + cfg.sigma * (pop.shared + math.sqrt(1.0 - cfg.noise_correlation) * local)
     # the logistic split on sign so exp never overflows: 1 / (1 + exp(-z)) for
     # z >= 0, else e / (1 + e) with e = exp(z).  numpy's exp can differ from
     # math.exp in the last bit, so only exp is a Python call; the rest is the

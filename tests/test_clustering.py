@@ -3,6 +3,7 @@ import importlib
 import numpy as np
 import pytest
 
+import memepipe.clustering as clustering_module
 from memepipe.clustering import (ClusterAssignment, cluster_images,
                                  cluster_texts, corpus_stats, normalize_text,
                                  read_clusters, write_clusters)
@@ -129,6 +130,33 @@ def test_cluster_images_chain_of_one_bit_steps():
     assert labels == {meme_id: 1000 - 3 * 299 for meme_id, _ in entries}
     assert labels == closure_oracle(entries, 1)
     assert cluster_images(shuffled, 0) == {meme_id: meme_id for meme_id, _ in entries}
+
+
+def test_cluster_images_merges_only_row_blocks_with_pairs(monkeypatch):
+    # 5 rows per block over 200 far-apart hashes, with one chain 10-95-180
+    # whose links start in blocks 2 and 19: every other block has no pair
+    rng = np.random.default_rng(33)
+    hashes = [int(h) for h in rng.integers(0, 2 ** 63, size=200)]
+    hashes[95] = hashes[10] ^ 1
+    hashes[180] = hashes[10] ^ 3
+    entries = [(1000 + 7 * k, h) for k, h in enumerate(hashes)]
+    calls = []
+    components = clustering_module._components
+
+    def counted(lab, a, b):
+        calls.append(len(a))
+        return components(lab, a, b)
+
+    monkeypatch.setattr(phash_module, "_BLOCK_ELEMS", 1000)
+    monkeypatch.setattr(clustering_module, "_components", counted)
+    blocks = list(phash_module.near_pairs(hashes, 3))
+    labels = cluster_images(entries, 3)
+    assert len(blocks) == 40 and [len(i) for i, _ in blocks if len(i)] == [2, 1]
+    assert calls == [2, 1]
+    assert labels == closure_oracle(entries, 3)
+    assert labels[1000 + 7 * 180] == labels[1000 + 7 * 95] == 1000 + 7 * 10
+    assert cluster_images(entries, 0) == {meme_id: meme_id for meme_id, _ in entries}
+    assert calls == [2, 1]
 
 
 def test_cluster_images_threshold_validation():

@@ -1,3 +1,5 @@
+import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from memepipe import dataset
 from memepipe.clustering import read_clusters, write_clusters
 from memepipe.dataset import (DatasetComposition, GeneratorNoise, MemeRecord,
                               read_manifest, read_pgm, write_manifest,
@@ -271,3 +274,128 @@ def test_pgm_read_errors(tmp_path):
     path.write_bytes(b"P5\n2 2\n255\n\x01")
     with pytest.raises(DataFormatError, match="truncated"):
         read_pgm(path)
+
+
+def test_manifest_json_errors_are_json_loads_errors(tmp_path):
+    # the reader decodes each line alone with a reused decoder; its message is
+    # still json.loads's, which names a leading byte order mark as such
+    path = tmp_path / "m.jsonl"
+    good = '{"id": 1, "img": "a.pgm", "text": "x", "label": 1, "split": "test"}'
+    messages = []
+    # the three lines after the first parse as one array, but none alone does
+    for lines in (["\ufeff" + good], [good, '{"x":[{}', "{}]}", "{},{}"], [good, "{broken"]):
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lineno = next(n for n, line in enumerate(lines, 1) if line != good)
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads(lines[lineno - 1])
+        with pytest.raises(DataFormatError) as err:
+            read_manifest(path)
+        messages.append(str(err.value))
+        assert messages[-1] == f"{path}: line {lineno}: invalid JSON: {want.value}"
+    assert "Unexpected UTF-8 BOM" in messages[0]
+
+
+def test_manifest_writer_names_the_record_at_fault(tmp_path):
+    with pytest.raises(DataFormatError, match=r"^record id 4: split must be one of"):
+        write_manifest([rec(3), rec(4, split="val")], tmp_path / "m.jsonl")
+    with pytest.raises(DataFormatError, match=r"^duplicate id 3$"):
+        write_manifest([rec(3), rec(3)], tmp_path / "m.jsonl")
+
+
+def read_pgm_buffered(path):
+    """read_pgm as it read through a buffered file object and sliced the
+    pixels out: the reference for the os-level reader, result for result
+    and error for error."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    header = dataset._PGM_HEADER.match(data)
+    if header is None:
+        raise DataFormatError(f"{path}: not a binary PGM (P5) file")
+    width, height, maxval = map(int, header.groups())
+    if maxval != 255:
+        raise DataFormatError(f"{path}: only maxval 255 is supported, got {maxval}")
+    raw = data[header.end():header.end() + width * height]
+    if len(raw) != width * height:
+        raise DataFormatError(f"{path}: truncated pixel data")
+    return np.frombuffer(raw, dtype=np.uint8).reshape(height, width)
+
+
+_PIXELS = bytes(range(256)) * 600    # more than two default read chunks
+
+# name: the file's bytes (None: no file; "dir": a directory in its place)
+PGM_FILES = {
+    "plain": b"P5\n3 2\n255\n" + _PIXELS[:6],
+    "comment header": b"# c\nP5 #a\n3\n#b\n 2\n255\n" + _PIXELS[:6],
+    "CRLF header": b"P5\r\n3 2\r\n255\r\n" + _PIXELS[:6],
+    "header ends at the end of the file": b"P5 0 4 255",
+    "no pixels for a 0x0 image": b"P5 0 0 255\n",
+    "P6": b"P6\n2 2\n255\n" + _PIXELS[:12],
+    "maxval 65535": b"P5\n2 2\n65535\n" + _PIXELS[:8],
+    "truncated": b"P5\n3 2\n255\n" + _PIXELS[:5],
+    "truncated at the header": b"P5\n3 2\n255",
+    "huge size": b"P5 99999999999999999999 99999999999999999999 255\n" + _PIXELS[:9],
+    "empty": b"",
+    "trailing bytes": b"P5\n3 2\n255\n" + _PIXELS[:6] + b"trailing\n",
+    "larger than one read chunk": b"P5\n400 300\n255\n" + _PIXELS[:120_000],
+    "one chunk exactly": b"P5 65521 1 255\n" + _PIXELS[:65521],
+    "one byte over one chunk": b"P5 65522 1 255\n" + _PIXELS[:65522],
+    "missing": None,
+    "directory": "dir",
+}
+
+
+def outcome(read, path):
+    """The array's dtype, shape, bytes and writeable flag, or the error's
+    class, message and file name."""
+    try:
+        arr = read(path)
+    except (DataFormatError, OSError) as exc:
+        return type(exc), str(exc), getattr(exc, "filename", None)
+    return arr.dtype, arr.shape, arr.tobytes(), arr.flags.writeable
+
+
+@pytest.mark.parametrize("chunk", [7, dataset._READ_CHUNK])
+@pytest.mark.parametrize("name", sorted(PGM_FILES))
+def test_pgm_reader_matches_the_buffered_reader(tmp_path, monkeypatch, chunk, name):
+    monkeypatch.setattr(dataset, "_READ_CHUNK", chunk)
+    path = tmp_path / "000005.pgm"
+    content = PGM_FILES[name]
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    for p in (path, str(path)):
+        assert outcome(read_pgm, p) == outcome(read_pgm_buffered, p)
+
+
+def test_pgm_reader_reads_in_chunks(tmp_path, monkeypatch):
+    reads = []
+    real_read = os.read
+
+    def counted(fd, n):
+        chunk = real_read(fd, n)
+        reads.append((n, len(chunk)))
+        return chunk
+
+    monkeypatch.setattr(dataset.os, "read", counted)
+    path = tmp_path / "big.pgm"
+    size = path.write_bytes(PGM_FILES["larger than one read chunk"])
+    assert read_pgm(path).shape == (300, 400)
+    # a full chunk, the rest of the file, then the end of the file
+    chunk = dataset._READ_CHUNK
+    assert reads == [(chunk, chunk), (chunk, size - chunk), (chunk, 0)]
+
+
+def test_pgm_writer_bytes_and_errors(tmp_path):
+    img = np.frombuffer(_PIXELS[:120_000], np.uint8).reshape(300, 400)
+    path = tmp_path / "img.pgm"
+    path.write_bytes(b"an older, longer file" * 10_000)
+    write_pgm(img[:, ::-1], path)
+    assert path.read_bytes() == b"P5\n400 300\n255\n" + img[:, ::-1].tobytes()
+    with open(tmp_path / "by_open", "wb"):
+        pass
+    assert os.stat(path).st_mode == os.stat(tmp_path / "by_open").st_mode
+    (tmp_path / "dir.pgm").mkdir()
+    with pytest.raises(IsADirectoryError) as err:
+        write_pgm(img, tmp_path / "dir.pgm")
+    assert str(tmp_path / "dir.pgm") in str(err.value)

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import memepipe
 from memepipe.errors import DataFormatError
@@ -302,6 +302,64 @@ def test_phash_tied_median_takes_the_reference_path(dct2_calls):
     img = np.repeat(rng.uniform(0.0, 255.0, size=(50, 1)), 70, axis=1)
     assert phash(img) == reference_phash(img)
     assert dct2_calls == [(32, 32)]
+
+
+def test_phash_tied_median_of_uint8_pixels_takes_the_reference_path(dct2_calls):
+    # as above, in uint8 and with a row of zeros: the tolerance comes from the
+    # largest pixel, not the smallest, or the fast path's rounding picks bits
+    rng = np.random.default_rng(13)
+    img = np.repeat(rng.integers(1, 256, size=(50, 1)), 70, axis=1).astype(np.uint8)
+    img[7] = 0
+    assert phash(img) == reference_phash(img) == phash(img.astype(float))
+    assert dct2_calls == [(32, 32)] * 2     # the two phash calls
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@example(shape=(8, 8), kind="random", seed=0, level=0, layout="C")
+@example(shape=(64, 48), kind="random", seed=1, level=0, layout="C")
+@example(shape=(64, 48), kind="constant", seed=0, level=255, layout="C")
+@example(shape=(8, 8), kind="constant", seed=0, level=0, layout="C")
+@example(shape=(64, 64), kind="near_flat", seed=2, level=128, layout="read-only")
+@example(shape=(64, 48), kind="near_flat", seed=3, level=255, layout="C")
+@given(shape=st.tuples(st.integers(8, 80), st.integers(8, 80)),
+       kind=st.sampled_from(["random", "constant", "near_flat", "levels"]),
+       seed=st.integers(0, 2**32 - 1), level=st.integers(0, 255),
+       layout=st.sampled_from(["C", "transposed", "reversed", "read-only"]))
+def test_phash_of_uint8_pixels_is_the_same_by_every_route(shape, kind, seed, level, layout):
+    # a 2-D uint8 array takes its own path to the float pixels and max|gray|
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        u8 = rng.integers(0, 256, size=shape, dtype=np.uint8)
+    elif kind == "levels":       # few grey levels, so coefficients tie
+        u8 = (rng.integers(0, 3, size=shape) * 127).astype(np.uint8)
+    else:
+        u8 = np.full(shape, level, dtype=np.uint8)
+        if kind == "near_flat":  # three pixels one level off
+            cells = rng.choice(u8.size, size=3, replace=False)
+            u8.reshape(-1)[cells] = level + 1 if level < 255 else level - 1
+    if layout == "transposed":
+        u8 = u8.T
+    elif layout == "reversed":
+        u8 = u8[::-1]
+    elif layout == "read-only":  # what read_pgm returns
+        u8 = np.frombuffer(u8.tobytes(), np.uint8).reshape(u8.shape)
+    want = reference_phash(u8)
+    assert phash(u8) == want
+    assert phash(u8.astype(float)) == want
+    assert phash(u8[..., None]) == want
+    # a list is read in C order; next to a median tie the rounding, and so
+    # the hash, can depend on the order of the pixels in memory
+    c_order = np.ascontiguousarray(u8)
+    assert phash(u8.tolist()) == phash(c_order) == reference_phash(c_order)
+    if u8.flags.c_contiguous:
+        assert phash(u8.tolist()) == want
+
+
+def test_phash_of_uint8_pixels_skips_the_grayscale_dispatch(monkeypatch):
+    u8 = np.random.default_rng(14).integers(0, 256, size=(64, 64), dtype=np.uint8)
+    want = phash(u8)
+    monkeypatch.setattr(phash_module, "to_grayscale", None)
+    assert phash(u8) == want
 
 
 def test_import_loads_no_scipy():

@@ -675,6 +675,16 @@ def write_faulty_inputs(d):
                         MemeRecord(2, "2.pgm", "c", eval_labels[0], "test"),
                         MemeRecord(3, "3.pgm", "d", eval_labels[1], "test")],
                        d / "corpus" / f"{name}.jsonl")
+    # an image missing, and a directory in place of one
+    (d / "corpus" / "dir.pgm").mkdir()
+    for name, img in (("missing_image", "9.pgm"), ("dir_image", "dir.pgm")):
+        write_manifest([MemeRecord(0, "0.pgm", "a", 0, "train"),
+                        MemeRecord(1, img, "b", 1, "train"),
+                        MemeRecord(2, "2.pgm", "c", 0, "test"),
+                        MemeRecord(3, "3.pgm", "d", 1, "test")],
+                       d / "corpus" / f"{name}.jsonl")
+    # a directory where gen-data writes an image
+    (d / "gen_dir" / "images" / "000005.pgm").mkdir(parents=True)
 
 
 # inputs a builtin error would report, with no path or the wrong exit code,
@@ -708,6 +718,15 @@ ODD_INPUTS = {
     "underscored prediction id":
         ("adjust --preds {d}/underscore_id.csv --tuples {d}/pair.jsonl --rule 2 "
          "--out {d}/a.csv", 3, "{d}/underscore_id.csv: line 3: malformed row '1_0,0.25'"),
+    "missing image":
+        ("pipeline --outdir {d}/run --manifest {d}/corpus/missing_image.jsonl",
+         4, "No such file or directory: '{d}/corpus/9.pgm'"),
+    "directory in place of an image":
+        ("pipeline --outdir {d}/run --manifest {d}/corpus/dir_image.jsonl",
+         4, "[Errno 21] Is a directory: '{d}/corpus/dir.pgm'"),
+    "gen-data onto a directory in place of an image":
+        ("gen-data --n 20 --outdir {d}/gen_dir",
+         4, "[Errno 21] Is a directory: '{d}/gen_dir/images/000005.pgm'"),
     "signed hash id":
         ("cluster --manifest {d}/two.jsonl --hashes {d}/signed_hash_id.csv --out {d}/c.csv",
          3, "{d}/signed_hash_id.csv: line 2: malformed row '+1,00000000000000ff'"),

@@ -343,3 +343,20 @@ def test_import_reads_no_ziggurat_tables():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "0"
+
+
+def test_sigma_near_the_float_maximum_saturates_without_a_warning(tmp_path):
+    # sigma times a draw overflows to +-inf, which the logistic maps to 0 or
+    # 1: the files are those of a sigma large enough to saturate every score,
+    # and no RuntimeWarning is raised (warnings are errors here)
+    runs = {}
+    for sigma in ("1e308", "1e6"):
+        out = tmp_path / sigma
+        assert cli.main(["--quiet", "pipeline", "--n", "200", "--models", "1", "--k", "2",
+                         "--no-images", "--sigma", sigma, "--outdir", str(out)]) == 0
+        runs[sigma] = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*")
+                       if p.is_file() and p.name != "run_manifest.json"}
+    assert runs["1e308"] == runs["1e6"]
+    rows = runs["1e308"]["preds/sim-00.csv"].decode().split()[1:]
+    values = [row.split(",")[1] for row in rows]
+    assert (values.count("0.000000000"), values.count("1.000000000")) == (112, 88)
