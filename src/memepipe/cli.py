@@ -11,9 +11,10 @@ import dataclasses
 import sys
 
 from . import __version__
-from .clustering import (ClusterAssignment, cluster_images, cluster_texts,
-                         corpus_stats, read_clusters, write_clusters)
-from .dataset import (DatasetComposition, GeneratorNoise, read_images,
+from .clustering import (HAMMING_THRESHOLD, ClusterAssignment, cluster_images,
+                         cluster_texts, corpus_stats, read_clusters,
+                         write_clusters)
+from .dataset import (SPLITS, DatasetComposition, GeneratorNoise, read_images,
                       read_manifest)
 from .ensemble import (read_predictions, read_submission, stack_equal_weight,
                        write_predictions, write_submission)
@@ -59,7 +60,7 @@ def _non_negative(value, flag):
 def _splits(text, flag):
     """The set of split names in a comma-separated flag value."""
     wanted = {s.strip() for s in text.split(",")}
-    bad = wanted.difference(("train", "dev", "test"))
+    bad = wanted.difference(SPLITS)
     if bad:
         raise ConfigError(f"unknown split(s) in {flag}: {sorted(bad)}")
     return wanted
@@ -160,7 +161,7 @@ def cmd_adjust(args):
             out = apply_rule1(groups, preds)
     elif args.rule == "2":
         with _in_file(args.preds):
-            out = apply_rule2(groups, preds, args.hi, args.lo)
+            out = apply_rule2(groups, preds)
     else:
         if not args.clusters:
             raise ConfigError("--clusters is required for --rule unimodal")
@@ -254,7 +255,7 @@ def build_parser():
     p = sub.add_parser("cluster", help="cluster images (Hamming) and texts (exact)")
     p.add_argument("--manifest", required=True)
     p.add_argument("--hashes", required=True)
-    p.add_argument("--threshold", type=int, default=10)
+    p.add_argument("--threshold", type=int, default=HAMMING_THRESHOLD)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_cluster)
 
@@ -282,8 +283,6 @@ def build_parser():
     p.add_argument("--preds", required=True)
     p.add_argument("--tuples", required=True)
     p.add_argument("--rule", choices=("1", "2", "unimodal"), required=True)
-    p.add_argument("--hi", type=float, default=1.0)
-    p.add_argument("--lo", type=float, default=0.0)
     p.add_argument("--clusters", help="cluster file (required for --rule unimodal)")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_adjust)
@@ -304,7 +303,7 @@ def build_parser():
     p = sub.add_parser("evaluate", help="score a submission against manifest labels")
     p.add_argument("--submission", required=True)
     p.add_argument("--truth", required=True, help="manifest with labels")
-    p.add_argument("--split", choices=("dev", "test"), default="test")
+    p.add_argument("--split", choices=SPLITS[1:], default="test")
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("pipeline", help="run every stage end to end")

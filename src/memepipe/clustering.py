@@ -14,6 +14,9 @@ import numpy as np
 from .dataset import _parse_id, read_csv, write_lines
 from .phash import near_pairs
 
+# the default Hamming radius within which two image hashes are one cluster
+HAMMING_THRESHOLD = 10
+
 
 def normalize_text(s):
     """Lowercase, trim, and collapse every whitespace run to one space."""

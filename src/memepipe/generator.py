@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clustering import normalize_text
+from .clustering import HAMMING_THRESHOLD, normalize_text
 from .dataset import (DatasetComposition, GeneratorNoise, MemeRecord,
                       write_manifest, write_pgm)
 from .errors import ConfigError
@@ -47,9 +47,8 @@ _BAND = slice(44, 56)        # caption band: high-frequency stripes live here
 _LOW_BLOCK = 8
 _COEF_SIGMA = 60.0
 _DUP_MAX_RADIUS = 4
-# cluster threshold (10) + 2 * dup radius + 1: near-duplicates of different
-# bases can never close a chain between clusters
-_BASE_MIN_SEPARATION = 19
+# near-duplicates of different bases can never close a chain between clusters
+_BASE_MIN_SEPARATION = HAMMING_THRESHOLD + 2 * _DUP_MAX_RADIUS + 1
 
 _SYLLABLES = [c + v for c in "bdfglmnprst" for v in "aeiou"]
 _VOCAB = [a + b for a in _SYLLABLES for b in _SYLLABLES][:200]

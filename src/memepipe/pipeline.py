@@ -15,9 +15,9 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
-from .clustering import (ClusterAssignment, cluster_images, cluster_texts,
-                         corpus_stats, write_clusters)
-from .dataset import (DatasetComposition, GeneratorNoise, read_images,
+from .clustering import (HAMMING_THRESHOLD, ClusterAssignment, cluster_images,
+                         cluster_texts, corpus_stats, write_clusters)
+from .dataset import (SPLITS, DatasetComposition, GeneratorNoise, read_images,
                       read_manifest, write_lines, write_manifest)
 from .ensemble import (StackedPrediction, stack_equal_weight, thresholded,
                        write_predictions, write_submission)
@@ -34,7 +34,7 @@ from .tuples import detect_tuples, detect_unimodal_hate, tuple_stats, write_grou
 PLACEMENTS = ("before_stacking", "after_stacking")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     out_dir: str
     n: int = 2000
@@ -43,15 +43,13 @@ class PipelineConfig:
     image_amplitude: float = 4.0
     text_perturb_prob: float = 0.5
     label_noise: float = 0.0
-    hamming_threshold: int = 10
+    hamming_threshold: int = HAMMING_THRESHOLD
     k: int = 5
     models: int = 4
     rule1: bool = True
     rule2: bool = True
     adjust_placement: str = "before_stacking"
     unimodal: bool = False
-    hi: float = 1.0
-    lo: float = 0.0
     separation_mu: float = 1.0
     sigma: float = 1.2
     noise_correlation: float = 0.9
@@ -60,10 +58,10 @@ class PipelineConfig:
     save_images: bool = True
     quiet: bool = False
 
-    def validate(self):
+    def __post_init__(self):
         # the simulator and generator settings this config implies are
         # checked here, before any stage runs
-        from_number_fields(SimulatorConfig, self).validate()
+        from_number_fields(SimulatorConfig, self)
         from_number_fields(GeneratorNoise, self)
         if self.manifest is None and self.n < 10:
             raise ConfigError(f"n must be >= 10, got {self.n}")
@@ -77,10 +75,8 @@ class PipelineConfig:
         if self.adjust_placement not in PLACEMENTS:
             raise ConfigError(f"adjust_placement must be one of {PLACEMENTS}, "
                               f"got {self.adjust_placement!r}")
-        if self.eval_split not in ("dev", "test"):
+        if self.eval_split not in SPLITS[1:]:
             raise ConfigError(f"eval_split must be dev or test, got {self.eval_split!r}")
-        if not 0.0 <= self.lo < self.hi <= 1.0:
-            raise ConfigError(f"need 0 <= lo < hi <= 1, got lo={self.lo} hi={self.hi}")
 
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "on": True,
@@ -144,9 +140,7 @@ def build_config(out_dir, file_values=None, overrides=None):
                 except ValueError as exc:
                     raise ConfigError(f"bad value for {key!r}: {exc}") from None
             merged[key] = value
-    cfg = PipelineConfig(out_dir=out_dir, **merged)
-    cfg.validate()
-    return cfg
+    return PipelineConfig(out_dir=out_dir, **merged)
 
 
 @dataclass
@@ -219,17 +213,19 @@ def simulate(cfg, records, groups):
 
 def score(cfg, records, structure, sets):
     """Apply the enabled rules around stacking and evaluate the eval split."""
+    eval_recs = [rec for rec in records if rec.split == cfg.eval_split]
+    if not eval_recs:
+        raise DataFormatError(f"eval split {cfg.eval_split!r} has no records")
     quiet, groups = cfg.quiet, structure.groups
     adjusted = []
     if cfg.rule2 and cfg.adjust_placement == "before_stacking":
         adjusted = _stage("adjust-before", lambda: [
-            apply_rule2(groups, ps, cfg.hi, cfg.lo) for ps in sets], quiet)
+            apply_rule2(groups, ps) for ps in sets], quiet)
     stacked = _stage("stack", lambda: stack_equal_weight(adjusted or sets), quiet)
     final = PredictionSet("stacked", dict(stacked.mean_score))
 
     if cfg.rule2 and cfg.adjust_placement == "after_stacking":
-        final = _stage("adjust-after",
-                       lambda: apply_rule2(groups, final, cfg.hi, cfg.lo), quiet)
+        final = _stage("adjust-after", lambda: apply_rule2(groups, final), quiet)
     if cfg.rule1:
         final = _stage("rule1-override", lambda: apply_rule1(groups, final), quiet)
     if cfg.unimodal:
@@ -243,8 +239,7 @@ def score(cfg, records, structure, sets):
     final = thresholded(final.scores)
 
     report = None
-    eval_recs = [rec for rec in records if rec.split == cfg.eval_split]
-    if eval_recs and all(rec.label is not None for rec in eval_recs):
+    if all(rec.label is not None for rec in eval_recs):
         truth = {rec.id: rec.label for rec in eval_recs}
         report = _stage("evaluate", lambda: evaluate(
             {i: final.mean_score[i] for i in truth},
@@ -286,7 +281,6 @@ def _write_artifacts(cfg, records, structure, sets, scores):
 def run_pipeline(cfg):
     """Corpus, detect, simulate and score, then one write stage and the run
     manifest; a run that fails before the write leaves only the corpus."""
-    cfg.validate()
     os.makedirs(cfg.out_dir, exist_ok=True)
     quiet = cfg.quiet
     noise = from_number_fields(GeneratorNoise, cfg)

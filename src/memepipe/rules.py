@@ -4,8 +4,8 @@ Rule 1: inside a ThreeTuple the pivot is hateful and both partners are
 benign, so their probabilities become (1, 0, 0) and the same labels can be
 used as pseudo-labels for unlabeled data.
 
-Rule 2: inside a TwoTuple the member with the larger probability goes to hi
-and the other to lo (defaults 1 and 0).  An exact tie leaves both alone.
+Rule 2: inside a TwoTuple the member with the larger probability goes to 1
+and the other to 0.  An exact tie leaves both alone.
 
 All adjustments copy the prediction set; inputs are never mutated.
 """
@@ -13,7 +13,7 @@ All adjustments copy the prediction set; inputs are never mutated.
 from dataclasses import dataclass
 
 from .dataset import MemeRecord, write_lines
-from .errors import ConfigError, DataFormatError
+from .errors import DataFormatError
 from .tuples import ThreeTuple, TwoTuple, UnimodalHate
 
 
@@ -56,11 +56,8 @@ def rule1_pseudo_labels(groups):
     return PseudoLabelSet(dict(_rule1_labels(groups)))
 
 
-def apply_rule2(groups, preds, hi=1.0, lo=0.0):
-    """Polarize every TwoTuple to (hi, lo) by the larger score; ties untouched."""
-    if not 0.0 <= lo < hi <= 1.0:
-        raise ConfigError(f"need 0 <= lo < hi <= 1, got lo={lo} hi={hi}")
-    lo += 0.0   # -0.0 passes the check above but would be written as -0.000000000
+def apply_rule2(groups, preds):
+    """Polarize every TwoTuple to (1, 0) by the larger score; ties untouched."""
     scores = dict(preds.scores)
     for g in groups:
         if not isinstance(g, TwoTuple):
@@ -71,9 +68,9 @@ def apply_rule2(groups, preds, hi=1.0, lo=0.0):
         if sa == sb:
             continue
         if sa > sb:
-            scores[g.a_id], scores[g.b_id] = hi, lo
+            scores[g.a_id], scores[g.b_id] = 1.0, 0.0
         else:
-            scores[g.a_id], scores[g.b_id] = lo, hi
+            scores[g.a_id], scores[g.b_id] = 0.0, 1.0
     return PredictionSet(preds.model_id, scores)
 
 

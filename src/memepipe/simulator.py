@@ -10,9 +10,9 @@ noise out entirely.
 Every draw is seeded from (seed, stream, [model], id), so scores never
 depend on iteration order and adding models or memes never perturbs
 existing ones.  Everything but the per-model draw depends on the run
-alone: population(memes, groups, cfg) checks the config and labels,
-computes each meme's mean (its discounted separation times the sign of its
-label), the ids as seed words and the shared draw once, and each
+alone: population(memes, groups, cfg) checks the labels, computes each
+meme's mean (its discounted separation times the sign of its label), the
+ids as seed words and the shared draw once, and each
 simulate_predictions(pop, model_index) call adds one model's own draw.
 
 Each draw equals np.random.default_rng(words).standard_normal() bit for bit,
@@ -40,7 +40,7 @@ from .tuples import ThreeTuple, TwoTuple, UnimodalHate
 DIFFICULTY_DISCOUNT = {UnimodalHate: 0.8, TwoTuple: 0.35, ThreeTuple: 0.25}
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulatorConfig:
     separation_mu: float = 1.0
     sigma: float = 1.2
@@ -49,7 +49,7 @@ class SimulatorConfig:
     noise_correlation: float = 0.9
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not math.isfinite(self.separation_mu):
@@ -227,7 +227,6 @@ def population(memes, groups, cfg):
     memes must carry labels (the generator's recorded truth); groups drive
     the difficulty discounts.
     """
-    cfg.validate()
     for rec in memes:
         if rec.label is None:
             raise DataFormatError(f"meme {rec.id} has no label to condition on")

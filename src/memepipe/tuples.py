@@ -86,13 +86,11 @@ def _classify(members, assignment):
         if len(pivots) == 1:
             pivot = pivots[0]
             u, v = (m for m in members if m != pivot)
+            # the pivot shares its image with one partner, so its text with
+            # the other: sharing one modality with both would link them
             if assignment.image[pivot] == assignment.image[u]:
-                img_p, txt_p = u, v
-            else:
-                img_p, txt_p = v, u
-            if (assignment.image[pivot] == assignment.image[img_p]
-                    and assignment.text[pivot] == assignment.text[txt_p]):
-                return ThreeTuple(pivot, img_p, txt_p)
+                return ThreeTuple(pivot, u, v)
+            return ThreeTuple(pivot, v, u)
     return Other(tuple(members))
 
 

@@ -14,6 +14,7 @@ from memepipe.ensemble import (read_predictions, stack_equal_weight,
 from memepipe.errors import ConfigError, StageError
 from memepipe.generator import generate_dataset
 from memepipe.rules import PredictionSet
+from memepipe.simulator import SimulatorConfig
 from memepipe.pipeline import (PipelineConfig, build_config, detect,
                                load_config_file, run_pipeline, score, simulate)
 from memepipe.tuples import TwoTuple, write_groups
@@ -289,8 +290,8 @@ def test_config_validation_errors(tmp_path):
         build_config(str(tmp_path), {}, {"adjust_placement": "sometimes"})
     with pytest.raises(ConfigError, match="adjust_placement"):
         build_config(str(tmp_path), {}, {"adjust_placement": "both_off"})
-    with pytest.raises(ConfigError, match="lo"):
-        build_config(str(tmp_path), {}, {"hi": 0.2, "lo": 0.8})
+    with pytest.raises(ConfigError, match="eval_split must be dev or test"):
+        build_config(str(tmp_path), {}, {"eval_split": "train"})
     with pytest.raises(ConfigError, match="k must be"):
         build_config(str(tmp_path), {}, {"k": 1})
     with pytest.raises(ConfigError, match="unknown config key"):
@@ -299,6 +300,32 @@ def test_config_validation_errors(tmp_path):
         with pytest.raises(ConfigError,
                            match=rf"hamming_threshold .*, got {threshold}$"):
             build_config(str(tmp_path), {}, {"hamming_threshold": threshold})
+
+
+def test_configs_are_frozen_and_checked_when_built(tmp_path, capsys):
+    cfg = PipelineConfig(out_dir="")
+    with pytest.raises(ConfigError, match="k must be >= 2, got 1"):
+        dataclasses.replace(cfg, k=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.k = 1
+    with pytest.raises(ConfigError, match="sigma must be positive"):
+        SimulatorConfig(sigma=0.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        SimulatorConfig().sigma = 0.0
+    # rule 2 sets 1 and 0, with no key or flag for other levels
+    cfg_file = tmp_path / "levels.cfg"
+    cfg_file.write_text("hi = 0.9\n")
+    assert run_cli("pipeline", "--outdir", str(tmp_path / "run"),
+                   "--config", str(cfg_file)) == 2
+    assert "unknown key 'hi'" in capsys.readouterr().err
+    for argv in (["pipeline", "--outdir", str(tmp_path / "run"), "--hi", "0.5"],
+                 ["adjust", "--preds", "p.csv", "--tuples", "g.jsonl", "--rule", "2",
+                  "--lo", "0.1", "--out", "a.csv"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_config_file_and_overrides(tmp_path):
@@ -349,7 +376,7 @@ NON_DEFAULT = {
     "image_amplitude": "2.5", "text_perturb_prob": "0.25", "label_noise": "0.1",
     "hamming_threshold": "8", "k": "3", "models": "2", "rule1": "false",
     "rule2": "false", "adjust_placement": "after_stacking", "unimodal": "true",
-    "hi": "0.9", "lo": "0.1", "separation_mu": "1.5", "sigma": "0.8",
+    "separation_mu": "1.5", "sigma": "0.8",
     "noise_correlation": "0.5",
     "eval_split": "dev", "manifest": "corpus/manifest.jsonl",
     "save_images": "false", "quiet": "true",
@@ -605,9 +632,6 @@ EXIT_CODE_TABLE = {
     "cluster --threshold 99":
         ("cluster --manifest {d}/two.jsonl --hashes {d}/hashes.csv --threshold 99 "
          "--out {d}/c.csv", 2, None),
-    "adjust --hi 0.2 --lo 0.8":
-        ("adjust --preds {d}/both.csv --tuples {d}/pair.jsonl --rule 2 --hi 0.2 --lo 0.8 "
-         "--out {d}/a.csv", 2, None),
     "pipeline --manifest, 5x5 image":
         ("--quiet pipeline --outdir {d}/run --manifest {d}/tiny/manifest.jsonl",
          3, "{d}/tiny/0.pgm"),
@@ -675,6 +699,9 @@ def write_faulty_inputs(d):
                         MemeRecord(2, "2.pgm", "c", eval_labels[0], "test"),
                         MemeRecord(3, "3.pgm", "d", eval_labels[1], "test")],
                        d / "corpus" / f"{name}.jsonl")
+    # no test records at all
+    write_manifest([MemeRecord(i, f"{i}.pgm", "abcd"[i], i % 2, "train") for i in range(4)],
+                   d / "corpus" / "no_test.jsonl")
     # an image missing, and a directory in place of one
     (d / "corpus" / "dir.pgm").mkdir()
     for name, img in (("missing_image", "9.pgm"), ("dir_image", "dir.pgm")):
@@ -712,6 +739,12 @@ ODD_INPUTS = {
          3, "{d}/unlabelled.jsonl: meme 0 has no label"),
     "empty manifest":
         ("pipeline --outdir {d}/run --manifest {d}/empty.csv", 3, "{d}/empty.csv: no records"),
+    "generated corpus with no dev records":
+        ("pipeline --outdir {d}/run --n 19 --eval-split dev --no-images",
+         3, "data error: eval split 'dev' has no records"),
+    "ingested corpus with no test records":
+        ("pipeline --outdir {d}/run --manifest {d}/corpus/no_test.jsonl",
+         3, "data error: {d}/corpus/no_test.jsonl: eval split 'test' has no records"),
     "negative prediction id":
         ("adjust --preds {d}/negative_id.csv --tuples {d}/pair.jsonl --rule 2 "
          "--out {d}/a.csv", 3, "{d}/negative_id.csv: line 2: malformed row '-1,0.5'"),
@@ -753,18 +786,18 @@ NEGATIVE_FLOAT_VALUES = {
          "separation_mu must be finite, got -inf", "run"),
     "pipeline sigma -nan":
         ("pipeline --outdir {d}/run --sigma -nan", "sigma must be positive and finite", "run"),
-    "pipeline lo -1e-3":
-        ("pipeline --outdir {d}/run --lo -1e-3 --hi 0.5",
-         "need 0 <= lo < hi <= 1, got lo=-0.001 hi=0.5", "run"),
+    "pipeline noise_correlation -1e-3":
+        ("pipeline --outdir {d}/run --noise-correlation -1e-3",
+         "noise_correlation must be in [0, 1]", "run"),
     "simulate separation_mu -inf":
         ("simulate --manifest {d}/two.jsonl --separation-mu -inf --out {d}/s.csv",
          "separation_mu must be finite, got -inf", "s.csv"),
     "simulate sigma -nan":
         ("simulate --manifest {d}/two.jsonl --sigma -nan --out {d}/s.csv",
          "sigma must be positive and finite", "s.csv"),
-    "adjust lo -1e-3":
-        ("adjust --preds {d}/both.csv --tuples {d}/pair.jsonl --rule 2 --lo -1e-3 "
-         "--out {d}/a.csv", "need 0 <= lo < hi <= 1, got lo=-0.001 hi=1.0", "a.csv"),
+    "gen-data label_noise -1e-3":
+        ("gen-data --n 20 --outdir {d}/gen --label-noise -1e-3",
+         "label_noise must be in [0, 1], got -0.001", "gen"),
 }
 
 
@@ -780,10 +813,10 @@ def test_cli_negative_float_values_reach_the_config_check(tmp_path, capsys, name
 
 def test_cli_joins_only_number_values_to_long_flags():
     assert cli._negative_values_joined(
-        ["--quiet", "pipeline", "--lo", "-1e-3", "--seed=-1", "--sigma", "-inf", "-h", "--",
-         "-5", "x", "-nan"]) == [
-        "--quiet", "pipeline", "--lo=-1e-3", "--seed=-1", "--sigma=-inf", "-h", "--",
-        "-5", "x", "-nan"]
+        ["--quiet", "pipeline", "--label-noise", "-1e-3", "--seed=-1", "--sigma", "-inf",
+         "-h", "--", "-5", "x", "-nan"]) == [
+        "--quiet", "pipeline", "--label-noise=-1e-3", "--seed=-1", "--sigma=-inf",
+        "-h", "--", "-5", "x", "-nan"]
 
 
 def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
@@ -840,23 +873,6 @@ def test_cli_stack_writes_submission_rows(tmp_path):
         f"{i},{stacked.mean_score[i]:.9f},{stacked.label[i]}\n"
         for i in sorted(stacked.mean_score))
     assert (tmp_path / "stacked.csv").read_text() == expected
-
-
-def test_lo_negative_zero_writes_what_lo_zero_writes(tmp_path):
-    # -0.0 passes 0 <= lo, and must not reach a file as -0.000000000
-    base = ("--quiet", "pipeline", "--n", "60", "--models", "1", "--k", "2", "--no-images")
-    runs = {}
-    for extra in ((), ("--adjust-placement", "after_stacking", "--no-rule1")):
-        for lo in ("-0.0", "0"):
-            out = tmp_path / f"{len(extra)}{lo}"
-            assert run_cli(*base, *extra, "--lo", lo, "--outdir", str(out)) == 0
-            runs[lo] = {p.relative_to(out): p.read_bytes()
-                        for p in [*out.glob("preds_adjusted/*.csv"), out / "stacked.csv"]}
-        assert runs["-0.0"] == runs["0"]
-    paths = sorted(str(p) for p in (tmp_path / "0-0.0" / "preds_adjusted").iterdir())
-    assert len(paths) == 2
-    assert run_cli("--quiet", "stack", "--preds", *paths,
-                   "--out", str(tmp_path / "stacked.csv")) == 0
 
 
 def test_cli_stack_names_the_file_whose_ids_differ(tmp_path, capsys):

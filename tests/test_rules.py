@@ -75,20 +75,6 @@ def test_rule2_tie_untouched():
     assert out.scores == {1: 0.5, 2: 0.5}
 
 
-def test_rule2_custom_levels():
-    out = apply_rule2([TwoTuple(1, 2, "image")], preds({1: 0.7, 2: 0.6}),
-                      hi=0.9, lo=0.1)
-    assert out.scores == {1: 0.9, 2: 0.1}
-
-
-def test_rule2_validates_levels():
-    groups = [TwoTuple(1, 2, "image")]
-    with pytest.raises(ValueError):
-        apply_rule2(groups, preds({1: 0.7, 2: 0.6}), hi=0.3, lo=0.4)
-    with pytest.raises(ValueError):
-        apply_rule2(groups, preds({1: 0.7, 2: 0.6}), hi=1.2, lo=0.0)
-
-
 def test_rule2_idempotent():
     groups = [TwoTuple(1, 2, "image")]
     once = apply_rule2(groups, preds({1: 0.7, 2: 0.6}))

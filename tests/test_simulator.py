@@ -121,17 +121,17 @@ def test_simulate_requires_labels():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SimulatorConfig(sigma=0.0).validate()
+        SimulatorConfig(sigma=0.0)
     with pytest.raises(ValueError):
-        SimulatorConfig(noise_correlation=1.5).validate()
+        SimulatorConfig(noise_correlation=1.5)
     for field, value in (("sigma", math.inf), ("sigma", math.nan),
                          ("separation_mu", math.inf), ("separation_mu", -math.inf),
                          ("separation_mu", math.nan)):
         with pytest.raises(ValueError, match=f"{field} must be .*finite"):
-            SimulatorConfig(**{field: value}).validate()
-    SimulatorConfig(separation_mu=-1.0).validate()
+            SimulatorConfig(**{field: value})
+    SimulatorConfig(separation_mu=-1.0)
     with pytest.raises(ValueError, match="seed"):
-        SimulatorConfig(seed=-1).validate()
+        SimulatorConfig(seed=-1)
 
 
 def test_raising_separation_never_hurts_any_score():

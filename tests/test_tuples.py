@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from memepipe.clustering import ClusterAssignment
 from memepipe.dataset import MemeRecord
 from memepipe.errors import DataFormatError
 from memepipe.tuples import (Other, ThreeTuple, TupleStats, TwoTuple,
-                             UnimodalHate, detect_tuples,
+                             UnimodalHate, _classify, detect_tuples,
                              detect_unimodal_hate, read_groups, tuple_stats,
                              write_groups)
 
@@ -34,6 +36,26 @@ def test_three_tuple_pivot_not_smallest_id():
     groups = detect_tuples(recs([5, 7, 9]), a)
     assert groups == [ThreeTuple(pivot_id=9, image_partner_id=5,
                                  text_partner_id=7)]
+
+
+def test_three_memes_classify_as_the_path_definition_says():
+    # every image and text clustering of memes 0, 1 and 2: a ThreeTuple is
+    # a pivot sharing its image with one partner and its text with the
+    # other, while the partners share nothing
+    def linked(a, b, image, text):
+        return image[a] == image[b] or text[a] == text[b]
+
+    paths = 0
+    for image in itertools.product(range(3), repeat=3):
+        for text in itertools.product(range(3), repeat=3):
+            expected = [ThreeTuple(p, i, t) for p, i, t in itertools.permutations(range(3))
+                        if image[p] == image[i] and text[p] == text[t]
+                        and not linked(i, t, image, text)]
+            assert len(expected) <= 1
+            got = _classify([2, 0, 1], asg(enumerate(image), enumerate(text)))
+            assert got == (expected[0] if expected else Other((0, 1, 2))), (image, text)
+            paths += len(expected)
+    assert paths == 216
 
 
 def test_two_tuple_image():
