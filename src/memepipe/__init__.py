@@ -15,7 +15,7 @@ from .ensemble import (StackedPrediction, read_predictions, stack_equal_weight,
                        write_predictions)
 from .errors import ConfigError, DataFormatError, StageError
 from .generator import GeneratedDataset, generate_dataset, image_hashes
-from .metrics import EvaluationReport, accuracy, auroc, evaluate, roc_curve
+from .metrics import EvaluationReport, accuracy, auroc, evaluate
 from .phash import hamming, phash
 from .rules import (PredictionSet, PseudoLabelSet, apply_rule1, apply_rule2,
                     apply_unimodal_signatures, merge_pseudo_labels,
@@ -34,7 +34,7 @@ __all__ = [
     "write_predictions",
     "ConfigError", "DataFormatError", "StageError",
     "GeneratedDataset", "generate_dataset", "image_hashes",
-    "EvaluationReport", "accuracy", "auroc", "evaluate", "roc_curve",
+    "EvaluationReport", "accuracy", "auroc", "evaluate",
     "hamming", "phash",
     "PredictionSet", "PseudoLabelSet", "apply_rule1", "apply_rule2",
     "apply_unimodal_signatures", "merge_pseudo_labels", "rule1_pseudo_labels",

@@ -197,9 +197,10 @@ def cmd_stack(args):
 
 def cmd_evaluate(args):
     scores, labels = read_submission(args.submission)
-    records = read_manifest(args.truth)
-    truth = {rec.id: rec.label for rec in records
-             if rec.split == args.split and rec.label is not None}
+    split = [rec for rec in read_manifest(args.truth) if rec.split == args.split]
+    if not split:
+        raise DataFormatError(f"{args.truth}: split {args.split!r} has no records")
+    truth = {rec.id: rec.label for rec in split if rec.label is not None}
     if not truth:
         raise ConfigError(f"no labeled records in split {args.split!r}")
     missing = [i for i in truth if i not in scores]

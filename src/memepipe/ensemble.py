@@ -2,24 +2,28 @@
 
 Prediction files are CSV with header `id,proba`; submissions add a `label`
 column, and read as prediction files with that column ignored.
-Probabilities are written with nine decimal places so a round trip stays
-within 1e-9.
+Probabilities are written with nine decimal places.  The pipeline holds
+every score on that grid (`on_grid`), so a score it writes reads back as
+exactly the float it held, and a restage from its files reproduces it.
+
+A score x in [0, 1] is written as the ten digits of num = rint(x * 1e9):
+the product is within 2**-24 of the exact one, so it rounds as `:.9f` does
+unless the exact value may sit at a half; for a score within 1e-6 (in
+units of the ninth place) of a half, `:.9f` itself decides, one value at a
+time.  Its grid value num / 1e9 is float() of those digits, as both
+operands are exact and the division rounds correctly.
 
 Both prediction-file functions have a bulk path for the one shape the
 pipeline writes, and fall back on the per-row code, which is the reference,
 for every other input; the bytes and the values are the same either way.
 `write_predictions` formats in numpy when every id is an int in [0, 2**63)
 and every score a float in [0, 1] without a sign bit, else it writes one
-f-string per row.  The bulk digits come from rint(x * 1e9): for x <= 1 the
-product is within 2**-24 of the exact one, so it rounds as `:.9f` does
-unless the exact value may sit at a half; a score within 1e-6 (in units of
-the ninth place) of a half falls back, and `:.9f` decides the tie.
-`read_predictions` parses a file in the writer's exact form from its bytes
-in numpy: each row's digits are found from its newline, and its score is
-num / 1e9 for the integer num its ten digits spell, which is float() of the
-text, as both operands are exact and the division rounds correctly.  A file
-with an id of more than 18 digits, a repeated id or a value above 1, and any
-other file, goes to `read_csv`, which reads or rejects it with its line.
+f-string per row.  `read_predictions` parses a file in the writer's exact
+form from its bytes in numpy: each row's digits are found from its newline,
+and its score is num / 1e9 for the integer num its ten digits spell.  A
+file with an id of more than 18 digits, a repeated id or a value above 1,
+and any other file, goes to `read_csv`, which reads or rejects it with its
+line.
 """
 
 import math
@@ -48,7 +52,8 @@ class StackedPrediction:
 
 
 def stack_equal_weight(sets):
-    """Average prediction sets with equal weight; label 1 iff mean >= 0.5.
+    """Average prediction sets with equal weight, on the grid the files
+    use; label 1 iff that mean >= 0.5.
 
     All sets must cover exactly the same ids.  The mean uses exact float
     summation, so reordering the sets cannot change the result.
@@ -63,13 +68,34 @@ def stack_equal_weight(sets):
             raise DataFormatError(f"prediction sets disagree on ids, e.g. {sample}")
     order = list(ids)
     sums = map(math.fsum, zip(*(map(ps.scores.__getitem__, order) for ps in sets)))
-    return thresholded(dict(zip(order, [s / len(sets) for s in sums])))
+    return thresholded(dict(zip(order, on_grid(s / len(sets) for s in sums))))
 
 
 def thresholded(scores):
     """The scores as a StackedPrediction, labelled 1 iff score >= 0.5."""
     return StackedPrediction(scores, {meme_id: 1 if s >= 0.5 else 0
                                       for meme_id, s in scores.items()})
+
+
+def _numerators(x):
+    """rint(x * 1e9) for an array of scores in [0, 1], the digits `:.9f`
+    writes; next to a half of the ninth place `:.9f` decides."""
+    y = x * 1e9
+    num = np.rint(y)
+    for j in np.flatnonzero(np.abs(y - np.floor(y) - 0.5) <= 1e-6):
+        num[j] = int(f"{x[j]:.9f}".replace(".", ""))
+    return num
+
+
+def on_grid(scores):
+    """Each score as its `:.9f` text reads back, as a list of floats; a
+    value outside [0, 1] goes through the text."""
+    x = np.fromiter(scores, np.float64)
+    inside = (x >= 0.0) & (x <= 1.0)
+    grid = _numerators(np.where(inside, x, 0.0)) / 1e9
+    for j in np.flatnonzero(~inside):
+        grid[j] = float(f"{x[j]:.9f}")
+    return grid.tolist()
 
 
 def write_predictions(preds, path):
@@ -104,12 +130,9 @@ def _bulk_rows(ids, scores):
     x = np.array(scores, dtype=np.float64)
     if not np.all((x >= 0.0) & (x <= 1.0) & ~np.signbit(x)):
         return None
-    y = x * 1e9
-    if not np.all(np.abs(y - np.floor(y) - 0.5) > 1e-6):
-        return None
     meme_ids = np.array(ids, dtype=np.uint64)
     width = len(str(ids[-1] if ids else 0))
-    frac = _digits(np.rint(y).astype(np.uint64), 10)
+    frac = _digits(_numerators(x).astype(np.uint64), 10)
     comma, point, newline = (np.full((len(ids), 1), ord(c), np.uint8) for c in ",.\n")
     rows = np.hstack([_digits(meme_ids, width), comma, frac[:, :1], point, frac[:, 1:],
                       newline])

@@ -1,9 +1,7 @@
-"""Evaluation metrics: AUROC (rank-based), ROC curve, accuracy.
+"""Evaluation metrics: AUROC (rank-based) and accuracy.
 
 AUROC is the Mann-Whitney statistic: the fraction of (positive, negative)
-pairs ranked concordantly, ties counting one half.  The trapezoidal area
-under roc_curve() agrees with it to floating-point precision, which the
-tests use as a cross-check.
+pairs ranked concordantly, ties counting one half.
 """
 
 from dataclasses import dataclass
@@ -44,34 +42,6 @@ def auroc(scores, labels):
     ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     pos_rank_sum = float(ranks[y == 1].sum())
     return (pos_rank_sum - pos * (pos + 1) / 2.0) / (pos * neg)
-
-
-def roc_curve(scores, labels):
-    """(FPR, TPR) staircase from (0, 0) to (1, 1), one step per distinct score."""
-    s, y, pos, neg = _aligned(scores, labels)
-    order = np.argsort(-s, kind="mergesort")
-    s_desc = s[order]
-    y_desc = y[order]
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < len(s_desc):
-        j = i
-        while j + 1 < len(s_desc) and s_desc[j + 1] == s_desc[i]:
-            j += 1
-        tp += int(y_desc[i:j + 1].sum())
-        fp += (j - i + 1) - int(y_desc[i:j + 1].sum())
-        points.append((fp / neg, tp / pos))
-        i = j + 1
-    return points
-
-
-def trapezoid_area(points):
-    """Area under a piecewise-linear curve given as (x, y) points."""
-    area = 0.0
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        area += (x1 - x0) * (y0 + y1) / 2.0
-    return area
 
 
 def accuracy(pred_labels, labels):

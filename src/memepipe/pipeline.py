@@ -19,7 +19,7 @@ from .clustering import (HAMMING_THRESHOLD, ClusterAssignment, cluster_images,
                          cluster_texts, corpus_stats, write_clusters)
 from .dataset import (SPLITS, DatasetComposition, GeneratorNoise, read_images,
                       read_manifest, write_lines, write_manifest)
-from .ensemble import (StackedPrediction, stack_equal_weight, thresholded,
+from .ensemble import (StackedPrediction, on_grid, stack_equal_weight, thresholded,
                        write_predictions, write_submission)
 from .errors import ConfigError, DataFormatError, StageError, _in_file
 from .generator import generate_dataset, image_hashes, write_corpus
@@ -204,10 +204,13 @@ def detect(cfg, records, images):
 
 
 def simulate(cfg, records, groups):
-    """models x k simulated prediction sets over one population."""
+    """models x k simulated prediction sets over one population, each score
+    on the grid of the file it is written to."""
     def simulate_stage():
         pop = population(records, groups, from_number_fields(SimulatorConfig, cfg))
-        return [simulate_predictions(pop, idx) for idx in range(cfg.models * cfg.k)]
+        sets = (simulate_predictions(pop, idx) for idx in range(cfg.models * cfg.k))
+        return [PredictionSet(ps.model_id, dict(zip(ps.scores, on_grid(ps.scores.values()))))
+                for ps in sets]
     return _stage("simulate", simulate_stage, cfg.quiet)
 
 

@@ -14,10 +14,11 @@ from memepipe import cli
 from memepipe.clustering import cluster_images
 from memepipe.dataset import GeneratorNoise
 from memepipe.generator import generate_dataset
-from memepipe.metrics import auroc, roc_curve, trapezoid_area
+from memepipe.metrics import auroc
 from memepipe.phash import hamming, phash
 from memepipe.pipeline import PipelineConfig, build_config, detect, run_pipeline
 from memepipe.tuples import ThreeTuple
+from oracles import pair_count_auroc, roc_curve, trapezoid_area
 
 
 def report(capfd, num, ok, detail):
@@ -25,17 +26,6 @@ def report(capfd, num, ok, detail):
     with capfd.disabled():
         print(f"[criterion {num}] {verdict} {detail}", flush=True)
     assert ok, f"criterion {num}: {detail}"
-
-
-def pair_count_auroc(scores, labels):
-    # brute force over every positive-negative pair, ties half credit
-    pos = [scores[i] for i, y in labels.items() if y == 1]
-    neg = [scores[i] for i, y in labels.items() if y == 0]
-    total = 0.0
-    for p in pos:
-        for q in neg:
-            total += 1.0 if p > q else (0.5 if p == q else 0.0)
-    return total / (len(pos) * len(neg))
 
 
 def test_criterion_1_auroc_oracle_equivalence(capfd):

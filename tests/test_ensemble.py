@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from memepipe import cli, ensemble
 from memepipe.dataset import read_csv
-from memepipe.ensemble import (_bulk_rows, _proba, read_predictions, read_submission,
-                               stack_equal_weight, write_predictions,
-                               write_submission)
+from memepipe.ensemble import (_bulk_rows, _proba, on_grid, read_predictions,
+                               read_submission, stack_equal_weight,
+                               write_predictions, write_submission)
 from memepipe.errors import DataFormatError
 from memepipe.rules import PredictionSet
 
@@ -49,6 +49,14 @@ def test_stack_order_invariant_exactly():
     mix = stack_equal_weight(shuffled)
     # exact summation: equality must hold bit for bit
     assert fwd.mean_score == rev.mean_score == mix.mean_score
+
+
+def test_stack_writes_labels_that_agree_with_the_written_probability(tmp_path):
+    # 0.4999999996 is written as 0.500000000, so the stacked mean is 0.5 and
+    # its label 1, as "label 1 iff score >= 0.5" reads the submission
+    stacked = stack_equal_weight([PredictionSet("a", {1: 0.4999999996})])
+    write_submission(stacked, tmp_path / "submission.csv")
+    assert (tmp_path / "submission.csv").read_text() == "id,proba,label\n1,0.500000000,1\n"
 
 
 def test_stack_rejects_mismatched_ids():
@@ -187,7 +195,7 @@ def test_writer_and_reader_match_the_per_row_reference(scores):
 TIES = [(k + 0.5) / 1e9 for k in (0, 1, 7, 12345, 123456789, 499999999, 500000000,
                                   999999998, 999999999)]
 NEAR_TIES = [float(np.nextafter(t, side)) for t in TIES for side in (0.0, 1.0)]
-# just outside the window that falls back, so the bulk path rounds them
+# just outside the window where `:.9f` decides, so rint(x * 1e9) rounds them
 WINDOW_EDGES = [(k + 0.5 + d) / 1e9 for k in (0, 12345, 499999999, 999999998)
                 for d in (-2e-6, 2e-6)]
 OFF_RANGE = [0.0, 1.0, -0.0, float("nan"), float("inf"), float("-inf"), -1e-12,
@@ -200,9 +208,30 @@ def test_writer_matches_the_reference_at_every_edge(tmp_path, score):
 
 
 def test_bulk_formatter_takes_scores_off_the_tie_window():
-    assert _bulk_rows(list(range(len(WINDOW_EDGES))), WINDOW_EDGES) is not None
-    for score in TIES + NEAR_TIES + [-0.0, float("nan"), 1.5, 1]:
+    scores = WINDOW_EDGES + TIES + NEAR_TIES
+    assert _bulk_rows(list(range(len(scores))), scores) is not None
+    for score in [-0.0, float("nan"), 1.5, 1]:
         assert _bulk_rows([1], [score]) is None
+
+
+def text_grid(scores):
+    """Each score as its `:.9f` text reads back, by repr so -0.0 and nan compare."""
+    return [repr(float(f"{x:.9f}")) for x in scores]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(scores=st.lists(st.floats(0.0, 1.0) | st.sampled_from(TIES + NEAR_TIES)
+                       | st.floats(allow_nan=True), max_size=40))
+def test_on_grid_is_what_the_written_text_reads_back(scores):
+    assert list(map(repr, on_grid(scores))) == text_grid(scores)
+
+
+def test_on_grid_settles_every_tie_as_the_text_does():
+    rng = np.random.default_rng(26)
+    scores = [*rng.random(20000).tolist(),
+              *((rng.integers(0, 10**9, 20000) + 0.5) / 1e9).tolist(),
+              *TIES, *NEAR_TIES, *WINDOW_EDGES, *OFF_RANGE]
+    assert list(map(repr, on_grid(scores))) == text_grid(scores)
 
 
 @pytest.mark.parametrize("ids", [[0], [9], [10], [0, 9, 10, 99, 100, 12345],

@@ -1,22 +1,8 @@
 import numpy as np
 import pytest
 
-from memepipe.metrics import (accuracy, auroc, evaluate, roc_curve,
-                              trapezoid_area)
-
-
-def pair_count_auroc(scores, labels):
-    """Brute-force Mann-Whitney: wins + half ties over all pos/neg pairs."""
-    pos = [scores[i] for i in labels if labels[i] == 1]
-    neg = [scores[i] for i in labels if labels[i] == 0]
-    total = 0.0
-    for p in pos:
-        for q in neg:
-            if p > q:
-                total += 1.0
-            elif p == q:
-                total += 0.5
-    return total / (len(pos) * len(neg))
+from memepipe.metrics import accuracy, auroc, evaluate
+from oracles import pair_count_auroc, roc_curve, trapezoid_area
 
 
 def random_instance(rng):
