@@ -67,7 +67,7 @@ def _splits(text, flag):
 
 
 def _say(args, message):
-    if not getattr(args, "quiet", False):
+    if not args.quiet:
         print(message, file=sys.stderr)
 
 
@@ -78,7 +78,6 @@ def cmd_gen_data(args):
     ds = generate_dataset(args.n, comp, noise, args.seed)
     write_corpus(ds, args.outdir)
     _say(args, f"wrote {len(ds.records)} memes to {args.outdir}")
-    return 0
 
 
 def cmd_hash(args):
@@ -87,7 +86,6 @@ def cmd_hash(args):
     entries = image_hashes(images)
     write_hashes(entries, args.out)
     _say(args, f"hashed {len(entries)} images -> {args.out}")
-    return 0
 
 
 def cmd_cluster(args):
@@ -99,7 +97,6 @@ def cmd_cluster(args):
                                    text=cluster_texts(records))
     write_clusters(assignment, args.out)
     _say(args, f"clustered {len(records)} memes -> {args.out}")
-    return 0
 
 
 def cmd_stats(args):
@@ -121,7 +118,6 @@ def cmd_stats(args):
         machine += (f" three_tuple={ts.three_tuple_frac:.6f}"
                     f" two_tuple={ts.two_tuple_frac:.6f}")
     print(machine)
-    return 0
 
 
 def cmd_tuples(args):
@@ -142,7 +138,6 @@ def cmd_tuples(args):
             groups = groups + detect_unimodal_hate(labeled, assignment)
     write_groups(groups, args.out)
     _say(args, f"found {len(groups)} groups -> {args.out}")
-    return 0
 
 
 def cmd_pseudo_label(args):
@@ -150,7 +145,6 @@ def cmd_pseudo_label(args):
     pseudo = rule1_pseudo_labels(groups)
     write_pseudo_labels(pseudo, args.out)
     _say(args, f"wrote {len(pseudo.labels)} pseudo labels -> {args.out}")
-    return 0
 
 
 def cmd_adjust(args):
@@ -169,7 +163,6 @@ def cmd_adjust(args):
         out = apply_unimodal_signatures(groups, assignment, preds)
     write_predictions(out, args.out)
     _say(args, f"adjusted predictions -> {args.out}")
-    return 0
 
 
 def cmd_simulate(args):
@@ -181,7 +174,6 @@ def cmd_simulate(args):
         preds = simulate_predictions(population(records, groups, cfg), args.model_index)
     write_predictions(preds, args.out)
     _say(args, f"simulated model {args.model_index} -> {args.out}")
-    return 0
 
 
 def cmd_stack(args):
@@ -192,7 +184,6 @@ def cmd_stack(args):
     stacked = stack_equal_weight(sets)
     write_submission(stacked, args.out)
     _say(args, f"stacked {len(sets)} sets -> {args.out}")
-    return 0
 
 
 def cmd_evaluate(args):
@@ -211,7 +202,6 @@ def cmd_evaluate(args):
                           {i: labels[i] for i in truth}, truth)
     print(report.to_text(), end="")
     print(report.machine_line())
-    return 0
 
 
 def cmd_pipeline(args):
@@ -219,13 +209,11 @@ def cmd_pipeline(args):
     # every flag given, as its raw text, so it is parsed like a config value
     overrides = {f.name: getattr(args, f.name)
                  for f in dataclasses.fields(PipelineConfig)
-                 if f.name != "out_dir" and getattr(args, f.name) is not None}
-    cfg = build_config(args.outdir, file_values, overrides)
-    result = run_pipeline(cfg)
+                 if getattr(args, f.name) is not None}
+    result = run_pipeline(build_config(file_values, overrides), args.outdir)
     if result.report is not None:
         print(result.report.machine_line())
     _say(args, f"submission: {result.submission_path}")
-    return 0
 
 
 def build_parser():
@@ -316,7 +304,7 @@ def build_parser():
             flag, value, text = _SWITCHES[f.name]
             p.add_argument(flag, dest=f.name, action="store_const", const=value,
                            help=text)
-        elif f.name not in ("out_dir", "quiet"):
+        elif f.name != "quiet":     # the top-level --quiet sets it
             p.add_argument(_flag(f.name), dest=f.name)
     p.set_defaults(fn=cmd_pipeline)
 
@@ -349,7 +337,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(_negative_values_joined(sys.argv[1:] if argv is None else argv))
     try:
-        return args.fn(args)
+        args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -359,6 +347,7 @@ def main(argv=None):
     except (StageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    return 0
 
 
 if __name__ == "__main__":

@@ -68,7 +68,7 @@ def stack_equal_weight(sets):
             raise DataFormatError(f"prediction sets disagree on ids, e.g. {sample}")
     order = list(ids)
     sums = map(math.fsum, zip(*(map(ps.scores.__getitem__, order) for ps in sets)))
-    return thresholded(dict(zip(order, on_grid(s / len(sets) for s in sums))))
+    return thresholded(dict(zip(order, on_grid([s / len(sets) for s in sums]))))
 
 
 def thresholded(scores):
@@ -89,8 +89,9 @@ def _numerators(x):
 
 def on_grid(scores):
     """Each score as its `:.9f` text reads back, as a list of floats; a
-    value outside [0, 1] goes through the text."""
-    x = np.fromiter(scores, np.float64)
+    value outside [0, 1] goes through the text.  Its two callers are the
+    simulator, for each simulated set, and `stack_equal_weight`."""
+    x = np.asarray(scores, np.float64)
     inside = (x >= 0.0) & (x <= 1.0)
     grid = _numerators(np.where(inside, x, 0.0)) / 1e9
     for j in np.flatnonzero(~inside):

@@ -15,10 +15,14 @@ This differs from the reference `dct2(resize_area(gray, 32))` only by
 rounding, which can change a bit only when a coefficient sits next to the
 median.  So when the gap on either side of the median over the sorted AC
 coefficients, ac[31] - ac[30] or ac[32] - ac[31], is at most
-1e-9 * max|gray|, the hash is taken from the reference path instead, and
-the two paths give the same hash.  The tolerance scales with the pixels
-because the rounding error does: on a near-flat image the AC coefficients
-are far smaller than the error of a product over the large DC level.
+tol = 1e-9 * max|gray|, the hash is taken from the reference path instead.
+A bit is set when its coefficient exceeds the median by more than tol: a
+coefficient tied with the median up to rounding sets none, and on the fast
+path none lies within tol above it, so the two paths give the same hash.
+The tolerance scales with the pixels because the rounding error does: on a
+near-flat image the AC coefficients are far smaller than the error of a
+product over the large DC level.  Both paths read the pixels in C order,
+so the hash does not depend on their layout in memory.
 max|gray| is the largest absolute grayscale value.  For a 2-D uint8 array,
 what read_pgm and the generator give, it is the max of the uint8 pixels,
 the same value without an absolute-value pass over the floats, and the
@@ -127,14 +131,15 @@ def phash(img):
     """64-bit perceptual hash of an image (any 2-D/3-channel pixel array).
 
     Bit i (row-major over the 8x8 low-frequency DCT block) is set when that
-    coefficient exceeds the median of the 63 AC coefficients.  Bit 0 is the
-    DC position and is always zero.  Invariant under pixel maps a*p + b with
-    a > 0.
+    coefficient exceeds the median of the 63 AC coefficients by more than
+    1e-9 * max|gray|.  Bit 0 is the DC position and is always zero.
+    Invariant under pixel maps a*p + b with a > 0, save for a coefficient
+    about that tolerance above the median.
     """
     # a 2-D uint8 array, as read_pgm and the generator give, skips
     # to_grayscale's dispatch, and its max is already max|gray|
     u8 = type(img) is np.ndarray and img.dtype == np.uint8 and img.ndim == 2
-    gray = img.astype(np.float64) if u8 else to_grayscale(img)
+    gray = img.astype(np.float64, order="C") if u8 else np.ascontiguousarray(to_grayscale(img))
     h, w = gray.shape
     if h < BLOCK_SIDE or w < BLOCK_SIDE:
         raise DataFormatError(f"degenerate image {h}x{w}: need at least "
@@ -147,7 +152,7 @@ def phash(img):
     if not (med - below > tol and above - med > tol):   # NaN fails `>` too
         block = dct2(resize_area(gray, RESIZE_SIDE))[:BLOCK_SIDE, :BLOCK_SIDE].ravel()
         med = np.sort(block[1:])[mid]
-    bits = block > med
+    bits = block > med + tol
     bits[0] = False
     return int.from_bytes(np.packbits(bits, bitorder="little"), "little")
 

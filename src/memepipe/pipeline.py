@@ -4,7 +4,7 @@ adjusted stacking -> submission -> evaluation.
 Three pure phases, `detect`, `simulate` and `score`, compute the run; then
 every artifact is written under the output directory, and a run manifest
 records the effective config plus content digests, so two runs with the
-same config produce byte-identical outputs.
+same config write byte-identical directories, the run manifest included.
 """
 
 import dataclasses
@@ -19,7 +19,7 @@ from .clustering import (HAMMING_THRESHOLD, ClusterAssignment, cluster_images,
                          cluster_texts, corpus_stats, write_clusters)
 from .dataset import (SPLITS, DatasetComposition, GeneratorNoise, read_images,
                       read_manifest, write_lines, write_manifest)
-from .ensemble import (StackedPrediction, on_grid, stack_equal_weight, thresholded,
+from .ensemble import (StackedPrediction, stack_equal_weight, thresholded,
                        write_predictions, write_submission)
 from .errors import ConfigError, DataFormatError, StageError, _in_file
 from .generator import generate_dataset, image_hashes, write_corpus
@@ -36,7 +36,6 @@ PLACEMENTS = ("before_stacking", "after_stacking")
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    out_dir: str
     n: int = 2000
     seed: int = 7
     composition: DatasetComposition = field(default_factory=DatasetComposition)
@@ -90,12 +89,11 @@ def _parse_bool(text):
     return _BOOL_WORDS[word]
 
 
-# config key -> parser of its text value; the keys are the PipelineConfig
-# fields, except out_dir, which the run gets on its own
+# config key -> parser of its text value; the keys are the PipelineConfig fields
 _FIELD_PARSERS = {
     f.name: {bool: _parse_bool, DatasetComposition: DatasetComposition.parse,
              str | None: str}.get(f.type, f.type)
-    for f in dataclasses.fields(PipelineConfig) if f.name != "out_dir"
+    for f in dataclasses.fields(PipelineConfig)
 }
 
 
@@ -127,7 +125,7 @@ def load_config_file(path):
     return values
 
 
-def build_config(out_dir, file_values=None, overrides=None):
+def build_config(file_values=None, overrides=None):
     """Assemble a PipelineConfig from defaults, a config file, and CLI flags."""
     merged = {}
     for source in (file_values or {}), (overrides or {}):
@@ -140,7 +138,7 @@ def build_config(out_dir, file_values=None, overrides=None):
                 except ValueError as exc:
                     raise ConfigError(f"bad value for {key!r}: {exc}") from None
             merged[key] = value
-    return PipelineConfig(out_dir=out_dir, **merged)
+    return PipelineConfig(**merged)
 
 
 @dataclass
@@ -204,13 +202,10 @@ def detect(cfg, records, images):
 
 
 def simulate(cfg, records, groups):
-    """models x k simulated prediction sets over one population, each score
-    on the grid of the file it is written to."""
+    """models x k simulated prediction sets over one population."""
     def simulate_stage():
         pop = population(records, groups, from_number_fields(SimulatorConfig, cfg))
-        sets = (simulate_predictions(pop, idx) for idx in range(cfg.models * cfg.k))
-        return [PredictionSet(ps.model_id, dict(zip(ps.scores, on_grid(ps.scores.values()))))
-                for ps in sets]
+        return [simulate_predictions(pop, idx) for idx in range(cfg.models * cfg.k)]
     return _stage("simulate", simulate_stage, cfg.quiet)
 
 
@@ -250,13 +245,13 @@ def score(cfg, records, structure, sets):
     return Scores(adjusted, final, report)
 
 
-def _write_artifacts(cfg, records, structure, sets, scores):
+def _write_artifacts(cfg, out_dir, records, structure, sets, scores):
     """Write every artifact of detect, simulate and score; return their names."""
     names = []
 
     def out(name):
         names.append(name)
-        return os.path.join(cfg.out_dir, name)
+        return os.path.join(out_dir, name)
 
     write_hashes(structure.hashes, out("hashes.csv"))
     write_clusters(structure.assignment, out("clusters.csv"))
@@ -269,7 +264,7 @@ def _write_artifacts(cfg, records, structure, sets, scores):
                        out("merged_train_manifest.jsonl"))
     for folder, folder_sets in (("preds", sets), ("preds_adjusted", scores.adjusted)):
         if folder_sets:
-            os.makedirs(os.path.join(cfg.out_dir, folder), exist_ok=True)
+            os.makedirs(os.path.join(out_dir, folder), exist_ok=True)
         for ps in folder_sets:
             write_predictions(ps, out(os.path.join(folder, f"{ps.model_id}.csv")))
     write_predictions(PredictionSet("stacked", scores.final.mean_score),
@@ -281,17 +276,17 @@ def _write_artifacts(cfg, records, structure, sets, scores):
     return names
 
 
-def run_pipeline(cfg):
+def run_pipeline(cfg, out_dir):
     """Corpus, detect, simulate and score, then one write stage and the run
-    manifest; a run that fails before the write leaves only the corpus."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    manifest under out_dir; a run that fails before the write leaves only the corpus."""
+    os.makedirs(out_dir, exist_ok=True)
     quiet = cfg.quiet
     noise = from_number_fields(GeneratorNoise, cfg)
 
     if cfg.manifest is None:
         def gen():
             ds = generate_dataset(cfg.n, cfg.composition, noise, cfg.seed)
-            names = write_corpus(ds, cfg.out_dir, cfg.save_images)
+            names = write_corpus(ds, out_dir, cfg.save_images)
             return ds.records, ds.images, list(names)
         records, images, names = _stage("generate", gen, quiet)
     else:
@@ -309,9 +304,9 @@ def run_pipeline(cfg):
         sets = simulate(cfg, records, structure.groups)
         scores = score(cfg, records, structure, sets)
     names += _stage("write", lambda: _write_artifacts(
-        cfg, records, structure, sets, scores), quiet)
+        cfg, out_dir, records, structure, sets, scores), quiet)
 
-    artifacts = {name: os.path.join(cfg.out_dir, name) for name in names}
+    artifacts = {name: os.path.join(out_dir, name) for name in names}
     stats = corpus_stats(structure.assignment)
     tstats = tuple_stats(structure.groups, len(records))
     run_manifest = {
@@ -327,7 +322,7 @@ def run_pipeline(cfg):
             "two_tuple_frac": tstats.two_tuple_frac,
         },
     }
-    write_lines(os.path.join(cfg.out_dir, "run_manifest.json"),
+    write_lines(os.path.join(out_dir, "run_manifest.json"),
                 [json.dumps(run_manifest, indent=2, sort_keys=True)])
     return PipelineResult(scores.report, artifacts["submission.csv"], artifacts,
                           scores.final)

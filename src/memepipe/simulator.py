@@ -5,7 +5,8 @@ separation shrinks by a discount per group kind (confounder members are
 hard to tell apart) and the noise splits into a component shared by every
 model and a per-model remainder.  Real base models make correlated
 mistakes; without the shared part, averaging 20 models would wash the
-noise out entirely.
+noise out entirely.  Scores come back on the nine-decimal grid of the
+prediction files (`ensemble.on_grid`).
 
 Every draw is seeded from (seed, stream, [model], id), so scores never
 depend on iteration order and adding models or memes never perturbs
@@ -31,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .ensemble import on_grid
 from .errors import ConfigError, DataFormatError
 from .rules import PredictionSet
 from .tuples import ThreeTuple, TwoTuple, UnimodalHate
@@ -253,4 +255,4 @@ def simulate_predictions(pop, model_index):
     # same IEEE operations in numpy
     e = np.fromiter(map(math.exp, (-np.abs(z)).tolist()), np.float64, len(z))
     scores = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return PredictionSet(f"sim-{model_index:02d}", dict(zip(pop.ids, scores.tolist())))
+    return PredictionSet(f"sim-{model_index:02d}", dict(zip(pop.ids, on_grid(scores))))

@@ -22,7 +22,7 @@ SWEEP_N = 2000
 
 
 def _run_seed(seed):
-    cfg = PipelineConfig(out_dir="", n=SWEEP_N, seed=seed, quiet=True)
+    cfg = PipelineConfig(n=SWEEP_N, seed=seed, quiet=True)
     ds = generate_dataset(SWEEP_N, seed=seed)
     records = ds.records
     truth = {r.id: r.label for r in records}

@@ -117,7 +117,7 @@ def test_criterion_3_phash_affine_invariance(capfd):
 
 
 def detect_triples(ds):
-    cfg = PipelineConfig(out_dir="", rule1=False, quiet=True)
+    cfg = PipelineConfig(rule1=False, quiet=True)
     groups = detect(cfg, ds.records, ds.images).groups
     return {g for g in groups if isinstance(g, ThreeTuple)}
 
@@ -197,10 +197,10 @@ def test_simulated_models_sit_in_calibration_band(sweep):
 
 
 def test_default_run_beats_rules_off(tmp_path):
-    on = run_pipeline(build_config(
-        str(tmp_path / "on"), {}, {"save_images": False, "quiet": True}))
+    on = run_pipeline(build_config({}, {"save_images": False, "quiet": True}),
+                      str(tmp_path / "on"))
     off = run_pipeline(build_config(
-        str(tmp_path / "off"), {},
-        {"save_images": False, "quiet": True, "rule1": False, "rule2": False}))
+        {}, {"save_images": False, "quiet": True, "rule1": False, "rule2": False}),
+        str(tmp_path / "off"))
     assert on.report is not None and off.report is not None
     assert on.report.auroc > off.report.auroc

@@ -218,10 +218,12 @@ def test_phash_bit_i_is_coefficient_i_above_the_median():
 
 
 def reference_phash(img):
-    """The hash by its definition: area resize, scipy's DCT, and the sign of
-    each block coefficient against the lower median of the 63 AC ones."""
-    block = dct2(resize_area(to_grayscale(img), 32))[:8, :8].ravel()
-    med = np.sort(block[1:])[31]
+    """The hash by its definition: area resize of the pixels in C order,
+    scipy's DCT, and bit i set when block coefficient i exceeds the lower
+    median of the 63 AC ones by more than 1e-9 * max|gray|."""
+    gray = np.ascontiguousarray(to_grayscale(img))
+    block = dct2(resize_area(gray, 32))[:8, :8].ravel()
+    med = np.sort(block[1:])[31] + 1e-9 * np.abs(gray).max()
     return sum(1 << i for i in range(1, HASH_BITS) if block[i] > med)
 
 
@@ -283,14 +285,15 @@ def test_phash_equals_the_reference_path(h, w, rgb, kind, seed, noise_exp, level
 def test_phash_near_flat_images_take_the_reference_path(dct2_calls):
     # a constant plus noise far below the rounding error of the fast path's
     # products: a tolerance scaled by the AC coefficients lets rounding pick
-    # the bits here, and one scaled by the pixels does not
+    # the bits here, and one scaled by the pixels does not.  The noise is
+    # below that tolerance too, so every coefficient ties with the median
     rng = np.random.default_rng(12)
     count = 0
     for shape in ((64, 64), (10, 10), (33, 47), (100, 8)):
         for noise in (1e-14, 1e-13, 1e-12, 1e-11, 1e-10):
             for level in (0.7, 128.0, 255.0, 1e4):
                 img = level + noise * rng.standard_normal(shape)
-                assert phash(img) == reference_phash(img)
+                assert phash(img) == reference_phash(img) == 0
                 count += 1
     assert len(dct2_calls) == count
 
@@ -347,12 +350,37 @@ def test_phash_of_uint8_pixels_is_the_same_by_every_route(shape, kind, seed, lev
     assert phash(u8) == want
     assert phash(u8.astype(float)) == want
     assert phash(u8[..., None]) == want
-    # a list is read in C order; next to a median tie the rounding, and so
-    # the hash, can depend on the order of the pixels in memory
-    c_order = np.ascontiguousarray(u8)
-    assert phash(u8.tolist()) == phash(c_order) == reference_phash(c_order)
-    if u8.flags.c_contiguous:
-        assert phash(u8.tolist()) == want
+    assert phash(u8.tolist()) == want     # a list is read in C order
+
+
+# a flat image of any shape, C or F order, hashes to 0: on the reference
+# path a coefficient within rounding of a tied median sets no bit
+@settings(max_examples=100, deadline=None, database=None)
+@example(shape=(8, 54), kind="flat", seed=0, level=1, shift=0.0, scale=1.0)
+@example(shape=(54, 8), kind="flat", seed=0, level=1, shift=0.0, scale=1.0)
+@example(shape=(33, 17), kind="flat", seed=0, level=200, shift=0.0, scale=1.0)
+@given(shape=st.tuples(st.integers(8, 80), st.integers(8, 80)),
+       kind=st.sampled_from(["flat", "noise", "three_pixels"]),
+       seed=st.integers(0, 2**32 - 1), level=st.integers(0, 255),
+       shift=st.floats(0.0, 1e3), scale=st.floats(1e-3, 1e3))
+def test_phash_of_near_flat_images_ignores_layout_shift_and_scale(
+        shape, kind, seed, level, shift, scale):
+    rng = np.random.default_rng(seed)
+    img = np.full(shape, float(level))
+    if kind == "noise":          # far below the tolerance 1e-9 * level
+        img += 1e-12 * level * rng.standard_normal(shape)
+    elif kind == "three_pixels":  # one level off
+        cells = rng.choice(img.size, size=3, replace=False)
+        img.reshape(-1)[cells] += 1 if level < 255 else -1
+    want = phash(img)
+    assert want == 0 or kind == "three_pixels"
+    variants = [np.asfortranarray(img), img + shift, scale * img,
+                np.asfortranarray(scale * img + shift)]
+    if kind != "noise":
+        u8 = img.astype(np.uint8)
+        variants += [u8, np.asfortranarray(u8)]
+    for variant in variants:
+        assert phash(variant) == want
 
 
 def test_phash_of_uint8_pixels_skips_the_grayscale_dispatch(monkeypatch):

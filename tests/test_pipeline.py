@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from memepipe.tuples import TwoTuple, write_groups
 def run_quick(out_dir, **overrides):
     base = {"n": 120, "seed": 3, "save_images": False, "quiet": True}
     base.update(overrides)
-    return run_pipeline(build_config(str(out_dir), {}, base))
+    return run_pipeline(build_config({}, base), str(out_dir))
 
 
 def test_pipeline_writes_expected_artifacts(tmp_path):
@@ -53,14 +55,15 @@ def test_pipeline_report_and_submission_cover_eval_split(tmp_path):
 
 
 def test_pipeline_deterministic_across_directories(tmp_path):
-    a = run_quick(tmp_path / "a")
-    b = run_quick(tmp_path / "b")
-    for name in a.artifacts:
-        with open(a.artifacts[name], "rb") as fh:
-            left = fh.read()
-        with open(b.artifacts[name], "rb") as fh:
-            right = fh.read()
-        assert left == right, f"artifact {name} differs between runs"
+    # every file of the two run directories, run_manifest.json included
+    run_quick(tmp_path / "a", save_images=True)
+    run_quick(tmp_path / "b", save_images=True)
+    a, b = ({str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*")
+             if p.is_file()} for root in (tmp_path / "a", tmp_path / "b"))
+    assert "run_manifest.json" in a and "images/000000.pgm" in a
+    assert a.keys() == b.keys()
+    for name in a:
+        assert a[name] == b[name], f"{name} differs between runs"
 
 
 def test_pipeline_run_manifest_digests_match_files(tmp_path):
@@ -205,9 +208,8 @@ def test_pseudo_labels_restricted_to_held_out(tmp_path):
 def test_ingest_mode_reuses_generated_corpus(tmp_path):
     first = run_quick(tmp_path / "gen", save_images=True)
     second = run_pipeline(build_config(
-        str(tmp_path / "ingest"), {},
-        {"manifest": str(tmp_path / "gen" / "manifest.jsonl"),
-         "seed": 3, "quiet": True}))
+        {}, {"manifest": str(tmp_path / "gen" / "manifest.jsonl"), "seed": 3, "quiet": True}),
+        str(tmp_path / "ingest"))
     assert second.report is not None
     with open(first.submission_path, "rb") as fh:
         left = fh.read()
@@ -220,7 +222,7 @@ def test_score_without_eval_labels_has_no_report():
     # the simulator needs every label, so genuine prediction sets are the
     # way an unlabeled eval split reaches score
     ds = generate_dataset(120, seed=3)
-    cfg = PipelineConfig(out_dir="", quiet=True)
+    cfg = PipelineConfig(quiet=True)
     structure = detect(cfg, ds.records, ds.images)
     sets = simulate(cfg, ds.records, structure.groups)
     labeled = score(cfg, ds.records, structure, sets)
@@ -253,9 +255,8 @@ def test_ingest_failure_names_stage(tmp_path):
     img.unlink()
     with pytest.raises(StageError, match="ingest"):
         run_pipeline(build_config(
-            str(tmp_path / "ingest"), {},
-            {"manifest": str(tmp_path / "gen" / "manifest.jsonl"),
-             "quiet": True}))
+            {}, {"manifest": str(tmp_path / "gen" / "manifest.jsonl"), "quiet": True}),
+            str(tmp_path / "ingest"))
 
 
 def test_tuples_write_failure_names_stage(tmp_path):
@@ -280,27 +281,27 @@ def test_artifacts_are_written_only_after_scoring(tmp_path, monkeypatch):
         run_quick(out)
 
 
-def test_config_validation_errors(tmp_path):
+def test_config_validation_errors():
     with pytest.raises(ConfigError, match="n must be"):
-        build_config(str(tmp_path), {}, {"n": 5})
+        build_config({}, {"n": 5})
     with pytest.raises(ConfigError, match="adjust_placement"):
-        build_config(str(tmp_path), {}, {"adjust_placement": "sometimes"})
+        build_config({}, {"adjust_placement": "sometimes"})
     with pytest.raises(ConfigError, match="adjust_placement"):
-        build_config(str(tmp_path), {}, {"adjust_placement": "both_off"})
+        build_config({}, {"adjust_placement": "both_off"})
     with pytest.raises(ConfigError, match="eval_split must be dev or test"):
-        build_config(str(tmp_path), {}, {"eval_split": "train"})
+        build_config({}, {"eval_split": "train"})
     with pytest.raises(ConfigError, match="k must be"):
-        build_config(str(tmp_path), {}, {"k": 1})
+        build_config({}, {"k": 1})
     with pytest.raises(ConfigError, match="unknown config key"):
-        build_config(str(tmp_path), {}, {"banana": 1})
+        build_config({}, {"banana": 1})
     for threshold in (65, -1):
         with pytest.raises(ConfigError,
                            match=rf"hamming_threshold .*, got {threshold}$"):
-            build_config(str(tmp_path), {}, {"hamming_threshold": threshold})
+            build_config({}, {"hamming_threshold": threshold})
 
 
 def test_configs_are_frozen_and_checked_when_built(tmp_path, capsys):
-    cfg = PipelineConfig(out_dir="")
+    cfg = PipelineConfig()
     with pytest.raises(ConfigError, match="k must be >= 2, got 1"):
         dataclasses.replace(cfg, k=1)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -334,7 +335,7 @@ def test_config_file_and_overrides(tmp_path):
         "rule2 = off\n"
         "composition = 0.5,0.1,0.2,0.1,0.1\n")
     values = load_config_file(cfg_file)
-    cfg = build_config(str(tmp_path), values, {"seed": "12"})
+    cfg = build_config(values, {"seed": "12"})
     assert cfg.n == 500
     assert cfg.seed == 12          # CLI override wins
     assert cfg.rule2 is False
@@ -351,13 +352,25 @@ def test_config_file_errors(tmp_path):
         load_config_file(cfg_file)
     cfg_file.write_text("n = many\n")
     with pytest.raises(ConfigError, match="bad value"):
-        build_config(str(tmp_path), load_config_file(cfg_file), {})
+        build_config(load_config_file(cfg_file), {})
     with pytest.raises(ConfigError, match="cannot read"):
         load_config_file(tmp_path / "missing.cfg")
 
 
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_snippet_prints_the_readme_result(capsys):
+    # the first python block of the README, run as written
+    text = README.read_text(encoding="utf-8")
+    snippet = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+    result = re.search(r"^RESULT .*$", text, re.M).group(0)
+    exec(compile(snippet, str(README), "exec"), {})
+    assert capsys.readouterr().out == result + "\n"
+
+
 def test_defaults_match_documented_run():
-    cfg = PipelineConfig(out_dir="x")
+    cfg = PipelineConfig()
     assert (cfg.n, cfg.seed, cfg.models, cfg.k) == (2000, 7, 4, 5)
     assert cfg.adjust_placement == "before_stacking"
     assert cfg.rule1 and cfg.rule2 and not cfg.unimodal
@@ -387,7 +400,7 @@ def pipeline_config(monkeypatch, *argv):
     """(exit code, the PipelineConfig `memepipe ...argv` would run)."""
     seen = []
 
-    def fake_run(cfg):
+    def fake_run(cfg, out_dir):
         seen.append(cfg)
         return type("Result", (), {"report": None, "submission_path": ""})()
     monkeypatch.setattr(cli, "run_pipeline", fake_run)
@@ -396,7 +409,7 @@ def pipeline_config(monkeypatch, *argv):
 
 
 def test_every_config_key_has_a_matching_flag(tmp_path, monkeypatch, capsys):
-    keys = {f.name for f in dataclasses.fields(PipelineConfig)} - {"out_dir"}
+    keys = {f.name for f in dataclasses.fields(PipelineConfig)}
     assert set(NON_DEFAULT) == keys
     out = str(tmp_path / "run")
     cfg_file = tmp_path / "run.cfg"
@@ -414,7 +427,7 @@ def test_every_config_key_has_a_matching_flag(tmp_path, monkeypatch, capsys):
     code, from_flags = pipeline_config(monkeypatch, *argv)
     assert code == 0
     assert from_flags == from_file
-    default = PipelineConfig(out_dir=out)
+    default = PipelineConfig()
     for key in keys:
         assert getattr(from_file, key) != getattr(default, key), key
 

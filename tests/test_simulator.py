@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import memepipe
 from memepipe import cli, simulator
 from memepipe.dataset import MemeRecord
+from memepipe.ensemble import on_grid
 from memepipe.metrics import auroc
 from memepipe.simulator import (SimulatorConfig, member_discounts, population,
                                 simulate_predictions)
@@ -204,14 +206,23 @@ def _reference_scores(memes, cfg, model_index):
     return out
 
 
+def assert_matches_reference(memes, cfg, model_index):
+    # the set is the reference on the prediction files' grid, and with the
+    # grid pass taken out its raw scores equal the reference bit for bit
+    want = _reference_scores(memes, cfg, model_index)
+    pop = population(memes, [], cfg)
+    assert simulate_predictions(pop, model_index).scores == \
+        dict(zip(want, on_grid(list(want.values()))))
+    with mock.patch.object(simulator, "on_grid", lambda x: x.tolist()):
+        assert simulate_predictions(pop, model_index).scores == want
+
+
 # ids and seeds on both sides of 2**32, where the uint32 entropy stops fitting
 @pytest.mark.parametrize("seed", [0, 7, 2**40])
 @pytest.mark.parametrize("model_index", [0, 3])
 def test_simulate_matches_list_seeded_reference(seed, model_index):
     memes = recs({0: 1, 1: 0, 2**32 - 1: 1, 2**32: 0, 2**33 + 7: 1})
-    cfg = SimulatorConfig(seed=seed)
-    expected = _reference_scores(memes, cfg, model_index)
-    assert simulate_predictions(population(memes, [], cfg), model_index).scores == expected
+    assert_matches_reference(memes, SimulatorConfig(seed=seed), model_index)
 
 
 def test_simulate_rejects_negative_id_as_numpy_does():
@@ -263,10 +274,7 @@ def test_corrupted_table_falls_back_to_numpy(monkeypatch, fresh_tables):
         raise AssertionError("bulk path used after a failed self-check")
 
     monkeypatch.setattr(simulator, "_bulk_normals", never)
-    memes = recs({i: i % 2 for i in range(300)})
-    cfg = SimulatorConfig(seed=11)
-    assert simulate_predictions(population(memes, [], cfg), 2).scores == \
-        _reference_scores(memes, cfg, 2)
+    assert_matches_reference(recs({i: i % 2 for i in range(300)}), SimulatorConfig(seed=11), 2)
 
 
 def test_normals_build_no_generator_per_draw(monkeypatch):
@@ -300,10 +308,7 @@ def test_corrupted_steer_falls_back_to_numpy(monkeypatch, fresh_tables):
         raise AssertionError("bulk path used after a failed self-check")
 
     monkeypatch.setattr(simulator, "_bulk_normals", never)
-    memes = recs({i: i % 2 for i in range(300)})
-    cfg = SimulatorConfig(seed=11)
-    assert simulate_predictions(population(memes, [], cfg), 2).scores == \
-        _reference_scores(memes, cfg, 2)
+    assert_matches_reference(recs({i: i % 2 for i in range(300)}), SimulatorConfig(seed=11), 2)
 
 
 # a zero separation with the least sigma gives signed zeros; a huge sigma, infinities
@@ -329,10 +334,8 @@ _WORDS = st.integers(0, 2**32 - 1) | st.sampled_from([0, 1, 2**31, 2**32 - 2, 2*
        ids=st.lists(_WORDS, min_size=1, max_size=20, unique=True),
        big_ids=st.lists(st.integers(2**32, 2**70), max_size=3, unique=True))
 def test_simulate_matches_reference_for_any_words(seed, model_index, ids, big_ids):
-    memes = recs({i: i % 2 for i in ids + big_ids})
-    cfg = SimulatorConfig(seed=seed)
-    expected = _reference_scores(memes, cfg, model_index)
-    assert simulate_predictions(population(memes, [], cfg), model_index).scores == expected
+    assert_matches_reference(recs({i: i % 2 for i in ids + big_ids}),
+                             SimulatorConfig(seed=seed), model_index)
 
 
 def test_import_reads_no_ziggurat_tables():
