@@ -67,6 +67,8 @@ def _splits(text, flag):
 
 
 def _say(args, message):
+    """Print a progress message on stderr unless args (parsed flags or a
+    built config) is quiet."""
     if not args.quiet:
         print(message, file=sys.stderr)
 
@@ -210,10 +212,11 @@ def cmd_pipeline(args):
     overrides = {f.name: getattr(args, f.name)
                  for f in dataclasses.fields(PipelineConfig)
                  if getattr(args, f.name) is not None}
-    result = run_pipeline(build_config(file_values, overrides), args.outdir)
+    cfg = build_config(file_values, overrides)
+    result = run_pipeline(cfg, args.outdir)
     if result.report is not None:
         print(result.report.machine_line())
-    _say(args, f"submission: {result.submission_path}")
+    _say(cfg, f"submission: {result.submission_path}")
 
 
 def build_parser():

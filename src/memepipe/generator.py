@@ -20,13 +20,12 @@ byte-identical manifests and images.
 
 A base image's DCT is zero outside its 8x8 low-frequency block, so its
 pixels are the rank-8 product B.T @ block @ B, where B is the first 8 rows
-of the 64-point DCT-II matrix.  That differs from scipy's full `idctn` only
-by rounding, which can change an image only where a pixel rounds to a
-different integer.  So one render path makes every image, base or
-near-duplicate: the rank-8 product plus the caption stripes and noise, redone
-on `idctn` with the same additions when any pixel lies within 1e-9 of a half
-integer.  The images are bit-identical to the `idctn` ones and the random
-draws are unchanged.
+of the 64-point DCT-II matrix.  One render makes every image, base or
+near-duplicate: that product plus the caption stripes and noise, rounded
+to uint8.  The product defines the pixels.  Before rounding it is within
+1e-11 of the full 64x64 inverse DCT of the coefficients, so the two round alike
+except at a pixel within that distance of a half integer, where they need
+not be bit-identical.
 """
 
 import os
@@ -55,8 +54,6 @@ _VOCAB = [a + b for a in _SYLLABLES for b in _SYLLABLES][:200]
 
 _COLS = np.arange(IMAGE_SIDE, dtype=np.float64)
 _LOW_ROWS = dct_rows(IMAGE_SIDE, _LOW_BLOCK)
-# a pixel this close to a half integer may round apart on the two paths
-_HALF_TOL = 1e-9
 
 
 @dataclass
@@ -85,11 +82,6 @@ def _quantize(img):
     return np.clip(np.rint(img), 0, 255).astype(np.uint8)
 
 
-def _near_half(img):
-    # some pixel's distance to the nearest integer is within _HALF_TOL of .5
-    return bool(np.abs(img - np.rint(img)).max() >= 0.5 - _HALF_TOL)
-
-
 class _Base(NamedTuple):
     """A base image: its pixels and what they are made of."""
 
@@ -101,18 +93,10 @@ class _Base(NamedTuple):
 def _render(block, stripes, noise=0.0):
     """The quantized inverse orthonormal DCT-II of a 64x64 coefficient matrix
     that is zero outside its top-left `block`, plus the caption stripes, then
-    the noise, in the caption band: a rank-8 product, or scipy's idctn where
-    some pixel may round apart on the two."""
+    the noise, in the caption band, as a rank-8 product."""
     img = _LOW_ROWS.T @ block @ _LOW_ROWS
     img[_BAND] += stripes
     img[_BAND] += noise
-    if _near_half(img):
-        from scipy.fft import idctn  # the reference path only: slow to import
-        coef = np.zeros((IMAGE_SIDE, IMAGE_SIDE))
-        coef[:_LOW_BLOCK, :_LOW_BLOCK] = block
-        img = idctn(coef, type=2, norm="ortho")
-        img[_BAND] += stripes
-        img[_BAND] += noise
     return _quantize(img)
 
 

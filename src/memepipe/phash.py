@@ -11,23 +11,21 @@ The resize and the DCT are both linear and only the 8x8 block is read, so
 `phash` computes the block as a product of rank 8 per side:
 block = P(h) @ gray @ P(w).T, where P(n) = D8 @ A(n), A(n) is the 32 x n
 area-resize matrix and D8 the first 8 rows of the 32-point DCT-II matrix.
-This differs from the reference `dct2(resize_area(gray, 32))` only by
-rounding, which can change a bit only when a coefficient sits next to the
-median.  So when the gap on either side of the median over the sorted AC
-coefficients, ac[31] - ac[30] or ac[32] - ac[31], is at most
-tol = 1e-9 * max|gray|, the hash is taken from the reference path instead.
-A bit is set when its coefficient exceeds the median by more than tol: a
-coefficient tied with the median up to rounding sets none, and on the fast
-path none lies within tol above it, so the two paths give the same hash.
-The tolerance scales with the pixels because the rounding error does: on a
+That product defines the hash.  It is within about 1e-13 of max|gray| of
+the full 2-D DCT of the resized image, the tests' reference, so the two
+give the same bits except for a coefficient within that rounding of
+median + tol, tol = 1e-9 * max|gray|: a bit is set when its coefficient
+exceeds the median by more than tol.  So coefficients tied with the median
+up to rounding set none, and a flat or near-flat image hashes to 0.  The
+tolerance scales with the pixels because the rounding error does: on a
 near-flat image the AC coefficients are far smaller than the error of a
-product over the large DC level.  Both paths read the pixels in C order,
-so the hash does not depend on their layout in memory.
-max|gray| is the largest absolute grayscale value.  For a 2-D uint8 array,
-what read_pgm and the generator give, it is the max of the uint8 pixels,
-the same value without an absolute-value pass over the floats, and the
-pixels go to float64 without `to_grayscale`'s dispatch.  Only the reference
-path imports scipy.
+product over the large DC level.  The pixels are read in C order, so the
+hash does not depend on their layout in memory.
+max|gray| is the largest absolute grayscale value, or the smallest normal
+float if that is larger: below it rounding is absolute, not relative.  For
+a 2-D uint8 array, what read_pgm and the generator give, it is the max of
+the uint8 pixels, the same value without an absolute-value pass over the
+floats, and the pixels go to float64 without `to_grayscale`'s dispatch.
 """
 
 import functools
@@ -41,8 +39,12 @@ RESIZE_SIDE = 32
 BLOCK_SIDE = 8
 HASH_BITS = BLOCK_SIDE * BLOCK_SIDE
 
-# fast path: a median gap up to this times max|gray| takes the reference path
-_GAP_TOL = 1e-9
+# a bit is set when its coefficient exceeds the median by more than this
+# times max|gray|
+_BIT_TOL = 1e-9
+# below the smallest normal float rounding is absolute, so max|gray| counts
+# as at least this and a flat image of subnormal pixels still hashes to 0
+_TINY = float(np.finfo(np.float64).tiny)
 
 # elements of one row block's XOR matrix in near_pairs (1 MB of uint64)
 _BLOCK_ELEMS = 1 << 17
@@ -109,24 +111,6 @@ def _projection(n_in):
     return p
 
 
-def resize_area(m, s):
-    """Resize a 2-D matrix to s x s by exact area-weighted averaging."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"need a non-empty 2-D matrix, got shape {m.shape}")
-    if s < 1:
-        raise ValueError(f"target side must be >= 1, got {s}")
-    wr = _overlap_weights(m.shape[0], s)
-    wc = _overlap_weights(m.shape[1], s)
-    return wr @ m @ wc.T
-
-
-def dct2(m):
-    """Orthonormal 2-D DCT-II.  Energy-preserving; a constant c maps to c*s at (0,0)."""
-    from scipy.fft import dctn  # the reference path only: scipy.fft is slow to import
-    return dctn(np.asarray(m, dtype=np.float64), type=2, norm="ortho")
-
-
 def phash(img):
     """64-bit perceptual hash of an image (any 2-D/3-channel pixel array).
 
@@ -146,12 +130,8 @@ def phash(img):
                               f"{BLOCK_SIDE}x{BLOCK_SIDE} pixels")
     block = (_projection(h) @ gray @ _projection(w).T).ravel()
     ac = np.sort(block[1:])
-    mid = (ac.size - 1) // 2      # lower median; exact middle for odd counts
-    below, med, above = ac[mid - 1:mid + 2].tolist()
-    tol = _GAP_TOL * (float(img.max()) if u8 else np.abs(gray).max())
-    if not (med - below > tol and above - med > tol):   # NaN fails `>` too
-        block = dct2(resize_area(gray, RESIZE_SIDE))[:BLOCK_SIDE, :BLOCK_SIDE].ravel()
-        med = np.sort(block[1:])[mid]
+    med = ac[(ac.size - 1) // 2]      # lower median; exact middle for odd counts
+    tol = _BIT_TOL * max(float(img.max()) if u8 else float(np.abs(gray).max()), _TINY)
     bits = block > med + tol
     bits[0] = False
     return int.from_bytes(np.packbits(bits, bitorder="little"), "little")

@@ -1,8 +1,51 @@
-"""Independent AUROC oracles that test_metrics.py and test_acceptance.py
-check `metrics.auroc` against: brute-force pair counting, and the
-trapezoidal area under a ROC staircase."""
+"""Independent references the tests check the package against.
+
+- The hash's DCT: scipy's `dctn` of an exact area resize (`dct2` and
+  `resize_area`), which `phash`'s rank-8 product is checked against, and a
+  direct double-cosine sum that checks `dct2` in turn.
+- AUROC, for test_metrics.py and test_acceptance.py: brute-force pair
+  counting, and the trapezoidal area under a ROC staircase.
+"""
+
+import math
 
 import numpy as np
+from scipy.fft import dctn
+
+from memepipe.phash import _overlap_weights
+
+
+def resize_area(m, s):
+    """Resize a 2-D matrix to s x s by exact area-weighted averaging."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
+        raise ValueError(f"need a non-empty 2-D matrix, got shape {m.shape}")
+    if s < 1:
+        raise ValueError(f"target side must be >= 1, got {s}")
+    return _overlap_weights(m.shape[0], s) @ m @ _overlap_weights(m.shape[1], s).T
+
+
+def dct2(m):
+    """Orthonormal 2-D DCT-II.  Energy-preserving; a constant c maps to c*s at (0,0)."""
+    return dctn(np.asarray(m, dtype=np.float64), type=2, norm="ortho")
+
+
+def dct2_double_sum(x):
+    """Direct double-sum orthonormal DCT-II, O(n^4).  Only for tiny inputs."""
+    n0, n1 = x.shape
+    out = np.zeros((n0, n1))
+    for u in range(n0):
+        for v in range(n1):
+            s = 0.0
+            for i in range(n0):
+                for j in range(n1):
+                    s += (x[i, j]
+                          * math.cos(math.pi * (2 * i + 1) * u / (2 * n0))
+                          * math.cos(math.pi * (2 * j + 1) * v / (2 * n1)))
+            au = math.sqrt(1.0 / n0) if u == 0 else math.sqrt(2.0 / n0)
+            av = math.sqrt(1.0 / n1) if v == 0 else math.sqrt(2.0 / n1)
+            out[u, v] = au * av * s
+    return out
 
 
 def pair_count_auroc(scores, labels):

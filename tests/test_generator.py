@@ -11,7 +11,7 @@ from memepipe.dataset import (DatasetComposition, GeneratorNoise, read_pgm)
 from memepipe.generator import (generate_dataset, image_hashes, write_images,
                                 _BAND, _BASE_MIN_SEPARATION, _DUP_MAX_RADIUS,
                                 _LOW_ROWS, _base_image, _fresh_base,
-                                _near_duplicate, _near_half, _quantize, _render)
+                                _near_duplicate, _quantize, _render)
 from memepipe.phash import hamming, phash
 from memepipe.tuples import ThreeTuple, TwoTuple, detect_tuples
 
@@ -135,58 +135,44 @@ def test_fresh_base_accepts_at_exactly_the_minimum_separation():
         assert min(hamming(h, int(other)) for other in placed) >= _BASE_MIN_SEPARATION
 
 
-@pytest.fixture
-def idctn_calls(monkeypatch):
-    """Counts the calls the generator makes to its reference path."""
-    calls = []
-    idctn = scipy.fft.idctn
-
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return idctn(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.fft, "idctn", counted)
-    return calls
-
-
-def rank8(block, stripes):
-    """The fast path's floats: the rank-8 product plus the caption stripes."""
+def rank8(block, stripes, noise=0.0):
+    """The render's floats: the rank-8 product plus the caption stripes, then
+    the noise, in the caption band."""
     img = _LOW_ROWS.T @ block @ _LOW_ROWS
     img[_BAND] += stripes
+    img[_BAND] += noise
     return img
 
 
-def reference(block, stripes, noise=0.0):
+def reference(block, stripes):
     """The quantized render built on scipy's full idctn."""
     coef = np.zeros((64, 64))
     coef[:8, :8] = block
     img = scipy.fft.idctn(coef, type=2, norm="ortho")
     img[_BAND] += stripes
-    img[_BAND] += noise
     return _quantize(img), img
 
 
-def test_base_pixels_equal_the_reference_path(idctn_calls):
+def test_base_pixels_equal_the_reference_path():
     rng = np.random.default_rng(14)
     for _ in range(50):
         base = _base_image(rng)
         want, exact = reference(base.block, base.stripes)
         assert np.array_equal(base.u8, want)
         assert np.abs(rank8(base.block, base.stripes) - exact).max() < 1e-11
-    assert len(idctn_calls) == 50     # only the references above
 
 
-def test_base_on_a_half_integer_takes_the_reference_path(idctn_calls):
+def test_base_on_a_half_integer_rounds_the_product():
     # DC 128.5 * 64 and no other energy: every pixel outside the caption
-    # band is 128.5 on the fast path, where scipy's rounding may land on
-    # either side of it
+    # band is 128.5 in the product, which rounds half to even, where scipy's
+    # rounding may land on either side of it
     block = np.zeros((8, 8))
     block[0, 0] = 128.5 * 64
     stripes = _base_image(np.random.default_rng(15)).stripes
     assert (rank8(block, stripes)[:_BAND.start] == 128.5).all()
     u8 = _render(block, stripes)
-    assert idctn_calls == [(64, 64)]
-    assert np.array_equal(u8, reference(block, stripes)[0])
+    assert np.array_equal(u8, _quantize(rank8(block, stripes)))
+    assert (u8[:_BAND.start] == 128).all()
 
 
 class FixedNoise:
@@ -202,17 +188,15 @@ class FixedNoise:
         return self.noise
 
 
-def test_near_duplicate_on_a_half_integer_takes_the_reference_path(idctn_calls):
+def test_near_duplicate_on_a_half_integer_rounds_the_product():
     base = _base_image(np.random.default_rng(16))
     band = rank8(base.block, base.stripes)[_BAND]
-    assert not _near_half(band) and not idctn_calls
     noise = np.zeros(band.shape)
     noise[2, 5] = np.floor(band[2, 5]) + 0.5 - band[2, 5]
     rng = FixedNoise(noise)
     dup = _near_duplicate(rng, base, phash(base.u8), 4.0)
-    assert idctn_calls == [(64, 64)]
     assert rng.draws == 1
-    assert np.array_equal(dup, reference(base.block, base.stripes, noise)[0])
+    assert np.array_equal(dup, _quantize(rank8(base.block, base.stripes, noise)))
 
 
 def test_shared_texts_normalize_equal():

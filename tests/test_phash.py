@@ -10,30 +10,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import memepipe
 from memepipe.errors import DataFormatError
-from memepipe.phash import (HASH_BITS, dct2, dct_rows, hamming, hash_to_hex,
+from memepipe.phash import (HASH_BITS, dct_rows, hamming, hash_to_hex,
                             hex_to_hash, near_pairs, phash, read_hashes,
-                            resize_area, to_grayscale, write_hashes)
+                            to_grayscale, write_hashes)
+from oracles import dct2, dct2_double_sum, resize_area
 
 # the package re-exports the phash function under the submodule's name
 phash_module = importlib.import_module("memepipe.phash")
-
-
-def dct2_oracle(x):
-    """Direct double-sum orthonormal DCT-II, O(n^4).  Only for tiny inputs."""
-    n0, n1 = x.shape
-    out = np.zeros((n0, n1))
-    for u in range(n0):
-        for v in range(n1):
-            s = 0.0
-            for i in range(n0):
-                for j in range(n1):
-                    s += (x[i, j]
-                          * math.cos(math.pi * (2 * i + 1) * u / (2 * n0))
-                          * math.cos(math.pi * (2 * j + 1) * v / (2 * n1)))
-            au = math.sqrt(1.0 / n0) if u == 0 else math.sqrt(2.0 / n0)
-            av = math.sqrt(1.0 / n1) if v == 0 else math.sqrt(2.0 / n1)
-            out[u, v] = au * av * s
-    return out
 
 
 def test_grayscale_2d_passthrough():
@@ -162,7 +145,7 @@ def test_dct2_impulse_closed_form():
 def test_dct2_matches_double_sum_oracle():
     rng = np.random.default_rng(3)
     x = rng.uniform(-100, 100, size=(8, 8))
-    assert np.allclose(dct2(x), dct2_oracle(x), atol=1e-10)
+    assert np.allclose(dct2(x), dct2_double_sum(x), atol=1e-10)
 
 
 def test_dct2_linear():
@@ -182,6 +165,11 @@ def test_dct2_preserves_energy():
 def test_phash_constant_image_is_zero():
     assert phash(np.full((64, 64), 200.0)) == 0
     assert phash(np.zeros((10, 10))) == 0
+    # subnormal pixels: 1e-9 * max|gray| would underflow to 0, while the
+    # product's rounding there is absolute and would set bits
+    for level in (5e-324, -1e-315, 1e-310):
+        for shape in ((8, 9), (33, 17), (64, 64)):
+            assert phash(np.full(shape, level)) == 0
 
 
 def test_phash_dc_bit_clear():
@@ -227,19 +215,6 @@ def reference_phash(img):
     return sum(1 << i for i in range(1, HASH_BITS) if block[i] > med)
 
 
-@pytest.fixture
-def dct2_calls(monkeypatch):
-    """Counts the calls phash makes to its reference path."""
-    calls = []
-
-    def counted(m):
-        calls.append(np.shape(m))
-        return dct2(m)
-
-    monkeypatch.setattr(phash_module, "dct2", counted)
-    return calls
-
-
 def test_dct_rows_are_the_leading_rows_of_the_dct_matrix():
     # the 2-D DCT of an n x n impulse at (j, 0) is column j of the matrix,
     # scaled by its own row-0 entry; the double-sum oracle checks dct2
@@ -250,17 +225,16 @@ def test_dct_rows_are_the_leading_rows_of_the_dct_matrix():
         for j in range(n):
             impulse = np.zeros((n, n))
             impulse[j, 0] = 1.0
-            assert np.allclose(dct2_oracle(impulse)[:, 0], full[:, j] * full[0, 0],
+            assert np.allclose(dct2_double_sum(impulse)[:, 0], full[:, j] * full[0, 0],
                                atol=1e-12)
     assert not dct_rows(32, 8).flags.writeable
 
 
-def test_phash_fast_path_skips_the_reference(dct2_calls):
+def test_phash_fast_path_skips_the_reference():
     rng = np.random.default_rng(11)
     for shape in ((64, 64), (8, 200), (33, 47, 3)):
         img = rng.integers(0, 256, size=shape, dtype=np.uint8)
         assert phash(img) == reference_phash(img)
-    assert dct2_calls == []
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -282,39 +256,33 @@ def test_phash_equals_the_reference_path(h, w, rgb, kind, seed, noise_exp, level
     assert phash(img) == reference_phash(img)
 
 
-def test_phash_near_flat_images_take_the_reference_path(dct2_calls):
-    # a constant plus noise far below the rounding error of the fast path's
-    # products: a tolerance scaled by the AC coefficients lets rounding pick
+def test_phash_near_flat_images_hash_to_zero():
+    # a constant plus noise far below the rounding error of the product: a tolerance scaled by the AC coefficients lets rounding pick
     # the bits here, and one scaled by the pixels does not.  The noise is
     # below that tolerance too, so every coefficient ties with the median
     rng = np.random.default_rng(12)
-    count = 0
     for shape in ((64, 64), (10, 10), (33, 47), (100, 8)):
         for noise in (1e-14, 1e-13, 1e-12, 1e-11, 1e-10):
             for level in (0.7, 128.0, 255.0, 1e4):
                 img = level + noise * rng.standard_normal(shape)
                 assert phash(img) == reference_phash(img) == 0
-                count += 1
-    assert len(dct2_calls) == count
 
 
-def test_phash_tied_median_takes_the_reference_path(dct2_calls):
+def test_phash_tied_median_sets_the_reference_bits():
     # constant along each row: every coefficient off the block's first column
     # is zero, so the median is a 56-way tie that rounding would split
     rng = np.random.default_rng(13)
     img = np.repeat(rng.uniform(0.0, 255.0, size=(50, 1)), 70, axis=1)
     assert phash(img) == reference_phash(img)
-    assert dct2_calls == [(32, 32)]
 
 
-def test_phash_tied_median_of_uint8_pixels_takes_the_reference_path(dct2_calls):
+def test_phash_tied_median_of_uint8_pixels_sets_the_reference_bits():
     # as above, in uint8 and with a row of zeros: the tolerance comes from the
-    # largest pixel, not the smallest, or the fast path's rounding picks bits
+    # largest pixel, not the smallest, or the product's rounding picks bits
     rng = np.random.default_rng(13)
     img = np.repeat(rng.integers(1, 256, size=(50, 1)), 70, axis=1).astype(np.uint8)
     img[7] = 0
     assert phash(img) == reference_phash(img) == phash(img.astype(float))
-    assert dct2_calls == [(32, 32)] * 2     # the two phash calls
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -390,14 +358,40 @@ def test_phash_of_uint8_pixels_skips_the_grayscale_dispatch(monkeypatch):
     assert phash(u8) == want
 
 
-def test_import_loads_no_scipy():
-    # scipy.fft is slow to import, and only the reference paths need it
+# hashes a tied-median and a near-flat image, renders a pixel of exactly
+# 128.5 and runs a small pipeline with `import scipy` made to fail
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+from memepipe.cli import main
+from memepipe.generator import _render
+from memepipe.phash import phash
+tied = np.repeat(np.random.default_rng(13).uniform(0.0, 255.0, size=(50, 1)), 70, axis=1)
+flat = 128.0 + 1e-12 * np.random.default_rng(12).standard_normal((64, 64))
+block = np.zeros((8, 8))
+block[0, 0] = 128.5 * 64
+print(phash(tied), phash(flat), _render(block, 0.0)[0, 0])
+sys.exit(main(["--quiet", "pipeline", "--n", "60", "--models", "1", "--k", "2",
+               "--no-images", "--outdir", sys.argv[1]]))
+"""
+
+
+def test_import_loads_no_scipy(tmp_path):
+    # scipy.fft is slow to import, and only the tests' oracles need it
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(memepipe.__file__)))
     code = ("import sys, memepipe.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(memepipe.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path / "run")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    tied = np.repeat(np.random.default_rng(13).uniform(0.0, 255.0, size=(50, 1)), 70, axis=1)
+    hashes, result = out.stdout.splitlines()
+    assert hashes == f"{reference_phash(tied)} 0 128"
+    assert result.startswith("RESULT ")
 
 
 def test_phash_affine_invariance():

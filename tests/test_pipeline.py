@@ -453,6 +453,16 @@ def test_every_config_key_has_a_matching_flag(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_quiet_in_a_config_file_silences_the_whole_run(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("quiet = true\nn = 60\nmodels = 1\nk = 2\nsave_images = false\n")
+    assert cli.main(["pipeline", "--outdir", str(tmp_path / "run"),
+                     "--config", str(cfg_file)]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("RESULT ")
+    assert err == ""
+
+
 def test_cli_stage_chain_matches_pipeline(tmp_path):
     out = tmp_path / "run"
     run_quick(out, n=300, models=2, k=2, save_images=True)

@@ -1,9 +1,14 @@
 """Source hygiene of src/memepipe, read with the stdlib ast: no unused import,
-an `__all__` that matches the package's imports, and no module-level private
-name that nothing refers to."""
+an `__all__` that matches the package's imports, no module-level private
+name that nothing refers to, and no import of a package the project does
+not depend on."""
 
 import ast
 import pathlib
+import re
+import sys
+
+import pytest
 
 import memepipe
 
@@ -29,6 +34,16 @@ def _imported(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 yield alias.asname or alias.name.split(".")[0], node.lineno
+
+
+def _absolute_imports(tree):
+    """(module, line) for every module an absolute import statement names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module, node.lineno
 
 
 def _module_level_names(tree):
@@ -68,3 +83,15 @@ def test_every_private_module_name_is_referenced():
                if name.startswith("_") and not name.startswith("__")
                and name not in referenced]
     assert orphans == []
+
+
+def test_every_import_is_stdlib_or_a_declared_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+    deps = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["dependencies"]
+    allowed = set(sys.stdlib_module_names)
+    allowed |= {re.match(r"[\w.-]+", dep).group().lower().replace("-", "_") for dep in deps}
+    foreign = [f"{module}:{line}: {name}"
+               for module, tree in TREES.items() for name, line in _absolute_imports(tree)
+               if name.split(".")[0] not in allowed]
+    assert foreign == []
