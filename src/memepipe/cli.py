@@ -10,6 +10,8 @@ import argparse
 import dataclasses
 import sys
 
+import numpy as np
+
 from . import __version__
 from .clustering import (HAMMING_THRESHOLD, ClusterAssignment, cluster_images,
                          cluster_texts, corpus_stats, read_clusters,
@@ -181,7 +183,7 @@ def cmd_simulate(args):
 def cmd_stack(args):
     sets = [read_predictions(path) for path in args.preds]
     for path, ps in zip(args.preds[1:], sets[1:]):
-        if ps.scores.keys() != sets[0].scores.keys():
+        if not np.array_equal(ps.ids, sets[0].ids):
             raise DataFormatError(f"{path}: ids differ from those of {args.preds[0]}")
     stacked = stack_equal_weight(sets)
     write_submission(stacked, args.out)

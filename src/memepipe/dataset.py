@@ -101,15 +101,24 @@ class GeneratorNoise:
                 raise ConfigError(f"{name} must be in [0, 1], got {v}")
 
 
+# ids are held in int64 arrays, so a meme id lies below 2**63
+_ID_END = 2**63
+
+
 def _is_meme_id(value):
-    """A meme id is a non-negative int, and a bool is not one."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    """A meme id is an int in [0, 2**63), and a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < _ID_END
+
+
+def id_error(value):
+    """The message for a value that is not a meme id."""
+    return f"id must be a non-negative integer below 2**63, got {value!r}"
 
 
 def _check_record(rec):
     """Raise DataFormatError, naming the fault alone, on an invalid record."""
     if not _is_meme_id(rec.id):
-        raise DataFormatError(f"id must be a non-negative integer, got {rec.id!r}")
+        raise DataFormatError(id_error(rec.id))
     if not isinstance(rec.img, str) or not rec.img:
         raise DataFormatError("img must be a non-empty string")
     if not isinstance(rec.text, str):
@@ -185,9 +194,11 @@ def read_manifest(path):
 
 def _parse_id(field):
     """A meme id written in a CSV field: ASCII decimal digits only, so no
-    sign, space or underscore, as the JSON files' ids are non-negative ints."""
-    if not (field.isascii() and field.isdigit()):
-        raise ValueError(f"id must be a non-negative integer, got {field!r}")
+    sign, space or underscore, as the JSON files' ids are non-negative ints,
+    and below 2**63."""
+    if not (field.isascii() and field.isdigit() and len(field.lstrip("0")) <= 19
+            and int(field) < _ID_END):
+        raise ValueError(id_error(field))
     return int(field)
 
 

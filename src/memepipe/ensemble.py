@@ -1,4 +1,11 @@
-"""Equal-weight stacking and prediction file IO.
+"""Equal-weight stacking and prediction file IO, on the columns of a
+prediction set.
+
+A PredictionSet (rules.py) is `ids`, sorted int64 meme ids in [0, 2**63),
+and `values`, one float64 score each.  The sets of one run share a single
+read-only `ids` array, and the stacked set shares it too; stacking sums the
+sets' score columns id by id, and the writers format the shared id column
+once per run, so each file costs only its score digits and one write.
 
 Prediction files are CSV with header `id,proba`; submissions add a `label`
 column, and read as prediction files with that column ignored.
@@ -13,22 +20,20 @@ units of the ninth place) of a half, `:.9f` itself decides, one value at a
 time.  Its grid value num / 1e9 is float() of those digits, as both
 operands are exact and the division rounds correctly.
 
-Both prediction-file functions have a bulk path for the one shape the
-pipeline writes, and fall back on the per-row code, which is the reference,
-for every other input; the bytes and the values are the same either way.
-`write_predictions` formats in numpy when every id is an int in [0, 2**63)
-and every score a float in [0, 1] without a sign bit, else it writes one
-f-string per row.  `read_predictions` parses a file in the writer's exact
-form from its bytes in numpy: each row's digits are found from its newline,
-and its score is num / 1e9 for the integer num its ten digits spell.  A
-file with an id of more than 18 digits, a repeated id or a value above 1,
-and any other file, goes to `read_csv`, which reads or rejects it with its
-line.
+Both prediction-file functions have a bulk path for the shape the pipeline
+writes and fall back on per-row code, the reference, for every other input;
+the bytes and the values are the same either way.  The writers format in
+numpy when every score is in [0, 1] without a sign bit, else they write one
+f-string per row (`_write_per_row`).  `read_predictions` parses a file in
+the writer's exact form from its bytes in numpy: each row's digits are
+found from its newline, and its score is num / 1e9 for the integer num its
+ten digits spell.  A file with an id of more than 18 digits, a repeated id
+or a value above 1, and any other file, goes to `read_csv`, which reads or
+rejects it with its line.  Either way the set comes back sorted by id.
 """
 
 import math
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,38 +48,54 @@ _HEADER = b"id,proba\n"
 _ID_DIGITS = 18   # the most an int64 always holds; longer ids go to read_csv
 # the weight of each byte of `d.ddddddddd` in units of 1e-9, '.' weighing 0
 _FRACTION_WEIGHTS = np.array([1e9, 0.0, 1e8, 1e7, 1e6, 1e5, 1e4, 1e3, 1e2, 1e1, 1e0])
+# `d.ddd` for each of 0 to 1000 thousandths, as ASCII rows; a row's last three
+# bytes, the three digits of each number below 1000
+_LEADS = np.frombuffer("".join(f"{i // 1000}.{i % 1000:03d}" for i in range(1001)).encode(),
+                       np.uint8).reshape(1001, 5)
+_TRIPLES = _LEADS[:1000, 2:]
 
 
-@dataclass
-class StackedPrediction:
-    mean_score: dict
-    label: dict
+class StackedPrediction(PredictionSet):
+    """A stacked set, labelled 1 iff its score >= 0.5; `mean_score` and
+    `label` read it as fresh dicts id -> score and id -> label."""
+
+    @property
+    def labels(self):
+        return (self.values >= 0.5).astype(np.int64)
+
+    @property
+    def mean_score(self):
+        return self.scores
+
+    @property
+    def label(self):
+        return dict(zip(self.ids.tolist(), self.labels.tolist()))
 
 
 def stack_equal_weight(sets):
     """Average prediction sets with equal weight, on the grid the files
     use; label 1 iff that mean >= 0.5.
 
-    All sets must cover exactly the same ids.  The mean uses exact float
-    summation, so reordering the sets cannot change the result.
+    All sets must cover exactly the same ids, and the stacked set shares the
+    first one's `ids`.  The mean uses exact float summation, so reordering
+    the sets cannot change the result.
     """
     if not sets:
         raise ValueError("need at least one prediction set")
-    ids = set(sets[0].scores)
+    ids = sets[0].ids
     for ps in sets[1:]:
-        if set(ps.scores) != ids:
-            missing = ids.symmetric_difference(ps.scores)
-            sample = sorted(missing)[:5]
+        if ps.ids is not ids and not np.array_equal(ps.ids, ids):
+            sample = np.setxor1d(ids, ps.ids)[:5].tolist()
             raise DataFormatError(f"prediction sets disagree on ids, e.g. {sample}")
-    order = list(ids)
-    sums = map(math.fsum, zip(*(map(ps.scores.__getitem__, order) for ps in sets)))
-    return thresholded(dict(zip(order, on_grid([s / len(sets) for s in sums]))))
+    # one row of every set's score per id
+    rows = np.stack([ps.values for ps in sets], axis=1).tolist()
+    sums = np.fromiter(map(math.fsum, rows), np.float64, len(ids))
+    return thresholded(PredictionSet("stacked", ids=ids, values=on_grid(sums / len(sets))))
 
 
-def thresholded(scores):
-    """The scores as a StackedPrediction, labelled 1 iff score >= 0.5."""
-    return StackedPrediction(scores, {meme_id: 1 if s >= 0.5 else 0
-                                      for meme_id, s in scores.items()})
+def thresholded(preds):
+    """The set as a StackedPrediction, labelled 1 iff score >= 0.5."""
+    return StackedPrediction(preds.model_id, ids=preds.ids, values=preds.values)
 
 
 def _numerators(x):
@@ -88,7 +109,7 @@ def _numerators(x):
 
 
 def on_grid(scores):
-    """Each score as its `:.9f` text reads back, as a list of floats; a
+    """Each score as its `:.9f` text reads back, as a float64 array; a
     value outside [0, 1] goes through the text.  Its two callers are the
     simulator, for each simulated set, and `stack_equal_weight`."""
     x = np.asarray(scores, np.float64)
@@ -96,20 +117,57 @@ def on_grid(scores):
     grid = _numerators(np.where(inside, x, 0.0)) / 1e9
     for j in np.flatnonzero(~inside):
         grid[j] = float(f"{x[j]:.9f}")
-    return grid.tolist()
+    return grid
 
 
 def write_predictions(preds, path):
     """Write a prediction set as `id,proba` CSV, sorted by id."""
-    ids = sorted(preds.scores)
-    scores = [preds.scores[meme_id] for meme_id in ids]
-    rows = _bulk_rows(ids, scores)
-    if rows is None:
-        write_lines(path, ["id,proba", *(f"{meme_id},{score:.9f}"
-                                         for meme_id, score in zip(ids, scores))])
-    else:
-        with open(path, "wb") as fh:
-            fh.write(_HEADER + rows)
+    _write_rows(path, "id,proba", preds.ids, preds.values)
+
+
+def write_submission(stacked, path, ids=None):
+    """Write `id,proba,label` rows for the given ids (default: all), sorted."""
+    pos = slice(None) if ids is None else stacked.positions(sorted(ids), "submission")
+    _write_rows(path, "id,proba,label", stacked.ids[pos], stacked.values[pos],
+                stacked.labels[pos])
+
+
+def _write_rows(path, header, ids, values, labels=None):
+    """Write the header and a row `id,proba[,label]` per sorted id, each
+    score with nine decimals, in one write.  Scores in [0, 1] without a sign
+    bit are formatted in bulk, others by `_write_per_row`, the reference;
+    the bytes are the same."""
+    if not np.all((values >= 0.0) & (values <= 1.0) & ~np.signbit(values)):
+        _write_per_row(path, header, ids, values, labels)
+        return
+    # each row's bytes after its id: `,d.ddddddddd[,l]\n`, the score's digits
+    # in three groups of a thousand
+    lead, rest = np.divmod(_numerators(values).astype(np.int64), 10**6)
+    mid, low = np.divmod(rest, 1000)
+    tails = np.empty((len(ids), 13 if labels is None else 15), np.uint8)
+    tails[:, 0], tails[:, -1] = ord(","), ord("\n")
+    tails[:, 1:6] = _LEADS.take(lead, 0)
+    tails[:, 6:9] = _TRIPLES.take(mid, 0)
+    tails[:, 9:12] = _TRIPLES.take(low, 0)
+    if labels is not None:
+        tails[:, 12], tails[:, 13] = ord(","), labels + ord("0")
+    head = np.frombuffer(header.encode() + b"\n", np.uint8)
+    rows, blocks = _id_rows(ids, tails.shape[1])
+    out = np.concatenate([head, rows])
+    for start, lo, hi, k in blocks:
+        start += len(head)
+        out[start:start + (hi - lo) * (k + tails.shape[1])].reshape(hi - lo, -1)[:, k:] = \
+            tails[lo:hi]
+    with open(path, "wb") as fh:
+        fh.write(out)
+
+
+def _write_per_row(path, header, ids, values, labels=None):
+    """The rows one f-string each: the reference for the bulk formatter."""
+    rows = [f"{i},{score:.9f}" for i, score in zip(ids.tolist(), values.tolist())]
+    if labels is not None:
+        rows = [f"{row},{label}" for row, label in zip(rows, labels.tolist())]
+    write_lines(path, [header, *rows])
 
 
 def _digits(values, width):
@@ -122,25 +180,37 @@ def _digits(values, width):
     return out.T
 
 
-def _bulk_rows(ids, scores):
-    """The rows `id,d.ddddddddd\\n` for sorted ids, as `:.9f` writes them, or
-    None when an id or a score is off the bulk path."""
-    if not ({*map(type, ids)} <= {int} and {*map(type, scores)} <= {float}
-            and (not ids or 0 <= ids[0] and ids[-1] < 2**63)):
-        return None
-    x = np.array(scores, dtype=np.float64)
-    if not np.all((x >= 0.0) & (x <= 1.0) & ~np.signbit(x)):
-        return None
-    meme_ids = np.array(ids, dtype=np.uint64)
-    width = len(str(ids[-1] if ids else 0))
-    frac = _digits(_numerators(x).astype(np.uint64), 10)
-    comma, point, newline = (np.full((len(ids), 1), ord(c), np.uint8) for c in ",.\n")
-    rows = np.hstack([_digits(meme_ids, width), comma, frac[:, :1], point, frac[:, 1:],
-                      newline])
-    # sorted ids of each digit count form one block; drop its leading zeros
-    starts = np.searchsorted(meme_ids, 10 ** np.arange(1, width, dtype=np.uint64)).tolist()
-    return b"".join(rows[lo:hi, width - k:].tobytes() for k, (lo, hi)
-                    in enumerate(zip([0, *starts], [*starts, len(ids)]), start=1))
+# the last _id_rows call, (a copy of its ids, its tail, its result): a memo
+# keyed on content, so a later call returns what a fresh one would
+_last_id_rows = (np.empty(0, np.int64), -1, None)
+
+
+def _id_rows(ids, tail):
+    """(body, blocks) for sorted ids in [0, 2**63): body holds each id's
+    digits followed by `tail` bytes for the caller to fill, and blocks is
+    (byte offset, first row, end row, digit count) for each run of ids of
+    one digit count.  The sets of a run share one id column, so with the
+    last call kept each run formats its ids once."""
+    global _last_id_rows
+    last_ids, last_tail, result = _last_id_rows
+    if last_tail == tail and np.array_equal(last_ids, ids):
+        return result
+    width = len(str(ids[-1])) if len(ids) else 1
+    digits = _digits(ids.astype(np.uint64), width)
+    bounds = [0, *np.searchsorted(ids, 10 ** np.arange(1, width, dtype=np.int64)).tolist(),
+              len(ids)]
+    chunks, blocks, start = [np.empty(0, np.uint8)], [], 0
+    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=1):
+        if hi > lo:
+            rows = np.zeros((hi - lo, k + tail), np.uint8)
+            rows[:, :k] = digits[lo:hi, width - k:]
+            chunks.append(rows.reshape(-1))
+            blocks.append((start, lo, hi, k))
+            start += rows.size
+    body = np.concatenate(chunks)
+    body.flags.writeable = False
+    _last_id_rows = (ids.copy(), tail, (body, blocks))
+    return body, blocks
 
 
 def _proba(field):
@@ -160,16 +230,17 @@ def read_predictions(path):
     """Parse an `id,proba` CSV, or a submission with its label column
     ignored; the model id is the file stem."""
     path = Path(path)
-    scores = _bulk_read(path)
-    if scores is None:
-        scores = read_csv(path, ("id", "proba"), _proba, ignored=("label",))
-    return PredictionSet(path.stem, scores)
+    columns = _bulk_read(path)
+    if columns is None:
+        return PredictionSet(path.stem, read_csv(path, ("id", "proba"), _proba,
+                                                 ignored=("label",)))
+    return PredictionSet(path.stem, ids=columns[0], values=columns[1])
 
 
 def _bulk_read(path):
-    """The scores of a file in exactly the writer's form with ids of at most
-    18 digits, none repeated, and no value above 1, in file order; else None
-    for `read_csv` to read or reject."""
+    """(ids, values), sorted by id, of a file in exactly the writer's form
+    with ids of at most 18 digits, none repeated, and no value above 1;
+    else None for `read_csv` to read or reject."""
     text = path.read_bytes()
     if not (text.startswith(_HEADER) and text.endswith(b"\n")):
         return None
@@ -198,18 +269,13 @@ def _bulk_read(path):
            @ 10 ** np.arange(width - 1, -1, -1, dtype=np.int64))
     if num.max(initial=0.0) > 1e9:
         return None
-    if not np.all(ids[1:] > ids[:-1]):   # the writer's order; else look for repeats
-        ordered = np.sort(ids)
-        if np.any(ordered[1:] == ordered[:-1]):
+    if not np.all(ids[1:] > ids[:-1]):   # the writer's order; else sort, barring repeats
+        order = np.argsort(ids, kind="stable")
+        ids, num = ids[order], num[order]
+        if np.any(ids[1:] == ids[:-1]):
             return None
-    return dict(zip(ids.tolist(), (num / 1e9).tolist()))
-
-
-def write_submission(stacked, path, ids=None):
-    """Write `id,proba,label` rows for the given ids (default: all), sorted."""
-    write_lines(path, ["id,proba,label", *(
-        f"{meme_id},{stacked.mean_score[meme_id]:.9f},{stacked.label[meme_id]}"
-        for meme_id in sorted(stacked.mean_score if ids is None else ids))])
+    ids.flags.writeable = False
+    return ids, num / 1e9
 
 
 def read_submission(path):

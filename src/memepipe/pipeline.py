@@ -25,7 +25,7 @@ from .errors import ConfigError, DataFormatError, StageError, _in_file
 from .generator import generate_dataset, image_hashes, write_corpus
 from .metrics import evaluate
 from .phash import write_hashes
-from .rules import (PredictionSet, PseudoLabelSet, apply_rule1, apply_rule2,
+from .rules import (PseudoLabelSet, apply_rule1, apply_rule2,
                     apply_unimodal_signatures, merge_pseudo_labels,
                     rule1_pseudo_labels, write_pseudo_labels)
 from .simulator import SimulatorConfig, population, simulate_predictions
@@ -146,7 +146,7 @@ class PipelineResult:
     report: object                # EvaluationReport, or None without labels
     submission_path: str
     artifacts: dict               # name -> path
-    stacked: object               # final StackedPrediction-shaped scores/labels
+    stacked: StackedPrediction    # the final scores and labels
 
 
 def _stage(name, fn, quiet):
@@ -219,8 +219,7 @@ def score(cfg, records, structure, sets):
     if cfg.rule2 and cfg.adjust_placement == "before_stacking":
         adjusted = _stage("adjust-before", lambda: [
             apply_rule2(groups, ps) for ps in sets], quiet)
-    stacked = _stage("stack", lambda: stack_equal_weight(adjusted or sets), quiet)
-    final = PredictionSet("stacked", dict(stacked.mean_score))
+    final = _stage("stack", lambda: stack_equal_weight(adjusted or sets), quiet)
 
     if cfg.rule2 and cfg.adjust_placement == "after_stacking":
         final = _stage("adjust-after", lambda: apply_rule2(groups, final), quiet)
@@ -234,14 +233,15 @@ def score(cfg, records, structure, sets):
             return apply_unimodal_signatures(signatures, structure.assignment, final)
         final = _stage("unimodal-signatures", unimodal_stage, quiet)
 
-    final = thresholded(final.scores)
+    final = thresholded(final)
 
     report = None
     if all(rec.label is not None for rec in eval_recs):
         truth = {rec.id: rec.label for rec in eval_recs}
+        pos = final.positions(list(truth), "evaluate")
         report = _stage("evaluate", lambda: evaluate(
-            {i: final.mean_score[i] for i in truth},
-            {i: final.label[i] for i in truth}, truth), quiet)
+            dict(zip(truth, final.values[pos].tolist())),
+            dict(zip(truth, final.labels[pos].tolist())), truth), quiet)
     return Scores(adjusted, final, report)
 
 
@@ -267,8 +267,7 @@ def _write_artifacts(cfg, out_dir, records, structure, sets, scores):
             os.makedirs(os.path.join(out_dir, folder), exist_ok=True)
         for ps in folder_sets:
             write_predictions(ps, out(os.path.join(folder, f"{ps.model_id}.csv")))
-    write_predictions(PredictionSet("stacked", scores.final.mean_score),
-                      out("stacked.csv"))
+    write_predictions(scores.final, out("stacked.csv"))
     eval_ids = [rec.id for rec in records if rec.split == cfg.eval_split]
     write_submission(scores.final, out("submission.csv"), eval_ids)
     if scores.report is not None:
@@ -329,6 +328,9 @@ def run_pipeline(cfg, out_dir):
 
 
 def _config_obj(cfg):
+    """The config as run_manifest.json records it: every field that decides
+    an artifact, so `quiet` is left out."""
     obj = dataclasses.asdict(cfg)
+    del obj["quiet"]
     obj["composition"] = list(cfg.composition.as_tuple())
     return obj

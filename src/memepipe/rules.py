@@ -1,4 +1,13 @@
-"""Probability adjustment rules driven by confounder structure.
+"""Prediction sets and the probability adjustment rules driven by
+confounder structure.
+
+A PredictionSet holds one model's scores as two arrays: `ids`, the sorted
+meme ids as int64, and `values`, each id's probability of hateful as
+float64.  A meme id is an int in [0, 2**63), the range of the int64 column.
+Every set of one run shares a single `ids` array, read-only: the simulated
+sets, each rule's output and the stacked set, so the layers pass arrays and
+never map id to score.  `PredictionSet(model_id, mapping)` builds a set from
+a dict id -> score, and `scores` reads a set back as a fresh such dict.
 
 Rule 1: inside a ThreeTuple the pivot is hateful and both partners are
 benign, so their probabilities become (1, 0, 0) and the same labels can be
@@ -7,32 +16,94 @@ used as pseudo-labels for unlabeled data.
 Rule 2: inside a TwoTuple the member with the larger probability goes to 1
 and the other to 0.  An exact tie leaves both alone.
 
-All adjustments copy the prediction set; inputs are never mutated.
+The rules write by position, group by group in the order given, so groups
+that share a meme give the result of applying them one after another.  They
+copy the scores; inputs are never mutated.
 """
 
 from dataclasses import dataclass
 
-from .dataset import MemeRecord, write_lines
+import numpy as np
+
+from .dataset import MemeRecord, _is_meme_id, id_error, write_lines
 from .errors import DataFormatError
 from .tuples import ThreeTuple, TwoTuple, UnimodalHate
 
 
-@dataclass
-class PredictionSet:
-    """Scores for one model: meme id -> probability of hateful."""
+def sorted_ids(meme_ids):
+    """(ids, order): the meme ids sorted, as a read-only int64 array, and
+    the order that sorts them; an id that is not an int (a Python or numpy
+    integer) in [0, 2**63) raises DataFormatError."""
+    for meme_id in meme_ids:
+        if not _is_meme_id(int(meme_id) if isinstance(meme_id, np.integer) else meme_id):
+            raise DataFormatError(id_error(meme_id))
+    column = np.array(meme_ids, np.int64)
+    order = np.argsort(column, kind="stable")
+    ids = column[order]
+    ids.flags.writeable = False
+    return ids, order
 
-    model_id: str
-    scores: dict
+
+class PredictionSet:
+    """Scores for one model: `ids`, sorted int64 meme ids, and `values`, the
+    float64 probability of hateful of each.  PredictionSet(model_id, mapping)
+    builds the arrays from a dict id -> score; PredictionSet(model_id,
+    ids=..., values=...) takes the columns as they are, and raises
+    ValueError unless the ids are strictly increasing int64 ids >= 0, one
+    per value."""
+
+    def __init__(self, model_id, scores=None, *, ids=None, values=None):
+        if scores is not None:
+            ids, order = sorted_ids(list(scores))
+            values = np.array(list(scores.values()), np.float64)[order]
+        else:
+            ids, values = np.asarray(ids), np.asarray(values, np.float64)
+            if not (ids.dtype == np.int64 and ids.ndim == 1 and values.shape == ids.shape
+                    and (ids[1:] > ids[:-1]).all() and (ids[:1] >= 0).all()):
+                raise ValueError("ids must be a 1-D int64 array of strictly increasing"
+                                 " ids >= 0, one per value")
+        self.model_id, self.ids, self.values = model_id, ids, values
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.model_id!r}, {len(self.ids)} scores)"
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and other.model_id == self.model_id
+                and np.array_equal(other.ids, self.ids)
+                and np.array_equal(other.values, self.values))
+
+    @property
+    def scores(self):
+        """A fresh dict id -> score, in id order."""
+        return dict(zip(self.ids.tolist(), self.values.tolist()))
+
+    def positions(self, meme_ids, what):
+        """The index in `ids` of each id of the list meme_ids; the first id
+        missing raises DataFormatError naming `what`."""
+        if len(self.ids) and {*map(type, meme_ids)} <= {int}:
+            try:
+                want = np.array(meme_ids, np.int64)
+            except OverflowError:      # beyond int64, so in no set
+                want = None
+            if want is not None:
+                pos = np.searchsorted(self.ids, want)
+                if np.array_equal(self.ids.take(pos, mode="clip"), want):
+                    return pos
+        # a missing id, or ids of other types, looked up as a dict would
+        index = dict(zip(self.ids.tolist(), range(len(self.ids))))
+        for meme_id in meme_ids:
+            if meme_id not in index:
+                raise DataFormatError(f"{what}: meme {meme_id} missing from predictions")
+        return np.array([index[i] for i in meme_ids], np.intp)
+
+    def replaced(self, values):
+        """A set of the same model and ids with the given values."""
+        return PredictionSet(self.model_id, ids=self.ids, values=values)
 
 
 @dataclass
 class PseudoLabelSet:
     labels: dict       # meme id -> 0/1, each implied by rule 1
-
-
-def _require(scores, meme_id, rule):
-    if meme_id not in scores:
-        raise DataFormatError(f"{rule}: meme {meme_id} missing from predictions")
 
 
 def _rule1_labels(groups):
@@ -44,11 +115,10 @@ def _rule1_labels(groups):
 
 def apply_rule1(groups, preds):
     """Force every ThreeTuple to (pivot=1, partners=0).  Other kinds are ignored."""
-    scores = dict(preds.scores)
-    for meme_id, label in _rule1_labels(groups):
-        _require(scores, meme_id, "rule 1")
-        scores[meme_id] = float(label)
-    return PredictionSet(preds.model_id, scores)
+    labels = dict(_rule1_labels(groups))    # an id in several tuples keeps its last label
+    values = preds.values.copy()
+    values[preds.positions(list(labels), "rule 1")] = list(labels.values())
+    return preds.replaced(values)
 
 
 def rule1_pseudo_labels(groups):
@@ -58,35 +128,25 @@ def rule1_pseudo_labels(groups):
 
 def apply_rule2(groups, preds):
     """Polarize every TwoTuple to (1, 0) by the larger score; ties untouched."""
-    scores = dict(preds.scores)
-    for g in groups:
-        if not isinstance(g, TwoTuple):
-            continue
-        _require(scores, g.a_id, "rule 2")
-        _require(scores, g.b_id, "rule 2")
-        sa, sb = scores[g.a_id], scores[g.b_id]
-        if sa == sb:
-            continue
-        if sa > sb:
-            scores[g.a_id], scores[g.b_id] = 1.0, 0.0
-        else:
-            scores[g.a_id], scores[g.b_id] = 0.0, 1.0
-    return PredictionSet(preds.model_id, scores)
+    members = [i for g in groups if isinstance(g, TwoTuple) for i in (g.a_id, g.b_id)]
+    pairs = preds.positions(members, "rule 2").reshape(-1, 2)
+    values = preds.values.copy()
+    # in order: pairs that share a meme each read the scores the pairs before wrote
+    for a, b in pairs.tolist():
+        if values[a] != values[b]:
+            values[a], values[b] = (1.0, 0.0) if values[a] > values[b] else (0.0, 1.0)
+    return preds.replaced(values)
 
 
 def apply_unimodal_signatures(signatures, assignment, preds):
     """Set score 1.0 for every meme whose cluster matches a hateful signature."""
-    scores = dict(preds.scores)
     img_sig = {s.cluster_id for s in signatures
                if isinstance(s, UnimodalHate) and s.modality == "image"}
     txt_sig = {s.cluster_id for s in signatures
                if isinstance(s, UnimodalHate) and s.modality == "text"}
-    for meme_id in scores:
-        img = assignment.image.get(meme_id)
-        txt = assignment.text.get(meme_id)
-        if (img is not None and img in img_sig) or (txt is not None and txt in txt_sig):
-            scores[meme_id] = 1.0
-    return PredictionSet(preds.model_id, scores)
+    hit = [assignment.image.get(i) in img_sig or assignment.text.get(i) in txt_sig
+           for i in preds.ids.tolist()]
+    return preds.replaced(np.where(hit, 1.0, preds.values))
 
 
 def write_pseudo_labels(pseudo, path):

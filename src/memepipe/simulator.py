@@ -6,7 +6,8 @@ hard to tell apart) and the noise splits into a component shared by every
 model and a per-model remainder.  Real base models make correlated
 mistakes; without the shared part, averaging 20 models would wash the
 noise out entirely.  Scores come back on the nine-decimal grid of the
-prediction files (`ensemble.on_grid`).
+prediction files (`ensemble.on_grid`), as a PredictionSet whose `ids` is
+the population's sorted id array, shared by every model's set.
 
 Every draw is seeded from (seed, stream, [model], id), so scores never
 depend on iteration order and adding models or memes never perturbs
@@ -34,7 +35,7 @@ import numpy as np
 
 from .ensemble import on_grid
 from .errors import ConfigError, DataFormatError
-from .rules import PredictionSet
+from .rules import PredictionSet, sorted_ids
 from .tuples import ThreeTuple, TwoTuple, UnimodalHate
 
 # separation multiplier per group kind, in precedence order: a meme in
@@ -196,28 +197,31 @@ def _ziggurat():
 
 
 def _id_words(ids):
-    """The positions of the ids in [0, 2**32), and those ids as uint32."""
-    pos = [j for j, i in enumerate(ids) if type(i) is int and 0 <= i < _WORD_END]
-    return np.array(pos, np.intp), np.array([ids[j] for j in pos], np.uint32)
+    """The positions of the ids below 2**32 in an int64 array of ids, and
+    those ids as uint32."""
+    pos = np.flatnonzero(ids < _WORD_END)
+    return pos, ids[pos].astype(np.uint32)
 
 
 def _normals(prefix, ids, id_words=None):
-    """default_rng([*prefix, id]).standard_normal() for each id, as an array;
-    id_words is _id_words(ids), if the caller has it already."""
+    """default_rng([*prefix, id]).standard_normal() for each of the meme
+    ids, as an array; id_words is _id_words(ids), if the caller has it."""
+    ids = np.asarray(ids, np.int64)
     out, done = np.empty(len(ids)), np.zeros(len(ids), bool)
     if all(type(w) is int and 0 <= w < _WORD_END for w in prefix) and (tables := _ziggurat()):
         pos, col = _id_words(ids) if id_words is None else id_words
         out[pos], done[pos] = _bulk_normals([*prefix, col], *tables)[0], True
     for j in np.flatnonzero(~done):
-        out[j] = np.random.default_rng([*prefix, ids[j]]).standard_normal()
+        out[j] = np.random.default_rng([*prefix, int(ids[j])]).standard_normal()
     return out
 
 
 class Population(NamedTuple):
-    """The model-independent part of a run's scores, one entry per meme."""
+    """The model-independent part of a run's scores, one entry per meme,
+    in id order."""
 
     cfg: SimulatorConfig
-    ids: list
+    ids: np.ndarray               # sorted read-only int64 ids, shared by every set
     mean: np.ndarray              # separation times the label's sign
     shared: np.ndarray            # sqrt(noise_correlation) times the shared draw
     id_words: tuple               # _id_words(ids), for every model's draw
@@ -226,19 +230,22 @@ class Population(NamedTuple):
 def population(memes, groups, cfg):
     """The per-run work behind every simulate_predictions call of a run.
 
-    memes must carry labels (the generator's recorded truth); groups drive
-    the difficulty discounts.
+    memes must carry labels (the generator's recorded truth) and distinct
+    ids in [0, 2**63); groups drive the difficulty discounts.
     """
     for rec in memes:
         if rec.label is None:
             raise DataFormatError(f"meme {rec.id} has no label to condition on")
-    ids = [rec.id for rec in memes]
-    discounts = member_discounts(ids, groups)
-    seps = np.array([cfg.separation_mu * discounts[i] for i in ids])
+    ids, order = sorted_ids([rec.id for rec in memes])
+    repeated = ids[1:][ids[1:] == ids[:-1]]
+    if len(repeated):
+        raise DataFormatError(f"duplicate id {repeated[0]}")
+    discounts = member_discounts([rec.id for rec in memes], groups)
+    seps = np.array([cfg.separation_mu * discounts[rec.id] for rec in memes])
     signs = np.array([2 * rec.label - 1 for rec in memes], float)
     id_words = _id_words(ids)
     shared = math.sqrt(cfg.noise_correlation) * _normals((cfg.seed, 0), ids, id_words)
-    return Population(cfg, ids, seps * signs, shared, id_words)
+    return Population(cfg, ids, (seps * signs)[order], shared, id_words)
 
 
 def simulate_predictions(pop, model_index):
@@ -255,4 +262,4 @@ def simulate_predictions(pop, model_index):
     # same IEEE operations in numpy
     e = np.fromiter(map(math.exp, (-np.abs(z)).tolist()), np.float64, len(z))
     scores = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return PredictionSet(f"sim-{model_index:02d}", dict(zip(pop.ids, on_grid(scores))))
+    return PredictionSet(f"sim-{model_index:02d}", ids=pop.ids, values=on_grid(scores))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import _components
-from .dataset import _is_meme_id, _numbered_lines, write_lines
+from .dataset import _is_meme_id, _numbered_lines, id_error, write_lines
 from .errors import DataFormatError
 
 
@@ -203,7 +203,7 @@ def _ids(*values):
     """The values, each checked to be a meme id."""
     for value in values:
         if not _is_meme_id(value):
-            raise ValueError(f"id must be a non-negative integer, got {value!r}")
+            raise ValueError(id_error(value))
     return values
 
 

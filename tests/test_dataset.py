@@ -12,9 +12,8 @@ from memepipe.clustering import read_clusters, write_clusters
 from memepipe.dataset import (DatasetComposition, GeneratorNoise, MemeRecord,
                               read_manifest, read_pgm, write_manifest,
                               write_pgm)
-from memepipe.ensemble import (StackedPrediction, read_predictions,
-                               read_submission, write_predictions,
-                               write_submission)
+from memepipe.ensemble import (read_predictions, read_submission, thresholded,
+                               write_predictions, write_submission)
 from memepipe.errors import DataFormatError
 from memepipe.phash import read_hashes, write_hashes
 from memepipe.rules import PredictionSet
@@ -93,6 +92,10 @@ def test_manifest_field_errors(tmp_path):
     assert f"{path}: line 1:" in error(
         '{"id": true, "img": "a.pgm", "text": "x", "label": 1, '
         '"split": "test"}\n', "id")
+    for big in (2**63, 2**64):
+        assert f"{path}: line 1:" in error(
+            '{"id": %d, "img": "a.pgm", "text": "x", "label": 1, '
+            '"split": "test"}\n' % big, "below 2\\*\\*63")
     # a label is the int 0 or 1, though true == 1 and 0.0 == 0
     for bad_label in ("true", "false", "0.0", "1.0"):
         assert f"{path}: line 1:" in error(
@@ -122,7 +125,8 @@ CSV_READERS = {
                     ("1,+0.5", "1, 0.25", "1,0_0.75", "1,\u0660.5"),
                     lambda out: list(out.scores)),
     "submission": (read_submission,
-                   lambda out, path: write_submission(StackedPrediction(*out), path),
+                   lambda out, path: write_submission(
+                       thresholded(PredictionSet("stacked", out[0])), path),
                    DataFormatError, "id,proba,label",
                    ("1,0.25,0", "2,0.75,1"), "1,0.25,yes", "1,0.25,2",
                    ("1,0.25,+1", "1,0.25, 1", "1,0.25,0_1", "1,+0.5,0", "1, 0.25,0",
@@ -154,8 +158,9 @@ def test_csv_reader_contract(tmp_path, name):
         rejects(top + [row1, row2, out_of_range.replace("1,", "3,", 1)], first + 2)
     rejects(top + [row1, "", row2, row1], first + 3)
 
-    # an id is ASCII digits only, as int() alone would take all of these
-    for bad_id in ("-1", "+1", "1_0", "1 ", "\u0661"):
+    # an id is ASCII digits only, as int() alone would take all of these, and
+    # below 2**63, the int64 column of a prediction set
+    for bad_id in ("-1", "+1", "1_0", "1 ", "\u0661", str(2**63), "0" * 30 + str(2**64)):
         rejects(top + [row1, bad_id + row2[1:]], first + 1)
     # so is a label or cluster id, and a hash is 16 hex digits
     for bad_row in bad_fields:

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memepipe import cli, ensemble
+from memepipe import cli, ensemble, pipeline
 from memepipe.dataset import read_csv
-from memepipe.ensemble import (_bulk_rows, _proba, on_grid, read_predictions,
+from memepipe.ensemble import (_proba, on_grid, read_predictions,
                                read_submission, stack_equal_weight,
                                write_predictions, write_submission)
 from memepipe.errors import DataFormatError
@@ -161,9 +161,10 @@ def reference_bytes(scores):
 
 
 def reference_read(path):
-    """read_csv's reading of a prediction file, or its error, as a comparable value."""
+    """read_csv's reading of a prediction file as (id, score) pairs sorted
+    by id, the order of a set, or its error, as a comparable value."""
     try:
-        return list(read_csv(path, ("id", "proba"), _proba, ignored=("label",)).items())
+        return sorted(read_csv(path, ("id", "proba"), _proba, ignored=("label",)).items())
     except DataFormatError as exc:
         return DataFormatError, str(exc)
 
@@ -177,7 +178,7 @@ def bulk_read(path):
 
 def assert_matches_reference(scores, path):
     """The writer's bytes are the per-row writer's, and reading them back
-    gives read_csv's result, key order included, or its exact error."""
+    gives read_csv's pairs, or its exact error."""
     write_predictions(PredictionSet(path.stem, scores), path)
     assert path.read_bytes() == reference_bytes(scores)
     assert bulk_read(path) == reference_read(path)
@@ -207,11 +208,44 @@ def test_writer_matches_the_reference_at_every_edge(tmp_path, score):
     assert_matches_reference({3: 0.25, 10: score, 11: 0.75}, tmp_path / "p.csv")
 
 
-def test_bulk_formatter_takes_scores_off_the_tie_window():
+# the ids on both sides of every digit-count boundary of an int64
+DIGIT_EDGES = sorted({0, 2**63 - 1, *(10**k + d for k in range(1, 19) for d in (-1, 0))})
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(ids=st.sets(st.sampled_from(DIGIT_EDGES) | st.integers(0, 2**63 - 1), max_size=40),
+       data=st.data())
+def test_set_columns_write_and_read_back_exactly(ids, data):
+    ids = sorted(ids)
+    draw = st.sampled_from(TIES + NEAR_TIES + WINDOW_EDGES + [-0.0]) | st.floats(0.0, 1.0)
+    scores = dict(zip(ids, data.draw(st.lists(draw, min_size=len(ids), max_size=len(ids)))))
+    ps = PredictionSet("model", scores)
+    assert ps.ids.tolist() == ids and ps.ids.dtype == np.int64
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.csv"
+        write_predictions(ps, path)
+        assert path.read_bytes() == reference_bytes(scores)
+        if np.signbit(ps.values).any():     # `-0.000000000` is no probability
+            with pytest.raises(DataFormatError, match="decimal number"):
+                read_predictions(path)
+            return
+        back = read_predictions(path)
+    assert np.array_equal(back.ids, ps.ids)
+    assert np.array_equal(back.values.view(np.uint64), on_grid(ps.values).view(np.uint64))
+
+
+def test_bulk_formatter_takes_scores_off_the_tie_window(tmp_path, monkeypatch):
+    per_row = []
+    write = ensemble._write_per_row
+    monkeypatch.setattr(ensemble, "_write_per_row", lambda path, *args: (
+        per_row.append(path), write(path, *args)))
     scores = WINDOW_EDGES + TIES + NEAR_TIES
-    assert _bulk_rows(list(range(len(scores))), scores) is not None
-    for score in [-0.0, float("nan"), 1.5, 1]:
-        assert _bulk_rows([1], [score]) is None
+    write_predictions(PredictionSet("p", dict(enumerate(scores))), tmp_path / "p.csv")
+    assert per_row == []
+    for score in [-0.0, float("nan"), 1.5, -1e-12]:
+        write_predictions(PredictionSet("p", {1: score}), tmp_path / "p.csv")
+        assert per_row == [tmp_path / "p.csv"]
+        per_row.clear()
 
 
 def text_grid(scores):
@@ -223,7 +257,7 @@ def text_grid(scores):
 @given(scores=st.lists(st.floats(0.0, 1.0) | st.sampled_from(TIES + NEAR_TIES)
                        | st.floats(allow_nan=True), max_size=40))
 def test_on_grid_is_what_the_written_text_reads_back(scores):
-    assert list(map(repr, on_grid(scores))) == text_grid(scores)
+    assert list(map(repr, on_grid(scores).tolist())) == text_grid(scores)
 
 
 def test_on_grid_settles_every_tie_as_the_text_does():
@@ -231,14 +265,19 @@ def test_on_grid_settles_every_tie_as_the_text_does():
     scores = [*rng.random(20000).tolist(),
               *((rng.integers(0, 10**9, 20000) + 0.5) / 1e9).tolist(),
               *TIES, *NEAR_TIES, *WINDOW_EDGES, *OFF_RANGE]
-    assert list(map(repr, on_grid(scores))) == text_grid(scores)
+    assert list(map(repr, on_grid(scores).tolist())) == text_grid(scores)
 
 
 @pytest.mark.parametrize("ids", [[0], [9], [10], [0, 9, 10, 99, 100, 12345],
                                  [2**63 - 1], [5, 2**63 - 1], [2**63], [7, 2**63], [2**64],
                                  [-1], [-1, 4], [True], [False, 2]])
 def test_writer_matches_the_reference_for_every_id(tmp_path, ids):
-    assert_matches_reference({meme_id: 0.125 for meme_id in ids}, tmp_path / "p.csv")
+    scores = {meme_id: 0.125 for meme_id in ids}
+    if all(type(i) is int and 0 <= i < 2**63 for i in ids):
+        assert_matches_reference(scores, tmp_path / "p.csv")
+    else:   # no set holds an id off the int64 column
+        with pytest.raises(DataFormatError, match="below 2\\*\\*63"):
+            PredictionSet("p", scores)
 
 
 def test_writer_writes_an_empty_set_as_its_header(tmp_path):
@@ -327,21 +366,32 @@ def test_reader_rejects_near_miss_rows_in_linear_time(tmp_path):
 
 
 def test_pipeline_output_takes_both_bulk_paths(tmp_path, monkeypatch):
-    """Every prediction file a pipeline writes is formatted and read back in
-    bulk, so a change that silently loses either bulk path fails here."""
-    fallback_writes = []
-    write_lines = ensemble.write_lines
-    monkeypatch.setattr(ensemble, "write_lines", lambda path, lines: (
-        fallback_writes.append(Path(path).name), write_lines(path, lines)))
-    assert cli.main(["--quiet", "pipeline", "--n", "60", "--models", "2", "--k", "2",
-                     "--no-images", "--outdir", str(tmp_path)]) == 0
-    assert fallback_writes == ["submission.csv"]
+    """On the README config and the prediction-heavy shape of the ensemble
+    workload, every prediction file and the submission a pipeline writes are
+    formatted in bulk, every prediction file reads back in bulk, and every
+    set of the run shares one ids array, so a change that silently loses a
+    bulk path or copies the ids fails here."""
+    def no_per_row(path, *args):
+        raise AssertionError(f"{path} was written row by row")
 
     def no_fallback(path, *args, **kwargs):
         raise AssertionError(f"{path} was read row by row")
-    monkeypatch.setattr(ensemble, "read_csv", no_fallback)
-    paths = [*(tmp_path / "preds").iterdir(), *(tmp_path / "preds_adjusted").iterdir(),
-             tmp_path / "stacked.csv"]
-    assert len(paths) == 9
-    for path in paths:
-        assert read_predictions(path).scores
+    monkeypatch.setattr(ensemble, "_write_per_row", no_per_row)
+    runs = []
+    score = pipeline.score
+    monkeypatch.setattr(pipeline, "score", lambda cfg, records, structure, sets: (
+        runs.append((sets, score(cfg, records, structure, sets))) or runs[-1][1]))
+    for argv, n_sets in (([], 20),
+                         (["--n", "1000", "--models", "8", "--k", "10", "--no-images"], 80)):
+        out = tmp_path / str(n_sets)
+        assert cli.main(["--quiet", "pipeline", *argv, "--outdir", str(out)]) == 0
+        sets, scores = runs.pop()
+        assert len(sets) == len(scores.adjusted) == n_sets
+        assert all(ps.ids is sets[0].ids for ps in [*sets, *scores.adjusted, scores.final])
+        with monkeypatch.context() as patch:
+            patch.setattr(ensemble, "read_csv", no_fallback)
+            paths = [*(out / "preds").iterdir(), *(out / "preds_adjusted").iterdir(),
+                     out / "stacked.csv"]
+            assert len(paths) == 2 * n_sets + 1
+            for path in paths:
+                assert len(read_predictions(path).ids)

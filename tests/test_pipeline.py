@@ -463,6 +463,17 @@ def test_quiet_in_a_config_file_silences_the_whole_run(tmp_path, capsys):
     assert err == ""
 
 
+def test_quiet_changes_no_artifact(tmp_path, capsys):
+    # quiet decides no artifact, so run_manifest.json leaves it out too
+    argv = ["pipeline", "--n", "60", "--models", "1", "--k", "2", "--no-images"]
+    assert cli.main(["--quiet", *argv, "--outdir", str(tmp_path / "quiet")]) == 0
+    assert cli.main([*argv, "--outdir", str(tmp_path / "plain")]) == 0
+    assert capsys.readouterr().err.startswith("[generate]")
+    quiet, plain = ({str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*")
+                     if p.is_file()} for root in (tmp_path / "quiet", tmp_path / "plain"))
+    assert "run_manifest.json" in quiet and quiet == plain
+
+
 def test_cli_stage_chain_matches_pipeline(tmp_path):
     out = tmp_path / "run"
     run_quick(out, n=300, models=2, k=2, save_images=True)
@@ -695,6 +706,9 @@ def write_faulty_inputs(d):
     (d / "one_hash.csv").write_text("1,0000000000000000\n")
     (d / "negative.csv").write_text("0,0000000000000000\n1,-000000000000001\n")
     (d / "negative_id.csv").write_text("id,proba\n-1,0.5\n")
+    (d / "big_id.csv").write_text(f"id,proba\n0,0.5\n{2**63},0.25\n")
+    (d / "big_id.jsonl").write_text(
+        '{"id": %d, "img": "0.pgm", "text": "t", "label": 1, "split": "train"}\n' % 2**63)
     (d / "underscore_id.csv").write_text("id,proba\n0,0.5\n1_0,0.25\n")
     (d / "signed_hash_id.csv").write_text("0,0000000000000000\n+1,00000000000000ff\n")
     write_manifest([MemeRecord(0, "0.pgm", "t", None, "test")], d / "unlabelled.jsonl")
@@ -766,6 +780,14 @@ ODD_INPUTS = {
     "negative prediction id":
         ("adjust --preds {d}/negative_id.csv --tuples {d}/pair.jsonl --rule 2 "
          "--out {d}/a.csv", 3, "{d}/negative_id.csv: line 2: malformed row '-1,0.5'"),
+    "prediction id past int64":
+        ("adjust --preds {d}/big_id.csv --tuples {d}/pair.jsonl --rule 2 --out {d}/a.csv",
+         3, "{d}/big_id.csv: line 3: malformed row '9223372036854775808,0.25': "
+            "id must be a non-negative integer below 2**63"),
+    "manifest id past int64":
+        ("pipeline --outdir {d}/run --manifest {d}/big_id.jsonl", 3,
+         "{d}/big_id.jsonl: line 1: id must be a non-negative integer below 2**63, "
+         "got 9223372036854775808"),
     "underscored prediction id":
         ("adjust --preds {d}/underscore_id.csv --tuples {d}/pair.jsonl --rule 2 "
          "--out {d}/a.csv", 3, "{d}/underscore_id.csv: line 3: malformed row '1_0,0.25'"),

@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from memepipe.clustering import ClusterAssignment
 from memepipe.dataset import MemeRecord
@@ -91,6 +93,94 @@ def test_rule2_ignores_other_kinds():
 def test_rule2_missing_member_raises():
     with pytest.raises(DataFormatError, match="rule 2"):
         apply_rule2([TwoTuple(1, 2, "image")], preds({1: 0.7}))
+
+
+def reference_rules(groups, scores):
+    """Rules 1 and 2 on a dict, one group after another: the reference for
+    the positional rules.  Returns (rule 1 scores, rule 2 scores), each a
+    dict or the message of the DataFormatError raised."""
+    out = []
+    for rule, kind in (("rule 1", ThreeTuple), ("rule 2", TwoTuple)):
+        new = dict(scores)
+        try:
+            for g in groups:
+                if not isinstance(g, kind):
+                    continue
+                for meme_id in g.member_ids():
+                    if meme_id not in new:
+                        raise DataFormatError(f"{rule}: meme {meme_id} missing from predictions")
+                if kind is ThreeTuple:
+                    new.update({g.pivot_id: 1.0, g.image_partner_id: 0.0,
+                                g.text_partner_id: 0.0})
+                elif new[g.a_id] != new[g.b_id]:
+                    high = new[g.a_id] > new[g.b_id]
+                    new[g.a_id], new[g.b_id] = (1.0, 0.0) if high else (0.0, 1.0)
+            out.append(new)
+        except DataFormatError as exc:
+            out.append(str(exc))
+    return out
+
+
+def positional_rules(groups, ps):
+    out = []
+    for rule in (apply_rule1, apply_rule2):
+        try:
+            out.append(rule(groups, ps).scores)
+        except DataFormatError as exc:
+            out.append(str(exc))
+    return out
+
+
+_IDS = st.integers(0, 9) | st.sampled_from([2**63 - 1, 2**63, -1])
+_GROUPS = st.lists(st.builds(TwoTuple, _IDS, _IDS, st.just("image"))
+                   | st.builds(ThreeTuple, _IDS, _IDS, _IDS), max_size=12)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(groups=_GROUPS, values=st.lists(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, float("nan")]) | st.floats(0.0, 1.0),
+    min_size=8, max_size=10))
+def test_rules_match_the_group_by_group_reference(groups, values):
+    # groups that share memes, ties, NaN and missing ids, some past int64
+    scores = dict(enumerate(values))
+    got, want = positional_rules(groups, preds(scores)), reference_rules(groups, scores)
+    # by repr, so NaN equals NaN; a set is ordered by id
+    assert repr([sorted(x.items()) if isinstance(x, dict) else x for x in got]) == \
+        repr([sorted(x.items()) if isinstance(x, dict) else x for x in want])
+
+
+def test_rule2_pairs_sharing_a_meme_apply_in_order():
+    # (1, 2) sends 1 up and 2 down; then (2, 3) compares 2's new 0.0 with 3
+    groups = [TwoTuple(1, 2, "image"), TwoTuple(2, 3, "image")]
+    out = apply_rule2(groups, preds({1: 0.7, 2: 0.6, 3: 0.1}))
+    assert out.scores == {1: 1.0, 2: 0.0, 3: 1.0}
+
+
+@pytest.mark.parametrize("ids, values", [
+    (np.array([100, 5]), [0.1, 0.2]),      # unsorted
+    (np.array([5, 5]), [0.1, 0.2]),        # repeated
+    (np.array([-1, 5]), [0.1, 0.2]),       # negative
+    (np.array([5, 100]), [0.1]),           # one value short
+    (np.array([5, 100], np.uint64), [0.1, 0.2]),
+    (np.array([[5, 100]]), [[0.1, 0.2]]),
+    (["5", "100"], [0.1, 0.2]),
+])
+def test_prediction_set_columns_are_checked(ids, values):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        PredictionSet("m0", ids=ids, values=values)
+
+
+def test_prediction_set_columns_from_lists():
+    ps = PredictionSet("m0", ids=[5, 100], values=[0.1, 0.2])
+    assert ps.ids.dtype == np.int64 and ps.scores == {5: 0.1, 100: 0.2}
+
+
+def test_prediction_set_takes_numpy_integer_keys():
+    ps = preds({np.int64(7): 0.5, np.uint64(3): 0.25, 5: 0.0})
+    assert ps.ids.tolist() == [3, 5, 7] and ps.values.tolist() == [0.25, 0.0, 0.5]
+    for bad in (np.uint64(2**63), np.int64(-1), np.True_):
+        with pytest.raises(DataFormatError, match="below 2"):
+            preds({bad: 0.5})
 
 
 def test_unimodal_signature_sets_matches_to_one():

@@ -12,6 +12,7 @@ import memepipe
 from memepipe import cli, simulator
 from memepipe.dataset import MemeRecord
 from memepipe.ensemble import on_grid
+from memepipe.errors import DataFormatError
 from memepipe.metrics import auroc
 from memepipe.simulator import (SimulatorConfig, member_discounts, population,
                                 simulate_predictions)
@@ -213,7 +214,7 @@ def assert_matches_reference(memes, cfg, model_index):
     pop = population(memes, [], cfg)
     assert simulate_predictions(pop, model_index).scores == \
         dict(zip(want, on_grid(list(want.values()))))
-    with mock.patch.object(simulator, "on_grid", lambda x: x.tolist()):
+    with mock.patch.object(simulator, "on_grid", lambda x: x):
         assert simulate_predictions(pop, model_index).scores == want
 
 
@@ -332,10 +333,14 @@ _WORDS = st.integers(0, 2**32 - 1) | st.sampled_from([0, 1, 2**31, 2**32 - 2, 2*
 @settings(max_examples=60, deadline=None, database=None)
 @given(seed=_WORDS, model_index=_WORDS,
        ids=st.lists(_WORDS, min_size=1, max_size=20, unique=True),
-       big_ids=st.lists(st.integers(2**32, 2**70), max_size=3, unique=True))
-def test_simulate_matches_reference_for_any_words(seed, model_index, ids, big_ids):
+       big_ids=st.lists(st.integers(2**32, 2**63 - 1), max_size=3, unique=True),
+       too_big=st.integers(2**63, 2**70))
+def test_simulate_matches_reference_for_any_words(seed, model_index, ids, big_ids, too_big):
     assert_matches_reference(recs({i: i % 2 for i in ids + big_ids}),
                              SimulatorConfig(seed=seed), model_index)
+    # an id past int64 is no meme id
+    with pytest.raises(DataFormatError, match="below 2\\*\\*63"):
+        population(recs({i: i % 2 for i in ids + [too_big]}), [], SimulatorConfig(seed=seed))
 
 
 def test_import_reads_no_ziggurat_tables():
