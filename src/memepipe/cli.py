@@ -197,7 +197,7 @@ def cmd_evaluate(args):
         raise DataFormatError(f"{args.truth}: split {args.split!r} has no records")
     truth = {rec.id: rec.label for rec in split if rec.label is not None}
     if not truth:
-        raise ConfigError(f"no labeled records in split {args.split!r}")
+        raise DataFormatError(f"{args.truth}: split {args.split!r} has no labelled records")
     missing = [i for i in truth if i not in scores]
     if missing:
         raise DataFormatError(f"{args.submission}: missing ids, e.g. {missing[:5]}")

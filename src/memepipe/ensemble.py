@@ -2,10 +2,11 @@
 prediction set.
 
 A PredictionSet (rules.py) is `ids`, sorted int64 meme ids in [0, 2**63),
-and `values`, one float64 score each.  The sets of one run share a single
-read-only `ids` array, and the stacked set shares it too; stacking sums the
-sets' score columns id by id, and the writers format the shared id column
-once per run, so each file costs only its score digits and one write.
+and `values`, one float64 probability in [0, 1] each, checked when the set
+is built.  The sets of one run share a single read-only `ids` array, and
+the stacked set shares it too; stacking sums the sets' score columns id by
+id, and the writers format the shared id column once per run, so each file
+costs only its score digits and one write.
 
 Prediction files are CSV with header `id,proba`; submissions add a `label`
 column, and read as prediction files with that column ignored.
@@ -20,16 +21,15 @@ units of the ninth place) of a half, `:.9f` itself decides, one value at a
 time.  Its grid value num / 1e9 is float() of those digits, as both
 operands are exact and the division rounds correctly.
 
-Both prediction-file functions have a bulk path for the shape the pipeline
-writes and fall back on per-row code, the reference, for every other input;
-the bytes and the values are the same either way.  The writers format in
-numpy when every score is in [0, 1] without a sign bit, else they write one
-f-string per row (`_write_per_row`).  `read_predictions` parses a file in
-the writer's exact form from its bytes in numpy: each row's digits are
-found from its newline, and its score is num / 1e9 for the integer num its
-ten digits spell.  A file with an id of more than 18 digits, a repeated id
-or a value above 1, and any other file, goes to `read_csv`, which reads or
-rejects it with its line.  Either way the set comes back sorted by id.
+The writers format every file in numpy, as a set holds only scores in
+[0, 1] without a sign bit; the bytes are those of one `f"{id},{x:.9f}"` per
+row.  `read_predictions` parses a file in the writer's exact form from its
+bytes in numpy: each row's digits are found from its newline, and its score
+is num / 1e9 for the integer num its ten digits spell.  A file with an id of
+more than 18 digits, a repeated id or a value above 1, and any other file,
+falls back on `read_csv`, the per-row reference, which reads or rejects it
+with its line.  Both give the same values, and the set comes back sorted by
+id.
 """
 
 import math
@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import _parse_label, read_csv, write_lines
+from .dataset import _parse_label, read_csv
 from .errors import DataFormatError
 from .rules import PredictionSet
 
@@ -74,7 +74,7 @@ class StackedPrediction(PredictionSet):
 
 def stack_equal_weight(sets):
     """Average prediction sets with equal weight, on the grid the files
-    use; label 1 iff that mean >= 0.5.
+    use, as a StackedPrediction: label 1 iff that mean >= 0.5.
 
     All sets must cover exactly the same ids, and the stacked set shares the
     first one's `ids`.  The mean uses exact float summation, so reordering
@@ -90,12 +90,7 @@ def stack_equal_weight(sets):
     # one row of every set's score per id
     rows = np.stack([ps.values for ps in sets], axis=1).tolist()
     sums = np.fromiter(map(math.fsum, rows), np.float64, len(ids))
-    return thresholded(PredictionSet("stacked", ids=ids, values=on_grid(sums / len(sets))))
-
-
-def thresholded(preds):
-    """The set as a StackedPrediction, labelled 1 iff score >= 0.5."""
-    return StackedPrediction(preds.model_id, ids=preds.ids, values=preds.values)
+    return StackedPrediction("stacked", ids=ids, values=on_grid(sums / len(sets)))
 
 
 def _numerators(x):
@@ -109,15 +104,10 @@ def _numerators(x):
 
 
 def on_grid(scores):
-    """Each score as its `:.9f` text reads back, as a float64 array; a
-    value outside [0, 1] goes through the text.  Its two callers are the
-    simulator, for each simulated set, and `stack_equal_weight`."""
-    x = np.asarray(scores, np.float64)
-    inside = (x >= 0.0) & (x <= 1.0)
-    grid = _numerators(np.where(inside, x, 0.0)) / 1e9
-    for j in np.flatnonzero(~inside):
-        grid[j] = float(f"{x[j]:.9f}")
-    return grid
+    """Each score in [0, 1] as its `:.9f` text reads back, as a float64
+    array.  Its two callers are the simulator's logistic, for each simulated
+    set, and the means of `stack_equal_weight`, both always in [0, 1]."""
+    return _numerators(np.asarray(scores, np.float64)) / 1e9
 
 
 def write_predictions(preds, path):
@@ -134,12 +124,8 @@ def write_submission(stacked, path, ids=None):
 
 def _write_rows(path, header, ids, values, labels=None):
     """Write the header and a row `id,proba[,label]` per sorted id, each
-    score with nine decimals, in one write.  Scores in [0, 1] without a sign
-    bit are formatted in bulk, others by `_write_per_row`, the reference;
-    the bytes are the same."""
-    if not np.all((values >= 0.0) & (values <= 1.0) & ~np.signbit(values)):
-        _write_per_row(path, header, ids, values, labels)
-        return
+    score with nine decimals as `:.9f` writes it, in one write.  The scores
+    are a set's, so in [0, 1] without a sign bit."""
     # each row's bytes after its id: `,d.ddddddddd[,l]\n`, the score's digits
     # in three groups of a thousand
     lead, rest = np.divmod(_numerators(values).astype(np.int64), 10**6)
@@ -160,14 +146,6 @@ def _write_rows(path, header, ids, values, labels=None):
             tails[lo:hi]
     with open(path, "wb") as fh:
         fh.write(out)
-
-
-def _write_per_row(path, header, ids, values, labels=None):
-    """The rows one f-string each: the reference for the bulk formatter."""
-    rows = [f"{i},{score:.9f}" for i, score in zip(ids.tolist(), values.tolist())]
-    if labels is not None:
-        rows = [f"{row},{label}" for row, label in zip(rows, labels.tolist())]
-    write_lines(path, [header, *rows])
 
 
 def _digits(values, width):

@@ -5,7 +5,8 @@ The hash pipeline: grayscale -> 32x32 area resize -> orthonormal 2-D DCT-II
 median.  The result is a 64-bit integer, row-major over the block, bit 0
 (the DC position) always zero.  Hashing works on real-valued pixels; nothing
 is quantized mid-pipeline, so scaling or shifting intensities leaves the
-hash unchanged.
+hash unchanged, save for a coefficient within the bit tolerance of the
+median (see `phash`).
 
 The resize and the DCT are both linear and only the 8x8 block is read, so
 `phash` computes the block as a product of rank 8 per side:
@@ -117,8 +118,11 @@ def phash(img):
     Bit i (row-major over the 8x8 low-frequency DCT block) is set when that
     coefficient exceeds the median of the 63 AC coefficients by more than
     1e-9 * max|gray|.  Bit 0 is the DC position and is always zero.
-    Invariant under pixel maps a*p + b with a > 0, save for a coefficient
-    about that tolerance above the median.
+    Invariant under pixel maps a*p + b with a > 0, save for a bit whose
+    coefficient exceeds the median by an amount between that tolerance and
+    the mapped image's, 1e-9 * max|a*gray + b|, carried back to these
+    pixels' units, divided by a; the band holds give or take rounding, and
+    a shift widens it, as it moves max|gray| and not the AC coefficients.
     """
     # a 2-D uint8 array, as read_pgm and the generator give, skips
     # to_grayscale's dispatch, and its max is already max|gray|

@@ -19,8 +19,8 @@ from .clustering import (HAMMING_THRESHOLD, ClusterAssignment, cluster_images,
                          cluster_texts, corpus_stats, write_clusters)
 from .dataset import (SPLITS, DatasetComposition, GeneratorNoise, read_images,
                       read_manifest, write_lines, write_manifest)
-from .ensemble import (StackedPrediction, stack_equal_weight, thresholded,
-                       write_predictions, write_submission)
+from .ensemble import (StackedPrediction, stack_equal_weight, write_predictions,
+                       write_submission)
 from .errors import ConfigError, DataFormatError, StageError, _in_file
 from .generator import generate_dataset, image_hashes, write_corpus
 from .metrics import evaluate
@@ -232,8 +232,6 @@ def score(cfg, records, structure, sets):
             signatures = detect_unimodal_hate(labeled, structure.assignment)
             return apply_unimodal_signatures(signatures, structure.assignment, final)
         final = _stage("unimodal-signatures", unimodal_stage, quiet)
-
-    final = thresholded(final)
 
     report = None
     if all(rec.label is not None for rec in eval_recs):

@@ -3,11 +3,15 @@ confounder structure.
 
 A PredictionSet holds one model's scores as two arrays: `ids`, the sorted
 meme ids as int64, and `values`, each id's probability of hateful as
-float64.  A meme id is an int in [0, 2**63), the range of the int64 column.
-Every set of one run shares a single `ids` array, read-only: the simulated
-sets, each rule's output and the stacked set, so the layers pass arrays and
-never map id to score.  `PredictionSet(model_id, mapping)` builds a set from
-a dict id -> score, and `scores` reads a set back as a fresh such dict.
+float64.  A meme id is an int in [0, 2**63), the range of the int64 column,
+and a score is a probability in [0, 1]; a set is checked once, when it is
+built, so every layer after that (the rules, stacking, the writers) can
+rely on both.  -0.0 is held as 0.0, so a written score reads back as the
+same float.  Every set of one run shares a single `ids` array, read-only:
+the simulated sets, each rule's output and the stacked set, so the layers
+pass arrays and never map id to score.  `PredictionSet(model_id, mapping)`
+builds a set from a dict id -> score, and `scores` reads a set back as a
+fresh such dict.
 
 Rule 1: inside a ThreeTuple the pivot is hateful and both partners are
 benign, so their probabilities become (1, 0, 0) and the same labels can be
@@ -18,7 +22,8 @@ and the other to 0.  An exact tie leaves both alone.
 
 The rules write by position, group by group in the order given, so groups
 that share a meme give the result of applying them one after another.  They
-copy the scores; inputs are never mutated.
+copy the scores; inputs are never mutated, and a rule applied to a stacked
+set returns a stacked set.
 """
 
 from dataclasses import dataclass
@@ -48,9 +53,10 @@ class PredictionSet:
     """Scores for one model: `ids`, sorted int64 meme ids, and `values`, the
     float64 probability of hateful of each.  PredictionSet(model_id, mapping)
     builds the arrays from a dict id -> score; PredictionSet(model_id,
-    ids=..., values=...) takes the columns as they are, and raises
-    ValueError unless the ids are strictly increasing int64 ids >= 0, one
-    per value."""
+    ids=..., values=...) takes the columns as they are.  Either form raises
+    DataFormatError (a ValueError) unless the ids are strictly increasing
+    int64 ids >= 0, one per value, and every value is in [0, 1]; -0.0 is
+    held as 0.0."""
 
     def __init__(self, model_id, scores=None, *, ids=None, values=None):
         if scores is not None:
@@ -60,8 +66,14 @@ class PredictionSet:
             ids, values = np.asarray(ids), np.asarray(values, np.float64)
             if not (ids.dtype == np.int64 and ids.ndim == 1 and values.shape == ids.shape
                     and (ids[1:] > ids[:-1]).all() and (ids[:1] >= 0).all()):
-                raise ValueError("ids must be a 1-D int64 array of strictly increasing"
-                                 " ids >= 0, one per value")
+                raise DataFormatError("ids must be a 1-D int64 array of strictly"
+                                      " increasing ids >= 0, one per value")
+        bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))   # NaN included
+        if len(bad):
+            raise DataFormatError(f"{model_id}: meme {ids[bad[0]]} has score"
+                                  f" {float(values[bad[0]])!r}, not a probability in [0, 1]")
+        if np.signbit(values).any():
+            values = values + 0.0      # -0.0 + 0.0 is 0.0
         self.model_id, self.ids, self.values = model_id, ids, values
 
     def __repr__(self):
@@ -97,8 +109,8 @@ class PredictionSet:
         return np.array([index[i] for i in meme_ids], np.intp)
 
     def replaced(self, values):
-        """A set of the same model and ids with the given values."""
-        return PredictionSet(self.model_id, ids=self.ids, values=values)
+        """A set of the same type, model and ids with the given values."""
+        return type(self)(self.model_id, ids=self.ids, values=values)
 
 
 @dataclass

@@ -12,7 +12,7 @@ from memepipe.clustering import read_clusters, write_clusters
 from memepipe.dataset import (DatasetComposition, GeneratorNoise, MemeRecord,
                               read_manifest, read_pgm, write_manifest,
                               write_pgm)
-from memepipe.ensemble import (read_predictions, read_submission, thresholded,
+from memepipe.ensemble import (StackedPrediction, read_predictions, read_submission,
                                write_predictions, write_submission)
 from memepipe.errors import DataFormatError
 from memepipe.phash import read_hashes, write_hashes
@@ -126,7 +126,7 @@ CSV_READERS = {
                     lambda out: list(out.scores)),
     "submission": (read_submission,
                    lambda out, path: write_submission(
-                       thresholded(PredictionSet("stacked", out[0])), path),
+                       StackedPrediction("stacked", out[0]), path),
                    DataFormatError, "id,proba,label",
                    ("1,0.25,0", "2,0.75,1"), "1,0.25,yes", "1,0.25,2",
                    ("1,0.25,+1", "1,0.25, 1", "1,0.25,0_1", "1,+0.5,0", "1, 0.25,0",

@@ -1,3 +1,4 @@
+import re
 import tempfile
 import time
 from pathlib import Path
@@ -199,13 +200,34 @@ NEAR_TIES = [float(np.nextafter(t, side)) for t in TIES for side in (0.0, 1.0)]
 # just outside the window where `:.9f` decides, so rint(x * 1e9) rounds them
 WINDOW_EDGES = [(k + 0.5 + d) / 1e9 for k in (0, 12345, 499999999, 999999998)
                 for d in (-2e-6, 2e-6)]
-OFF_RANGE = [0.0, 1.0, -0.0, float("nan"), float("inf"), float("-inf"), -1e-12,
-             -0.5, 1.0 + 2**-52, 1.5, 5e-324, 1 - 2**-53]
+# the ends of [0, 1], the least subnormal and the float just below 1
+RANGE_EDGES = [0.0, 1.0, 5e-324, 1 - 2**-53]
+# no probabilities, so no set holds them
+NOT_PROBABILITIES = [float("nan"), float("inf"), float("-inf"), -1e-12, -0.5,
+                     1.0 + 2**-52, 1.5]
 
 
-@pytest.mark.parametrize("score", TIES + NEAR_TIES + WINDOW_EDGES + OFF_RANGE)
+@pytest.mark.parametrize("score", TIES + NEAR_TIES + WINDOW_EDGES + RANGE_EDGES + [-0.0]
+                         + NOT_PROBABILITIES)
 def test_writer_matches_the_reference_at_every_edge(tmp_path, score):
-    assert_matches_reference({3: 0.25, 10: score, 11: 0.75}, tmp_path / "p.csv")
+    scores, path = {3: 0.25, 10: score, 11: 0.75}, tmp_path / "p.csv"
+    # either form of a set, from the mapping or from the columns
+    built = (lambda: PredictionSet("p", scores),
+             lambda: PredictionSet("p", ids=np.array(list(scores)), values=list(scores.values())))
+    if not 0.0 <= score <= 1.0:     # NaN too
+        for build in built:
+            with pytest.raises(DataFormatError, match=re.escape(
+                    f"p: meme 10 has score {score!r}, not a probability in [0, 1]")):
+                build()
+    elif np.signbit(score):     # -0.0 is held as 0.0, so written as such
+        for build in built:
+            ps = build()
+            assert not np.signbit(ps.values).any()
+            write_predictions(ps, path)
+            assert path.read_bytes() == \
+                b"id,proba\n3,0.250000000\n10,0.000000000\n11,0.750000000\n"
+    else:
+        assert_matches_reference(scores, path)
 
 
 # the ids on both sides of every digit-count boundary of an int64
@@ -221,41 +243,24 @@ def test_set_columns_write_and_read_back_exactly(ids, data):
     scores = dict(zip(ids, data.draw(st.lists(draw, min_size=len(ids), max_size=len(ids)))))
     ps = PredictionSet("model", scores)
     assert ps.ids.tolist() == ids and ps.ids.dtype == np.int64
+    assert ps.scores == scores and not np.signbit(ps.values).any()   # -0.0 held as 0.0
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.csv"
         write_predictions(ps, path)
-        assert path.read_bytes() == reference_bytes(scores)
-        if np.signbit(ps.values).any():     # `-0.000000000` is no probability
-            with pytest.raises(DataFormatError, match="decimal number"):
-                read_predictions(path)
-            return
+        assert path.read_bytes() == reference_bytes(ps.scores)
         back = read_predictions(path)
     assert np.array_equal(back.ids, ps.ids)
     assert np.array_equal(back.values.view(np.uint64), on_grid(ps.values).view(np.uint64))
 
 
-def test_bulk_formatter_takes_scores_off_the_tie_window(tmp_path, monkeypatch):
-    per_row = []
-    write = ensemble._write_per_row
-    monkeypatch.setattr(ensemble, "_write_per_row", lambda path, *args: (
-        per_row.append(path), write(path, *args)))
-    scores = WINDOW_EDGES + TIES + NEAR_TIES
-    write_predictions(PredictionSet("p", dict(enumerate(scores))), tmp_path / "p.csv")
-    assert per_row == []
-    for score in [-0.0, float("nan"), 1.5, -1e-12]:
-        write_predictions(PredictionSet("p", {1: score}), tmp_path / "p.csv")
-        assert per_row == [tmp_path / "p.csv"]
-        per_row.clear()
-
-
 def text_grid(scores):
-    """Each score as its `:.9f` text reads back, by repr so -0.0 and nan compare."""
+    """Each score as its `:.9f` text reads back, by repr so a sign bit shows."""
     return [repr(float(f"{x:.9f}")) for x in scores]
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(scores=st.lists(st.floats(0.0, 1.0) | st.sampled_from(TIES + NEAR_TIES)
-                       | st.floats(allow_nan=True), max_size=40))
+@given(scores=st.lists(st.floats(0.0, 1.0) | st.sampled_from(TIES + NEAR_TIES + RANGE_EDGES),
+                       max_size=40))
 def test_on_grid_is_what_the_written_text_reads_back(scores):
     assert list(map(repr, on_grid(scores).tolist())) == text_grid(scores)
 
@@ -264,7 +269,7 @@ def test_on_grid_settles_every_tie_as_the_text_does():
     rng = np.random.default_rng(26)
     scores = [*rng.random(20000).tolist(),
               *((rng.integers(0, 10**9, 20000) + 0.5) / 1e9).tolist(),
-              *TIES, *NEAR_TIES, *WINDOW_EDGES, *OFF_RANGE]
+              *TIES, *NEAR_TIES, *WINDOW_EDGES, *RANGE_EDGES]
     assert list(map(repr, on_grid(scores).tolist())) == text_grid(scores)
 
 
@@ -367,16 +372,11 @@ def test_reader_rejects_near_miss_rows_in_linear_time(tmp_path):
 
 def test_pipeline_output_takes_both_bulk_paths(tmp_path, monkeypatch):
     """On the README config and the prediction-heavy shape of the ensemble
-    workload, every prediction file and the submission a pipeline writes are
-    formatted in bulk, every prediction file reads back in bulk, and every
-    set of the run shares one ids array, so a change that silently loses a
-    bulk path or copies the ids fails here."""
-    def no_per_row(path, *args):
-        raise AssertionError(f"{path} was written row by row")
-
+    workload, every prediction file a pipeline writes reads back in bulk,
+    and every set of the run shares one ids array, so a change that
+    silently loses the bulk read or copies the ids fails here."""
     def no_fallback(path, *args, **kwargs):
         raise AssertionError(f"{path} was read row by row")
-    monkeypatch.setattr(ensemble, "_write_per_row", no_per_row)
     runs = []
     score = pipeline.score
     monkeypatch.setattr(pipeline, "score", lambda cfg, records, structure, sets: (

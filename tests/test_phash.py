@@ -321,12 +321,23 @@ def test_phash_of_uint8_pixels_is_the_same_by_every_route(shape, kind, seed, lev
     assert phash(u8.tolist()) == want     # a list is read in C order
 
 
+def ac_gaps(img):
+    """Each coefficient of the image's hash block minus the lower median of
+    its 63 AC ones, on the reference path."""
+    block = dct2(resize_area(np.asarray(img, np.float64), 32))[:8, :8].ravel()
+    return block - np.sort(block[1:])[31]
+
+
 # a flat image of any shape, C or F order, hashes to 0: on the reference
-# path a coefficient within rounding of a tied median sets no bit
+# path a coefficient within rounding of a tied median sets no bit.  The last
+# two examples are three pixels one level off under a small scale and a
+# large shift, where the mapped tolerance carried back is just above a gap
 @settings(max_examples=100, deadline=None, database=None)
 @example(shape=(8, 54), kind="flat", seed=0, level=1, shift=0.0, scale=1.0)
 @example(shape=(54, 8), kind="flat", seed=0, level=1, shift=0.0, scale=1.0)
 @example(shape=(33, 17), kind="flat", seed=0, level=200, shift=0.0, scale=1.0)
+@example(shape=(18, 40), kind="three_pixels", seed=0, level=0, shift=444.0, scale=2**-8)
+@example(shape=(23, 68), kind="three_pixels", seed=0, level=0, shift=816.0, scale=2**-9)
 @given(shape=st.tuples(st.integers(8, 80), st.integers(8, 80)),
        kind=st.sampled_from(["flat", "noise", "three_pixels"]),
        seed=st.integers(0, 2**32 - 1), level=st.integers(0, 255),
@@ -342,13 +353,27 @@ def test_phash_of_near_flat_images_ignores_layout_shift_and_scale(
         img.reshape(-1)[cells] += 1 if level < 255 else -1
     want = phash(img)
     assert want == 0 or kind == "three_pixels"
-    variants = [np.asfortranarray(img), img + shift, scale * img,
-                np.asfortranarray(scale * img + shift)]
+    # the layout and the uint8 pixels change no bit
+    same = [np.asfortranarray(img)]
     if kind != "noise":
         u8 = img.astype(np.uint8)
-        variants += [u8, np.asfortranarray(u8)]
-    for variant in variants:
+        same += [u8, np.asfortranarray(u8)]
+    for variant in same:
         assert phash(variant) == want
+    # a map a * p + b changes only a bit whose gap above the median lies
+    # between the image's tolerance and the mapped image's carried back to
+    # the image's units, give or take the products' rounding
+    gap, tol = ac_gaps(img), 1e-9 * np.abs(img).max()
+    for variant, a in ((img + shift, 1.0), (scale * img, scale),
+                       (np.asfortranarray(scale * img + shift), scale)):
+        got = phash(variant)
+        if kind != "three_pixels":
+            assert got == 0
+        band = sorted([tol, 1e-9 * np.abs(variant).max() / a])
+        slack = 1e-3 * band[1]
+        for i in range(1, HASH_BITS):
+            if (got ^ want) >> i & 1:
+                assert band[0] - slack <= gap[i] <= band[1] + slack
 
 
 def test_phash_of_uint8_pixels_skips_the_grayscale_dispatch(monkeypatch):

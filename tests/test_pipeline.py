@@ -678,7 +678,8 @@ EXIT_CODE_TABLE = {
         ("adjust --preds {d}/both.csv --tuples {d}/pair.jsonl --rule unimodal "
          "--out {d}/a.csv", 2, None),
     "evaluate, split without labels":
-        ("evaluate --submission {d}/sub.csv --truth {d}/unlabelled.jsonl", 2, None),
+        ("evaluate --submission {d}/sub.csv --truth {d}/unlabelled.jsonl",
+         3, "{d}/unlabelled.jsonl"),
     "evaluate, split without records":
         ("evaluate --submission {d}/sub.csv --truth {d}/two.jsonl --split dev",
          3, "{d}/two.jsonl"),
@@ -777,6 +778,9 @@ ODD_INPUTS = {
     "ingested corpus with no test records":
         ("pipeline --outdir {d}/run --manifest {d}/corpus/no_test.jsonl",
          3, "data error: {d}/corpus/no_test.jsonl: eval split 'test' has no records"),
+    "evaluate on an unlabelled split":
+        ("evaluate --submission {d}/sub.csv --truth {d}/unlabelled.jsonl",
+         3, "data error: {d}/unlabelled.jsonl: split 'test' has no labelled records"),
     "negative prediction id":
         ("adjust --preds {d}/negative_id.csv --tuples {d}/pair.jsonl --rule 2 "
          "--out {d}/a.csv", 3, "{d}/negative_id.csv: line 2: malformed row '-1,0.5'"),

@@ -325,6 +325,8 @@ def test_logistic_matches_the_scalar_formula_at_the_edges(separation_mu, sigma):
     assert np.array_equal(np.array(list(got.values())).view(np.uint64),
                           np.array(list(want.values())).view(np.uint64))
     assert {type(v) for v in got.values()} == {float}
+    values = np.array(list(got.values()))   # probabilities, none with a sign bit
+    assert np.all((values >= 0.0) & (values <= 1.0)) and not np.signbit(values).any()
 
 
 _WORDS = st.integers(0, 2**32 - 1) | st.sampled_from([0, 1, 2**31, 2**32 - 2, 2**32 - 1])
