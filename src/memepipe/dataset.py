@@ -10,12 +10,23 @@ images, and the fixed cost per file is most of the cost.  A file is read in
 chunks of at most _READ_CHUNK bytes, and read_pgm returns a read-only view
 of the pixels in the bytes read, without a copy.  An OSError names the file,
 as open() would.
+
+A corpus's images are held in an ImageStacks: a mapping meme id -> pixels
+over one contiguous (n, h, w) uint8 array per image shape, filled as the
+images are read or generated, so the hash stage takes a whole stack at
+once and no second copy of the pixels is made.  `read_images` fills it:
+a file that starts with the header write_pgm writes for the previous
+image's shape is read with one os.readv straight into the next row of that
+shape's stack, and any other file goes through read_pgm's parse and is
+copied in.  Either way read_pgm is called once per file.
 """
 
+import functools
 import json
 import math
 import os
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -274,6 +285,13 @@ def write_manifest(records, path):
     write_lines(path, lines)
 
 
+# bounded: a real corpus can hold many image sizes
+@functools.lru_cache(maxsize=64)
+def _pgm_header(height, width):
+    """The header write_pgm writes before height x width pixels."""
+    return f"P5\n{width} {height}\n255\n".encode("ascii")
+
+
 def write_pgm(pixels, path):
     """Write a 2-D uint8 array as a binary PGM (P5, maxval 255) file."""
     arr = np.asarray(pixels)
@@ -281,8 +299,7 @@ def write_pgm(pixels, path):
         raise ValueError(f"expected a 2-D array, got shape {arr.shape}")
     if arr.dtype != np.uint8:
         raise ValueError(f"expected uint8 pixels, got {arr.dtype}")
-    data = memoryview(f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
-                      + arr.tobytes())
+    data = memoryview(_pgm_header(*arr.shape) + arr.tobytes())
     # 0o666 less the umask: the mode open() gives a new file
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
@@ -310,7 +327,27 @@ def _read_bytes(path):
     return b"".join(chunks)
 
 
-def read_pgm(path):
+def _read_into(path, pixels):
+    """Whether the file at path starts with write_pgm's header for the shape
+    of `pixels`, a writable C-contiguous uint8 array, and holds at least one
+    byte per pixel after it, read into `pixels`.  An OSError counts as no:
+    read_pgm's own read raises it again, with the path."""
+    header = _pgm_header(*pixels.shape)
+    got = bytearray(len(header))
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
+        return False
+    try:
+        size = os.readv(fd, (got, pixels))
+    except OSError:
+        return False
+    finally:
+        os.close(fd)
+    return size == len(header) + pixels.size and got == header
+
+
+def read_pgm(path, into=None):
     """Read a binary PGM (P5, maxval 255) file into a 2-D uint8 array.
 
     The header is "P5", then width, height and maxval as ASCII decimal
@@ -319,7 +356,15 @@ def read_pgm(path):
     whitespace byte ends the header, and the pixel bytes follow; bytes after
     the last pixel are ignored.  The array is a read-only view of the bytes
     read.
+
+    `into` is for reading a corpus: a writable C-contiguous uint8 array of
+    some shape h x w.  A file that starts with the header write_pgm writes
+    for that shape has its pixels read straight into `into`, which is
+    returned: those bytes parse as h x w at maxval 255 with the pixels right
+    after them, so they need no parse.  Any other file is read as without it.
     """
+    if into is not None and _read_into(path, into):
+        return into
     data = _read_bytes(path)
     header = _PGM_HEADER.match(data)
     if header is None:
@@ -332,17 +377,96 @@ def read_pgm(path):
     return np.frombuffer(data, np.uint8, width * height, header.end()).reshape(height, width)
 
 
+class _Stack:
+    """The images of one shape: `rows`, writable, with room for more;
+    `frozen`, a read-only view of the same memory; and each row's meme id."""
+
+    __slots__ = ("rows", "frozen", "ids")
+
+    def __init__(self, shape, capacity):
+        self.ids = []
+        self.resize(shape, capacity)
+
+    def resize(self, shape, capacity):
+        rows = np.empty((capacity, *shape), np.uint8)
+        if self.ids:
+            rows[:len(self.ids)] = self.rows[:len(self.ids)]
+        self.rows, self.frozen = rows, rows.view()
+        self.frozen.flags.writeable = False
+
+
+class ImageStacks(Mapping):
+    """Meme id -> pixels, a 2-D uint8 array, held as one contiguous
+    (n, h, w) uint8 array per image shape.
+
+    ImageStacks(size_hint) is empty.  `add` keeps an image as a meme's,
+    copied into the next row of its shape's stack, unless it is the row
+    `next_row` handed out last, which a reader fills in place.  The first
+    shape's stack is made with size_hint rows, as a corpus is mostly of one
+    shape; another shape's starts with one row, and a full stack doubles.
+    Each image is a read-only view of its row, and `stacks` lists each
+    shape's (ids, pixels) in the order the shapes were first added.
+    """
+
+    def __init__(self, size_hint):
+        self._first_rows = max(1, size_hint)
+        self._stacks = {}      # shape -> _Stack
+        self._where = {}       # meme id -> (_Stack, row)
+        self._next = None      # the row next_row handed out last
+
+    def next_row(self, shape):
+        """The writable row that the next image of this shape goes to."""
+        stack = self._stacks.get(shape)
+        if stack is None:
+            stack = self._stacks[shape] = _Stack(shape, 1 if self._stacks else self._first_rows)
+        elif len(stack.ids) == len(stack.rows):
+            stack.resize(shape, 2 * len(stack.rows))
+        self._next = stack.rows[len(stack.ids)]
+        return self._next
+
+    def add(self, meme_id, pixels):
+        """Keep a 2-D uint8 image as meme_id's."""
+        if meme_id in self._where:
+            raise DataFormatError(f"duplicate id {meme_id}")
+        if pixels is not self._next:
+            self.next_row(pixels.shape)[...] = pixels
+        stack = self._stacks[pixels.shape]
+        self._where[meme_id] = stack, len(stack.ids)
+        stack.ids.append(meme_id)
+        self._next = None
+
+    @property
+    def stacks(self):
+        """[(ids, pixels)]: each shape's meme ids, a list, and their images,
+        read-only, as one (n, h, w) uint8 array in the same order."""
+        return [(list(s.ids), s.frozen[:len(s.ids)]) for s in self._stacks.values()]
+
+    def __getitem__(self, meme_id):
+        stack, row = self._where[meme_id]
+        return stack.frozen[row]
+
+    def __iter__(self):
+        return iter(self._where)
+
+    def __len__(self):
+        return len(self._where)
+
+
 def read_images(manifest_path, records):
-    """Map meme id -> pixels, reading each record's image relative to the
-    manifest.  An image too small to hash is rejected here, by its path."""
+    """An ImageStacks of each record's image, read relative to the manifest,
+    in record order.  An image too small to hash is rejected here, by its
+    path."""
     from .phash import BLOCK_SIDE  # phash imports this module
     root = os.path.dirname(os.path.abspath(manifest_path))
-    images = {}
+    images = ImageStacks(len(records))
+    shape = None
     for rec in records:
         path = os.path.join(root, rec.img)
-        images[rec.id] = pixels = read_pgm(path)
-        if min(pixels.shape) < BLOCK_SIDE:
-            h, w = pixels.shape
-            raise DataFormatError(f"{path}: degenerate image {h}x{w}: need at least "
-                                  f"{BLOCK_SIDE}x{BLOCK_SIDE} pixels")
+        # the next file most likely has the last one's shape and header
+        pixels = read_pgm(path, None if shape is None else images.next_row(shape))
+        shape = pixels.shape
+        if min(shape) < BLOCK_SIDE:
+            raise DataFormatError(f"{path}: degenerate image {shape[0]}x{shape[1]}: "
+                                  f"need at least {BLOCK_SIDE}x{BLOCK_SIDE} pixels")
+        images.add(rec.id, pixels)
     return images

@@ -16,7 +16,10 @@ Two guarantees make downstream detection exact rather than probabilistic:
   texts are only mangled in case and whitespace.
 
 All randomness flows through one seeded generator, so equal inputs give
-byte-identical manifests and images.
+byte-identical manifests and images.  Each image is copied, as it is
+emitted, into the corpus's one ImageStacks stack of 64x64 images, which
+`image_hashes` hashes in chunks; the candidates the generator tries are
+hashed one at a time by `phash`.
 
 A base image's DCT is zero outside its 8x8 low-frequency block, so its
 pixels are the rank-8 product B.T @ block @ B, where B is the first 8 rows
@@ -35,10 +38,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .clustering import HAMMING_THRESHOLD, normalize_text
-from .dataset import (DatasetComposition, GeneratorNoise, MemeRecord,
+from .dataset import (DatasetComposition, GeneratorNoise, ImageStacks, MemeRecord,
                       write_manifest, write_pgm)
 from .errors import ConfigError
-from .phash import HASH_BITS, dct_rows, hamming, phash
+from .phash import HASH_BITS, dct_rows, hamming, phash, phash_stack
 from .tuples import ThreeTuple, TwoTuple, UnimodalHate, write_groups
 
 IMAGE_SIDE = 64
@@ -66,7 +69,7 @@ class GeneratedDataset:
     """
 
     records: list
-    images: dict                      # id -> 64x64 uint8
+    images: ImageStacks               # id -> 64x64 uint8, one stack
     categories: dict                  # id -> composition category
     three_tuples: list = field(default_factory=list)
     two_tuples: list = field(default_factory=list)
@@ -128,7 +131,7 @@ def _fresh_base(rng, base_hashes):
 
 def _near_duplicate(rng, base, base_hash, amplitude):
     if amplitude == 0.0:
-        return base.u8.copy()   # each meme owns its pixel array
+        return base.u8
     for _ in range(50):
         noise = rng.uniform(-amplitude, amplitude, size=(_BAND.stop - _BAND.start, IMAGE_SIDE))
         dup_q = _render(base.block, base.stripes, noise)
@@ -190,14 +193,14 @@ def generate_dataset(n, composition=None, noise=None, seed=0):
     texts = []
     labels = []
     categories = []
-    images = {}
+    images = ImageStacks(n)
     three_tuples = []
     two_tuples = []
     unimodal_groups = []
 
     def emit(image_u8, text, label, category):
         meme_id = len(texts)
-        images[meme_id] = image_u8
+        images.add(meme_id, image_u8)
         texts.append(text)
         labels.append(label)
         categories.append(category)
@@ -314,5 +317,13 @@ def write_corpus(dataset, out_dir, images=True):
 
 
 def image_hashes(images):
-    """Perceptual hashes for an id -> pixels mapping, sorted by id."""
-    return [(meme_id, phash(images[meme_id])) for meme_id in sorted(images)]
+    """Perceptual hashes for an id -> pixels mapping, as (id, hash) pairs
+    sorted by id.  An ImageStacks is hashed a stack at a time, any other
+    mapping an image at a time; each hash is `phash` of its image."""
+    if not isinstance(images, ImageStacks):
+        return [(meme_id, phash(images[meme_id])) for meme_id in sorted(images)]
+    ids, hashes = [], []
+    for stack_ids, pixels in images.stacks:
+        ids += stack_ids
+        hashes += phash_stack(pixels).tolist()
+    return sorted(zip(ids, hashes))

@@ -27,6 +27,17 @@ float if that is larger: below it rounding is absolute, not relative.  For
 a 2-D uint8 array, what read_pgm and the generator give, it is the max of
 the uint8 pixels, the same value without an absolute-value pass over the
 floats, and the pixels go to float64 without `to_grayscale`'s dispatch.
+
+`phash` hashes one image, such as each candidate the generator tries: a
+stack of one image costs more through the kernel.  `phash_stack` hashes a
+corpus's (n, h, w) uint8 stack of one image shape, a chunk of images at a
+time: np.matmul(np.matmul(P(h), chunk), P(w).T) runs the same gemm on each
+image that `phash` runs on it, so every block is bit for bit `phash`'s;
+the product is never reassociated, as another summation order need not
+round alike.  A chunk's float64 pixels are bounded to _BLOCK_ELEMS elements
+(1 MB) whatever the image size.  Both turn blocks into hashes by one bit
+rule, `_hash_bits`: the lower median of the 63 AC coefficients, the
+tolerance 1e-9 * max|gray|, bit 0 clear, packed little-endian.
 """
 
 import functools
@@ -46,8 +57,11 @@ _BIT_TOL = 1e-9
 # below the smallest normal float rounding is absolute, so max|gray| counts
 # as at least this and a flat image of subnormal pixels still hashes to 0
 _TINY = float(np.finfo(np.float64).tiny)
+# the lower median's index among the 63 sorted AC coefficients, their middle
+_MEDIAN = (HASH_BITS - 2) // 2
 
-# elements of one row block's XOR matrix in near_pairs (1 MB of uint64)
+# elements of one working block, 1 MB of 8-byte numbers: a row block's XOR
+# matrix in near_pairs, a chunk's float64 pixels in phash_stack
 _BLOCK_ELEMS = 1 << 17
 
 # ITU-R 601 luma weights, summing to 1
@@ -129,16 +143,45 @@ def phash(img):
     u8 = type(img) is np.ndarray and img.dtype == np.uint8 and img.ndim == 2
     gray = img.astype(np.float64, order="C") if u8 else np.ascontiguousarray(to_grayscale(img))
     h, w = gray.shape
+    _check_size(h, w)
+    block = (_projection(h) @ gray @ _projection(w).T).ravel()
+    peak = float(img.max()) if u8 else float(np.abs(gray).max())
+    return int.from_bytes(_hash_bits(block, max(peak, _TINY)), "little")
+
+
+def phash_stack(pixels):
+    """`phash` of each image of an (n, h, w) uint8 stack, as a uint64 array."""
+    n, h, w = pixels.shape
+    _check_size(h, w)
+    ph, pw = _projection(h), _projection(w).T
+    hashes = np.empty(n, np.uint64)
+    step = max(1, _BLOCK_ELEMS // (h * w))
+    for lo in range(0, n, step):
+        chunk = pixels[lo:lo + step]
+        blocks = np.matmul(np.matmul(ph, chunk.astype(np.float64, order="C")), pw)
+        peaks = np.maximum(chunk.max(axis=(1, 2)), _TINY)
+        packed = _hash_bits(blocks.reshape(len(chunk), HASH_BITS), peaks)
+        hashes[lo:lo + step] = np.ascontiguousarray(packed.T).view("<u8")[:, 0]
+    return hashes
+
+
+def _check_size(h, w):
     if h < BLOCK_SIDE or w < BLOCK_SIDE:
         raise DataFormatError(f"degenerate image {h}x{w}: need at least "
                               f"{BLOCK_SIDE}x{BLOCK_SIDE} pixels")
-    block = (_projection(h) @ gray @ _projection(w).T).ravel()
-    ac = np.sort(block[1:])
-    med = ac[(ac.size - 1) // 2]      # lower median; exact middle for odd counts
-    tol = _BIT_TOL * max(float(img.max()) if u8 else float(np.abs(gray).max()), _TINY)
-    bits = block > med + tol
+
+
+def _hash_bits(blocks, peak):
+    """The hash bits of one flattened hash block, or of each row of a
+    (k, 64) array of them, packed little-endian along the first axis: 8
+    bytes, or 8 x k.  Bit i is set when coefficient i exceeds the lower
+    median of the 63 AC ones by more than 1e-9 * `peak`, the block's
+    max|gray| (a float, or one per row), and bit 0 never is.  The
+    transposes keep one block's threshold a scalar."""
+    ac = np.sort(blocks[..., 1:])
+    bits = blocks.T > ac.T[_MEDIAN] + _BIT_TOL * peak
     bits[0] = False
-    return int.from_bytes(np.packbits(bits, bitorder="little"), "little")
+    return np.packbits(bits, axis=0, bitorder="little")
 
 
 def hamming(a, b):
@@ -157,7 +200,9 @@ def near_pairs(hashes, radius):
     h = np.asarray(hashes, dtype=np.uint64)
     rows = max(1, _BLOCK_ELEMS // max(len(h), 1))
     for lo in range(0, len(h), rows):
-        i, j = np.nonzero(np.bitwise_count(h[lo:lo + rows, None] ^ h[lo:]) <= radius)
+        # flat indices in row-major order, the order np.nonzero gives
+        i, j = np.divmod(np.flatnonzero(np.bitwise_count(h[lo:lo + rows, None] ^ h[lo:])
+                                        <= radius), len(h) - lo)
         keep = i < j
         yield lo + i[keep], lo + j[keep]
 

@@ -9,16 +9,19 @@ built, so every layer after that (the rules, stacking, the writers) can
 rely on both.  -0.0 is held as 0.0, so a written score reads back as the
 same float.  Every set of one run shares a single `ids` array, read-only:
 the simulated sets, each rule's output and the stacked set, so the layers
-pass arrays and never map id to score.  `PredictionSet(model_id, mapping)`
-builds a set from a dict id -> score, and `scores` reads a set back as a
-fresh such dict.
+pass arrays and never map id to score.  A set's `values` are its own
+read-only copy, so the check holds for the set's life.
+`PredictionSet(model_id, mapping)` builds a set from a dict id -> score,
+and `scores` reads a set back as a fresh such dict.
 
 Rule 1: inside a ThreeTuple the pivot is hateful and both partners are
 benign, so their probabilities become (1, 0, 0) and the same labels can be
 used as pseudo-labels for unlabeled data.
 
 Rule 2: inside a TwoTuple the member with the larger probability goes to 1
-and the other to 0.  An exact tie leaves both alone.
+and the other to 0.  An exact tie leaves both alone.  The sets of a run
+share their ids and their groups, so the pairs' positions are looked up
+once per run and kept (`_pair_positions`).
 
 The rules write by position, group by group in the order given, so groups
 that share a meme give the result of applying them one after another.  They
@@ -26,6 +29,8 @@ copy the scores; inputs are never mutated, and a rule applied to a stacked
 set returns a stacked set.
 """
 
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,17 +58,24 @@ class PredictionSet:
     """Scores for one model: `ids`, sorted int64 meme ids, and `values`, the
     float64 probability of hateful of each.  PredictionSet(model_id, mapping)
     builds the arrays from a dict id -> score; PredictionSet(model_id,
-    ids=..., values=...) takes the columns as they are.  Either form raises
+    ids=..., values=...) takes the columns, copying the values.  Either form raises
     DataFormatError (a ValueError) unless the ids are strictly increasing
-    int64 ids >= 0, one per value, and every value is in [0, 1]; -0.0 is
-    held as 0.0."""
+    int64 ids >= 0, one per value, and every value is in [0, 1], and a
+    mapping's values are real numbers, so not str or bool; -0.0 is held as
+    0.0.  `values` is the set's own read-only copy, so the check holds for
+    the set's life."""
 
     def __init__(self, model_id, scores=None, *, ids=None, values=None):
         if scores is not None:
+            for meme_id, score in scores.items():
+                if type(score) is not float and (isinstance(score, bool)
+                                                 or not isinstance(score, numbers.Real)):
+                    raise DataFormatError(f"{model_id}: meme {meme_id} has score"
+                                          f" {score!r}, not a real number")
             ids, order = sorted_ids(list(scores))
             values = np.array(list(scores.values()), np.float64)[order]
         else:
-            ids, values = np.asarray(ids), np.asarray(values, np.float64)
+            ids, values = np.asarray(ids), np.array(values, np.float64)
             if not (ids.dtype == np.int64 and ids.ndim == 1 and values.shape == ids.shape
                     and (ids[1:] > ids[:-1]).all() and (ids[:1] >= 0).all()):
                 raise DataFormatError("ids must be a 1-D int64 array of strictly"
@@ -73,7 +85,11 @@ class PredictionSet:
             raise DataFormatError(f"{model_id}: meme {ids[bad[0]]} has score"
                                   f" {float(values[bad[0]])!r}, not a probability in [0, 1]")
         if np.signbit(values).any():
-            values = values + 0.0      # -0.0 + 0.0 is 0.0
+            values += 0.0      # -0.0 + 0.0 is 0.0
+        if ids.flags.writeable:    # a caller's array stays the caller's
+            ids = ids.copy()
+            ids.flags.writeable = False
+        values.flags.writeable = False
         self.model_id, self.ids, self.values = model_id, ids, values
 
     def __repr__(self):
@@ -138,13 +154,34 @@ def rule1_pseudo_labels(groups):
     return PseudoLabelSet(dict(_rule1_labels(groups)))
 
 
+# the last _pair_positions call, (its groups, a copy of its ids, its
+# result): the groups are frozen, so the same group objects mean the same
+# groups, and the ids are compared by content, as _id_rows does
+_last_pairs = ([], np.empty(0, np.int64), None)
+
+
+def _pair_positions(groups, preds):
+    """The positions in preds.ids of each TwoTuple's two members, as a list
+    of pairs.  The sets of a run share their ids and are adjusted by the
+    same groups, so with the last call kept each run looks them up once."""
+    global _last_pairs
+    groups = list(groups)
+    last_groups, last_ids, pairs = _last_pairs
+    if (len(last_groups) == len(groups) and all(map(operator.is_, last_groups, groups))
+            and np.array_equal(last_ids, preds.ids)):
+        return pairs
+    members = [i for g in groups if isinstance(g, TwoTuple) for i in (g.a_id, g.b_id)]
+    pairs = preds.positions(members, "rule 2").reshape(-1, 2).tolist()
+    _last_pairs = (groups, preds.ids.copy(), pairs)
+    return pairs
+
+
 def apply_rule2(groups, preds):
     """Polarize every TwoTuple to (1, 0) by the larger score; ties untouched."""
-    members = [i for g in groups if isinstance(g, TwoTuple) for i in (g.a_id, g.b_id)]
-    pairs = preds.positions(members, "rule 2").reshape(-1, 2)
+    pairs = _pair_positions(groups, preds)
     values = preds.values.copy()
     # in order: pairs that share a meme each read the scores the pairs before wrote
-    for a, b in pairs.tolist():
+    for a, b in pairs:
         if values[a] != values[b]:
             values[a], values[b] = (1.0, 0.0) if values[a] > values[b] else (0.0, 1.0)
     return preds.replaced(values)

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from memepipe import dataset
 from memepipe.clustering import read_clusters, write_clusters
-from memepipe.dataset import (DatasetComposition, GeneratorNoise, MemeRecord,
-                              read_manifest, read_pgm, write_manifest,
-                              write_pgm)
+from memepipe.dataset import (DatasetComposition, GeneratorNoise, ImageStacks,
+                              MemeRecord, read_images, read_manifest, read_pgm,
+                              write_manifest, write_pgm)
 from memepipe.ensemble import (StackedPrediction, read_predictions, read_submission,
                                write_predictions, write_submission)
 from memepipe.errors import DataFormatError
@@ -404,3 +404,127 @@ def test_pgm_writer_bytes_and_errors(tmp_path):
     with pytest.raises(IsADirectoryError) as err:
         write_pgm(img, tmp_path / "dir.pgm")
     assert str(tmp_path / "dir.pgm") in str(err.value)
+
+
+def test_pgm_reader_reads_a_writer_file_into_a_row(tmp_path):
+    img = np.random.default_rng(41).integers(0, 256, size=(6, 9), dtype=np.uint8)
+    path = tmp_path / "img.pgm"
+    write_pgm(img, path)
+    row = np.zeros((6, 9), np.uint8)
+    assert read_pgm(path, row) is row and np.array_equal(row, img)
+    # another shape's row, or another header, is read as without one
+    for header in (b"P5\n9 6\n255\n", b"P5 9 6 255\n", b"P5\n#c\n9 6\n255\n"):
+        path.write_bytes(header + img.tobytes())
+        for other in (np.zeros((9, 6), np.uint8), np.zeros((6, 9), np.uint8)):
+            got = read_pgm(path, other)
+            assert np.array_equal(got, img)
+            assert (got is other) == (header == b"P5\n9 6\n255\n" and other.shape == (6, 9))
+
+
+def test_image_stacks_hold_each_shape_in_one_array():
+    rng = np.random.default_rng(42)
+    images = {10 + i: rng.integers(0, 256, size=(8 + i % 2, 9), dtype=np.uint8)
+              for i in range(7)}
+    stacks = ImageStacks(3)
+    for meme_id, img in images.items():
+        stacks.add(meme_id, img)
+    # the first shape's stack took 3 rows and doubled once; the second grew
+    # from one row to two and four, and kept every image through each copy
+    assert len(stacks) == 7 and list(stacks) == list(images)
+    for meme_id, img in images.items():
+        assert np.array_equal(stacks[meme_id], img) and not stacks[meme_id].flags.writeable
+    (ids_a, pixels_a), (ids_b, pixels_b) = stacks.stacks
+    assert ids_a == [10, 12, 14, 16] and pixels_a.shape == (4, 8, 9)
+    assert ids_b == [11, 13, 15] and pixels_b.shape == (3, 9, 9)
+    assert not pixels_a.flags.writeable
+    assert np.array_equal(pixels_b, np.stack([images[11], images[13], images[15]]))
+    # a row filled in place is kept without a copy
+    row = stacks.next_row((9, 9))
+    row[...] = 7
+    stacks.add(30, row)
+    assert np.shares_memory(stacks[30], row) and (stacks[30] == 7).all()
+    with pytest.raises(DataFormatError, match="^duplicate id 30$"):
+        stacks.add(30, images[10])
+    with pytest.raises(KeyError):
+        stacks[31]
+
+
+def write_image_corpus(root, contents):
+    """Write each file's bytes (None: no file; "dir": a directory) as an
+    image of a manifest; return the manifest path, its records and the paths."""
+    (root / "images").mkdir()
+    records, paths = [], []
+    for k, content in enumerate(contents):
+        records.append(MemeRecord(id=7 * k + 3, img=f"images/{k}.pgm", text=f"t{k}",
+                                  label=0, split="train"))
+        paths.append(root / records[-1].img)
+        if content == "dir":
+            paths[-1].mkdir()
+        elif content is not None:
+            paths[-1].write_bytes(content)
+    write_manifest(records, root / "manifest.jsonl")
+    return root / "manifest.jsonl", records, paths
+
+
+def pgm_bytes(img):
+    return b"P5\n%d %d\n255\n" % (img.shape[1], img.shape[0]) + img.tobytes()
+
+
+def test_read_images_stacks_each_shape_as_read_pgm_reads_it(tmp_path, monkeypatch):
+    rng = np.random.default_rng(43)
+    a = [rng.integers(0, 256, size=(64, 64), dtype=np.uint8) for _ in range(6)]
+    b = [rng.integers(0, 256, size=(37, 53), dtype=np.uint8) for _ in range(3)]
+    images = [a[0], a[1], b[0], a[2], b[1], b[2], a[3], a[4], a[5]]
+    contents = [pgm_bytes(img) for img in images]
+    # a header with a comment and one with other whitespace mid-corpus, and
+    # bytes after the last pixel
+    contents[1] = b"P5\n# a comment\n64 64\n255\n" + a[1].tobytes()
+    contents[7] = b"P5 64 64 255\n" + a[4].tobytes()
+    contents[8] = pgm_bytes(a[5]) + b"trailing bytes"
+    manifest, records, paths = write_image_corpus(tmp_path, contents)
+    calls = []
+    real_read_pgm = dataset.read_pgm
+
+    def counted(path, into=None):
+        pixels = real_read_pgm(path, into)
+        calls.append((path, pixels is into))
+        return pixels
+
+    monkeypatch.setattr(dataset, "read_pgm", counted)
+    got = read_images(manifest, records)
+    # one read_pgm call per file; the two in the writer's form after an
+    # image of their shape are read straight into their rows
+    assert calls == [(str(p), k in (5, 8)) for k, p in enumerate(paths)]
+    assert isinstance(got, ImageStacks) and list(got) == [r.id for r in records]
+    for r, path, img in zip(records, paths, images):
+        assert np.array_equal(got[r.id], real_read_pgm(path))
+        assert np.array_equal(got[r.id], img) and not got[r.id].flags.writeable
+    ids = [r.id for r in records]
+    assert [(i, p.shape) for i, p in got.stacks] == [
+        ([ids[k] for k in (0, 1, 3, 6, 7, 8)], (6, 64, 64)),
+        ([ids[k] for k in (2, 4, 5)], (3, 37, 53))]
+
+
+@pytest.mark.parametrize("name, content, message", [
+    ("truncated", b"P5\n64 64\n255\n" + bytes(4095), "truncated pixel data"),
+    ("truncated at the header", b"P5\n64 64\n255", "truncated pixel data"),
+    ("degenerate", b"P5\n7 64\n255\n" + bytes(448),
+     "degenerate image 64x7: need at least 8x8 pixels"),
+    ("not a PGM", b"P6\n64 64\n255\n" + bytes(3 * 4096), "not a binary PGM (P5) file"),
+    ("maxval", b"P5\n64 64\n65535\n" + bytes(8192), "only maxval 255 is supported, got 65535"),
+    ("empty", b"", "not a binary PGM (P5) file"),
+    ("missing", None, FileNotFoundError),
+    ("directory", "dir", IsADirectoryError),
+])
+def test_read_images_names_a_bad_file_mid_corpus(tmp_path, name, content, message):
+    rng = np.random.default_rng(44)
+    good = [pgm_bytes(rng.integers(0, 256, size=(64, 64), dtype=np.uint8)) for _ in range(3)]
+    manifest, records, paths = write_image_corpus(tmp_path, [*good[:2], content, good[2]])
+    if isinstance(message, str):
+        with pytest.raises(DataFormatError) as err:
+            read_images(manifest, records)
+        assert str(err.value) == f"{paths[2]}: {message}"
+    else:
+        with pytest.raises(message) as err:
+            read_images(manifest, records)
+        assert err.value.filename == str(paths[2])

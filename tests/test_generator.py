@@ -216,7 +216,14 @@ def test_shared_texts_normalize_equal():
 
 def test_detection_recovers_planted_structure():
     ds = generate_dataset(300, seed=12)
-    asg = ClusterAssignment(image=cluster_images(image_hashes(ds.images), 10),
+    # the images are one read-only stack, in id order, hashed in chunks as
+    # phash hashes each image
+    [(ids, pixels)] = ds.images.stacks
+    assert ids == list(range(300)) and pixels.shape == (300, 64, 64)
+    assert not pixels.flags.writeable
+    hashes = image_hashes(ds.images)
+    assert hashes == image_hashes(dict(ds.images)) == [(i, phash(pixels[i])) for i in ids]
+    asg = ClusterAssignment(image=cluster_images(hashes, 10),
                             text=cluster_texts(ds.records))
     groups = detect_tuples(ds.records, asg)
     found_three = {(g.pivot_id, g.image_partner_id, g.text_partner_id)

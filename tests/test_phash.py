@@ -11,8 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 import memepipe
 from memepipe.errors import DataFormatError
 from memepipe.phash import (HASH_BITS, dct_rows, hamming, hash_to_hex,
-                            hex_to_hash, near_pairs, phash, read_hashes,
-                            to_grayscale, write_hashes)
+                            hex_to_hash, near_pairs, phash, phash_stack,
+                            read_hashes, to_grayscale, write_hashes)
 from oracles import dct2, dct2_double_sum, resize_area
 
 # the package re-exports the phash function under the submodule's name
@@ -319,6 +319,62 @@ def test_phash_of_uint8_pixels_is_the_same_by_every_route(shape, kind, seed, lev
     assert phash(u8.astype(float)) == want
     assert phash(u8[..., None]) == want
     assert phash(u8.tolist()) == want     # a list is read in C order
+    # the batched kernel, alone and as one image of a stack
+    assert phash_stack(u8[None]).tolist() == [want]
+    assert phash_stack(np.stack([u8[::-1], u8]))[1] == want
+
+
+def stack_images(shape, rng):
+    """Random, flat, near-flat and tied-median uint8 images of one shape."""
+    flat = np.full(shape, 200, np.uint8)
+    near_flat = flat.copy()
+    near_flat.reshape(-1)[rng.choice(flat.size, size=3, replace=False)] = 201
+    tied = np.repeat(rng.integers(1, 256, size=(shape[0], 1)), shape[1], axis=1)
+    return [rng.integers(0, 256, size=shape, dtype=np.uint8), flat, near_flat,
+            np.zeros(shape, np.uint8), tied.astype(np.uint8),
+            (rng.integers(0, 3, size=shape) * 127).astype(np.uint8)]
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (37, 53), (53, 37), (64, 64), (8, 200)])
+def test_stack_kernel_equals_phash_in_every_chunking(monkeypatch, shape):
+    rng = np.random.default_rng(15)
+    images = stack_images(shape, rng) * 3 + [rng.integers(0, 256, size=shape, dtype=np.uint8)]
+    stack = np.stack(images)
+    want = [phash(img) for img in images]
+    assert phash(images[1]) == phash(images[3]) == 0
+    assert phash_stack(stack).tolist() == want
+    # chunks of 1, 2 and 5 images, so 19 images end in a short chunk, and a
+    # bound below one image still takes one
+    for elems in (1, 2 * shape[0] * shape[1], 5 * shape[0] * shape[1]):
+        monkeypatch.setattr(phash_module, "_BLOCK_ELEMS", elems)
+        assert phash_stack(stack).tolist() == want
+    assert phash_stack(stack[:0]).tolist() == []
+
+
+def test_stack_kernel_bounds_each_chunk_in_bytes(monkeypatch):
+    # a chunk's float64 pixels stay within _BLOCK_ELEMS elements
+    seen = []
+    real_matmul = np.matmul
+
+    def counted(a, b):
+        if a.ndim == 2:
+            seen.append(b.size)
+        return real_matmul(a, b)
+
+    monkeypatch.setattr(phash_module.np, "matmul", counted)
+    stack = np.random.default_rng(16).integers(0, 256, size=(70, 64, 64), dtype=np.uint8)
+    want = [phash(img) for img in stack]
+    assert phash_stack(stack).tolist() == want
+    assert seen == [32 * 64 * 64, 32 * 64 * 64, 6 * 64 * 64]
+    seen.clear()
+    big = np.random.default_rng(17).integers(0, 256, size=(3, 500, 500), dtype=np.uint8)
+    assert phash_stack(big).tolist() == [phash(img) for img in big]
+    assert seen == [500 * 500] * 3
+
+
+def test_stack_kernel_rejects_tiny_images():
+    with pytest.raises(DataFormatError, match="degenerate image 7x9"):
+        phash_stack(np.zeros((2, 7, 9), np.uint8))
 
 
 def ac_gaps(img):
@@ -488,6 +544,29 @@ def pair_set(hashes, radius):
     for i, j in near_pairs(hashes, radius):
         out.update(zip(i.tolist(), j.tolist()))
     return out
+
+
+def near_pairs_by_nonzero(hashes, radius, rows):
+    """near_pairs' row blocks as the 2-D np.nonzero of each block's mask."""
+    h = np.asarray(hashes, dtype=np.uint64)
+    for lo in range(0, len(h), rows):
+        i, j = np.nonzero(np.bitwise_count(h[lo:lo + rows, None] ^ h[lo:]) <= radius)
+        keep = i < j
+        yield lo + i[keep], lo + j[keep]
+
+
+@pytest.mark.parametrize("elems", [1, 200, 3000, 1 << 17])
+def test_near_pairs_blocks_equal_the_nonzero_blocks(monkeypatch, elems):
+    rng = np.random.default_rng(18)
+    hashes = rng.integers(0, 2 ** 64, size=300, dtype=np.uint64)
+    hashes[100:140] = hashes[0] ^ rng.integers(0, 8, size=40, dtype=np.uint64)
+    monkeypatch.setattr(phash_module, "_BLOCK_ELEMS", elems)
+    for radius in (0, 3, 10, HASH_BITS):
+        got = list(near_pairs(hashes, radius))
+        want = list(near_pairs_by_nonzero(hashes, radius, max(1, elems // 300)))
+        assert len(got) == len(want)
+        for (i, j), (wi, wj) in zip(got, want):
+            assert i.tolist() == wi.tolist() and j.tolist() == wj.tolist()
 
 
 def test_index_exact_match_radius_zero():

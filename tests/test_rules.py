@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from memepipe.clustering import ClusterAssignment
 from memepipe.dataset import MemeRecord
-from memepipe.ensemble import StackedPrediction
+from memepipe.ensemble import StackedPrediction, stack_equal_weight
 from memepipe.errors import DataFormatError
 from memepipe.rules import (PredictionSet, PseudoLabelSet, apply_rule1,
                             apply_rule2, apply_unimodal_signatures,
@@ -155,6 +157,20 @@ def test_rules_match_the_group_by_group_reference(groups, values):
         repr([sorted(x.items()) if isinstance(x, dict) else x for x in want])
 
 
+def test_rule2_pair_positions_follow_the_groups_and_the_ids():
+    # the positions are kept from one call to the next, so each call here
+    # changes the groups or the ids and must see its own
+    a = PredictionSet("a", ids=np.array([1, 2, 3]), values=[0.2, 0.9, 0.4])
+    b = PredictionSet("b", ids=np.array([1, 3, 4]), values=[0.2, 0.9, 0.4])
+    pair = [TwoTuple(1, 3, "image")]
+    assert apply_rule2(pair, a).scores == {1: 0.0, 2: 0.9, 3: 1.0}
+    assert apply_rule2(pair, a.replaced([0.6, 0.9, 0.4])).scores == {1: 1.0, 2: 0.9, 3: 0.0}
+    assert apply_rule2(pair, b).scores == {1: 0.0, 3: 1.0, 4: 0.4}
+    assert apply_rule2([TwoTuple(3, 4, "text")], b).scores == {1: 0.2, 3: 1.0, 4: 0.0}
+    with pytest.raises(DataFormatError, match="rule 2: meme 4 missing"):
+        apply_rule2([TwoTuple(3, 4, "text")], a)
+
+
 def test_rule2_pairs_sharing_a_meme_apply_in_order():
     # (1, 2) sends 1 up and 2 down; then (2, 3) compares 2's new 0.0 with 3
     groups = [TwoTuple(1, 2, "image"), TwoTuple(2, 3, "image")]
@@ -187,6 +203,32 @@ def test_prediction_set_takes_numpy_integer_keys():
     for bad in (np.uint64(2**63), np.int64(-1), np.True_):
         with pytest.raises(DataFormatError, match="below 2"):
             preds({bad: 0.5})
+    # a score is a real number, as a file's is a decimal: not a string or a
+    # bool, though float() and np.array take both
+    assert preds({1: 1, 2: np.float32(0.5), 3: np.float64(0.25)}).values.tolist() == \
+        [1.0, 0.5, 0.25]
+    for bad in ("0.5", True, np.True_, None, b"1"):
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"m0: meme 2 has score {bad!r}, not a real number")):
+            preds({1: 0.5, 2: bad})
+
+
+def test_prediction_set_columns_are_its_own_and_read_only():
+    ids, values = np.array([1, 2, 3]), np.array([0.25, 0.75, 0.5])
+    columns = PredictionSet("m0", ids=ids, values=values)
+    for ps in (columns, preds({1: 0.25, 2: 0.75, 3: 0.5})):
+        for column in (ps.ids, ps.values):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 2
+        # the rules, replaced and stacking copy what they change
+        assert apply_rule2([TwoTuple(1, 2, "image")], ps).scores == {1: 0.0, 2: 1.0, 3: 0.5}
+        assert apply_rule1([ThreeTuple(3, 1, 2)], ps).scores == {1: 0.0, 2: 0.0, 3: 1.0}
+        assert ps.replaced(1.0 - ps.values).scores == {1: 0.75, 2: 0.25, 3: 0.5}
+        assert stack_equal_weight([ps, ps]).label == {1: 0, 2: 1, 3: 1}
+        assert ps.scores == {1: 0.25, 2: 0.75, 3: 0.5}
+    # the caller's arrays stay the caller's, writable
+    ids[0], values[0] = 0, 1.0
+    assert columns.scores == {1: 0.25, 2: 0.75, 3: 0.5}
 
 
 def test_unimodal_signature_sets_matches_to_one():
