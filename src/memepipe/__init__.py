@@ -18,11 +18,10 @@ from .generator import GeneratedDataset, generate_dataset, image_hashes
 from .metrics import EvaluationReport, accuracy, auroc, evaluate
 from .phash import hamming, phash
 from .rules import (PredictionSet, PseudoLabelSet, apply_rule1, apply_rule2,
-                    apply_unimodal_signatures, merge_pseudo_labels,
-                    rule1_pseudo_labels)
+                    merge_pseudo_labels, rule1_pseudo_labels)
 from .simulator import SimulatorConfig, population, simulate_predictions
 from .tuples import (Other, ThreeTuple, TupleStats, TwoTuple, UnimodalHate,
-                     detect_tuples, detect_unimodal_hate, tuple_stats)
+                     detect_tuples, tuple_stats)
 
 __all__ = [
     "__version__",
@@ -37,8 +36,8 @@ __all__ = [
     "EvaluationReport", "accuracy", "auroc", "evaluate",
     "hamming", "phash",
     "PredictionSet", "PseudoLabelSet", "apply_rule1", "apply_rule2",
-    "apply_unimodal_signatures", "merge_pseudo_labels", "rule1_pseudo_labels",
+    "merge_pseudo_labels", "rule1_pseudo_labels",
     "SimulatorConfig", "population", "simulate_predictions",
     "Other", "ThreeTuple", "TupleStats", "TwoTuple", "UnimodalHate",
-    "detect_tuples", "detect_unimodal_hate", "tuple_stats",
+    "detect_tuples", "tuple_stats",
 ]

@@ -26,18 +26,16 @@ from .metrics import evaluate
 from .phash import read_hashes, write_hashes
 from .pipeline import (PipelineConfig, build_config, from_number_fields,
                        load_config_file, run_pipeline)
-from .rules import (apply_rule1, apply_rule2, apply_unimodal_signatures,
-                    rule1_pseudo_labels, write_pseudo_labels)
+from .rules import apply_rule1, apply_rule2, rule1_pseudo_labels, write_pseudo_labels
 from .simulator import SimulatorConfig, population, simulate_predictions
-from .tuples import (detect_tuples, detect_unimodal_hate, read_groups,
-                     tuple_stats, write_groups)
+from .tuples import detect_tuples, read_groups, tuple_stats, write_groups
 
-# PipelineConfig fields set by a switch instead of a --dashed-name flag:
-# field -> (flag, the config value it sets, help)
+# The boolean PipelineConfig fields, each on by default and turned off by a
+# switch instead of a --dashed-name flag: field -> (flag, the config value
+# it sets, help)
 _SWITCHES = {
     "rule1": ("--no-rule1", "false", "skip rule 1 and its pseudo-labels"),
     "rule2": ("--no-rule2", "false", "skip rule 2"),
-    "unimodal": ("--unimodal", "true", "apply unimodal-hate signatures"),
     "save_images": ("--no-images", "false", "write no PGM files for a generated corpus"),
 }
 
@@ -126,20 +124,11 @@ def cmd_stats(args):
 
 def cmd_tuples(args):
     scope = None if args.scope == "all" else _splits(args.scope, "--scope")
-    unimodal = (_splits(args.unimodal_scope, "--unimodal-scope")
-                if args.unimodal_scope else ())
     records = read_manifest(args.manifest)
     assignment = read_clusters(args.clusters)
-    # a missing label is the manifest's fault, a missing cluster the clusters file's
-    labeled = [rec for rec in records if rec.split in unimodal]
-    unlabelled = next((rec.id for rec in labeled if rec.label is None), None)
-    if unlabelled is not None:
-        raise DataFormatError(f"{args.manifest}: meme {unlabelled} has no label")
     with _in_file(args.clusters):
         groups = detect_tuples([rec for rec in records
                                 if scope is None or rec.split in scope], assignment)
-        if unimodal:
-            groups = groups + detect_unimodal_hate(labeled, assignment)
     write_groups(groups, args.out)
     _say(args, f"found {len(groups)} groups -> {args.out}")
 
@@ -154,17 +143,10 @@ def cmd_pseudo_label(args):
 def cmd_adjust(args):
     groups = read_groups(args.tuples)
     preds = read_predictions(args.preds)
-    if args.rule == "1":
-        with _in_file(args.preds):
-            out = apply_rule1(groups, preds)
-    elif args.rule == "2":
-        with _in_file(args.preds):
-            out = apply_rule2(groups, preds)
-    else:
-        if not args.clusters:
-            raise ConfigError("--clusters is required for --rule unimodal")
-        assignment = read_clusters(args.clusters)
-        out = apply_unimodal_signatures(groups, assignment, preds)
+    # looked up now, so a wrapper installed on this module is the one called
+    rule = apply_rule1 if args.rule == "1" else apply_rule2
+    with _in_file(args.preds):
+        out = rule(groups, preds)
     write_predictions(out, args.out)
     _say(args, f"adjusted predictions -> {args.out}")
 
@@ -263,8 +245,6 @@ def build_parser():
     p.add_argument("--clusters", required=True)
     p.add_argument("--scope", default="all",
                    help="comma-separated splits to analyze, or 'all'")
-    p.add_argument("--unimodal-scope",
-                   help="also scan these splits for all-hateful clusters")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_tuples)
 
@@ -276,8 +256,7 @@ def build_parser():
     p = sub.add_parser("adjust", help="apply an adjustment rule to predictions")
     p.add_argument("--preds", required=True)
     p.add_argument("--tuples", required=True)
-    p.add_argument("--rule", choices=("1", "2", "unimodal"), required=True)
-    p.add_argument("--clusters", help="cluster file (required for --rule unimodal)")
+    p.add_argument("--rule", choices=("1", "2"), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_adjust)
 

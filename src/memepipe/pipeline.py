@@ -25,11 +25,10 @@ from .errors import ConfigError, DataFormatError, StageError, _in_file
 from .generator import generate_dataset, image_hashes, write_corpus
 from .metrics import evaluate
 from .phash import write_hashes
-from .rules import (PseudoLabelSet, apply_rule1, apply_rule2,
-                    apply_unimodal_signatures, merge_pseudo_labels,
+from .rules import (PseudoLabelSet, apply_rule1, apply_rule2, merge_pseudo_labels,
                     rule1_pseudo_labels, write_pseudo_labels)
 from .simulator import SimulatorConfig, population, simulate_predictions
-from .tuples import detect_tuples, detect_unimodal_hate, tuple_stats, write_groups
+from .tuples import detect_tuples, tuple_stats, write_groups
 
 PLACEMENTS = ("before_stacking", "after_stacking")
 
@@ -48,7 +47,6 @@ class PipelineConfig:
     rule1: bool = True
     rule2: bool = True
     adjust_placement: str = "before_stacking"
-    unimodal: bool = False
     separation_mu: float = 1.0
     sigma: float = 1.2
     noise_correlation: float = 0.9
@@ -143,7 +141,7 @@ def build_config(file_values=None, overrides=None):
 
 @dataclass
 class PipelineResult:
-    report: object                # EvaluationReport, or None without labels
+    report: object                # EvaluationReport, or None unless the eval split is two-class
     submission_path: str
     artifacts: dict               # name -> path
     stacked: StackedPrediction    # the final scores and labels
@@ -180,7 +178,7 @@ class Structure:
 class Scores:
     adjusted: list                # per-set rule 2 output; empty unless before stacking
     final: StackedPrediction      # scores after every enabled rule
-    report: object                # EvaluationReport, or None without eval labels
+    report: object                # EvaluationReport, or None unless the eval split is two-class
 
 
 def detect(cfg, records, images):
@@ -225,21 +223,20 @@ def score(cfg, records, structure, sets):
         final = _stage("adjust-after", lambda: apply_rule2(groups, final), quiet)
     if cfg.rule1:
         final = _stage("rule1-override", lambda: apply_rule1(groups, final), quiet)
-    if cfg.unimodal:
-        def unimodal_stage():
-            labeled = [rec for rec in records
-                       if rec.split == "train" and rec.label is not None]
-            signatures = detect_unimodal_hate(labeled, structure.assignment)
-            return apply_unimodal_signatures(signatures, structure.assignment, final)
-        final = _stage("unimodal-signatures", unimodal_stage, quiet)
 
     report = None
-    if all(rec.label is not None for rec in eval_recs):
+    labels = [rec.label for rec in eval_recs]
+    if set(labels) == {0, 1}:
         truth = {rec.id: rec.label for rec in eval_recs}
         pos = final.positions(list(truth), "evaluate")
         report = _stage("evaluate", lambda: evaluate(
             dict(zip(truth, final.values[pos].tolist())),
             dict(zip(truth, final.labels[pos].tolist())), truth), quiet)
+    elif not quiet:
+        # AUROC needs both classes; the submission is written all the same
+        print(f"[evaluate] skipped: eval split {cfg.eval_split!r} has "
+              f"{labels.count(0)} benign, {labels.count(1)} hateful and "
+              f"{labels.count(None)} unlabelled memes", file=sys.stderr)
     return Scores(adjusted, final, report)
 
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from .dataset import MemeRecord, _is_meme_id, id_error, write_lines
 from .errors import DataFormatError
-from .tuples import ThreeTuple, TwoTuple, UnimodalHate
+from .tuples import ThreeTuple, TwoTuple
 
 
 def sorted_ids(meme_ids):
@@ -185,17 +185,6 @@ def apply_rule2(groups, preds):
         if values[a] != values[b]:
             values[a], values[b] = (1.0, 0.0) if values[a] > values[b] else (0.0, 1.0)
     return preds.replaced(values)
-
-
-def apply_unimodal_signatures(signatures, assignment, preds):
-    """Set score 1.0 for every meme whose cluster matches a hateful signature."""
-    img_sig = {s.cluster_id for s in signatures
-               if isinstance(s, UnimodalHate) and s.modality == "image"}
-    txt_sig = {s.cluster_id for s in signatures
-               if isinstance(s, UnimodalHate) and s.modality == "text"}
-    hit = [assignment.image.get(i) in img_sig or assignment.text.get(i) in txt_sig
-           for i in preds.ids.tolist()]
-    return preds.replaced(np.where(hit, 1.0, preds.values))
 
 
 def write_pseudo_labels(pseudo, path):

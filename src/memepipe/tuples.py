@@ -11,8 +11,8 @@ classified:
 - Other: anything else (pairs sharing both modalities, single-modality
   triples, larger tangles).
 
-UnimodalHate groups come from a separate label-aware scan: a cluster with
-at least two labeled members, all hateful.
+UnimodalHate groups are never detected here: they come only from the
+generator's planted truth (constructed_groups.jsonl).
 """
 
 import json
@@ -121,30 +121,6 @@ def detect_tuples(memes, assignment):
             continue
         out.append(_classify(members, assignment))
     out.sort(key=lambda g: min(g.member_ids()))
-    return out
-
-
-def detect_unimodal_hate(labeled, assignment):
-    """UnimodalHate groups among labeled records: clusters of >= 2, all label 1.
-
-    Cluster sizes are taken within the given records.  Every record must
-    carry a label.
-    """
-    for rec in labeled:
-        if rec.label is None:
-            raise DataFormatError(f"record {rec.id} has no label")
-    out = []
-    for modality, clusters in (("image", assignment.image), ("text", assignment.text)):
-        by_cluster = {}
-        for rec in labeled:
-            if rec.id not in clusters:
-                raise DataFormatError(f"meme {rec.id} has no cluster assignment")
-            by_cluster.setdefault(clusters[rec.id], []).append(rec)
-        for cluster_id in sorted(by_cluster):
-            recs = by_cluster[cluster_id]
-            if len(recs) >= 2 and all(r.label == 1 for r in recs):
-                members = tuple(sorted(r.id for r in recs))
-                out.append(UnimodalHate(modality, cluster_id, members))
     return out
 
 

@@ -5,10 +5,12 @@ run's time by layer; renaming or inlining one of them breaks the benchmark
 only when it runs.  One test installs the tracer around one small pipeline
 run, so such a break fails here first.  Another runs one small operation
 through perfbench's own workload and checks, restage included, so a changed
-type or artifact that would crash or fail them fails here too.
+type or artifact that would crash or fail them fails here too.  A third runs
+perfbench's warm-up at a hundred seeds, since one that fails stops a workload.
 """
 
 import importlib.util
+import shutil
 import time
 from pathlib import Path
 
@@ -69,3 +71,20 @@ def test_restaged_operation_passes_every_check(tmp_path):
     problems += check.check_clusters(tmp_path, records)
     problems += check.check_restage(tmp_path, restaged)
     assert problems == []
+
+
+def test_warmup_pipeline_exits_zero_at_every_seed(tmp_path):
+    # run.py's untimed warm-up fails the whole workload unless it exits 0;
+    # at n=60 some seeds (51, 53, ...) give a single-class test split, and
+    # at n=10 most do, which must cost the report only
+    workloads = load_perfbench("workloads")
+    runs = [(seed, workloads.WARMUP_ARGS) for seed in range(100)]
+    runs += [(seed, ("--n", "10", "--models", "1", "--k", "2", "--no-images"))
+             for seed in range(5)]
+    for seed, args in runs:
+        outdir = tmp_path / "warmup"
+        code, _ = workloads.cli(["pipeline", "--outdir", str(outdir),
+                                 "--seed", str(seed), *args])
+        assert code == 0, (seed, args)
+        assert (outdir / "submission.csv").exists(), (seed, args)
+        shutil.rmtree(outdir)

@@ -134,14 +134,6 @@ def test_pipeline_outputs_match_pinned_digests(tmp_path):
 # sha256 of the scored artifacts of run_pipeline(n=300, seed=3, models=2, k=2)
 # for the score branches the default config does not take
 BRANCH_DIGESTS = {
-    "unimodal": ({"unimodal": True}, {
-        "stacked.csv":
-            "8e7e559115d8d9c6ca247dd3e8c1841650d0291162d44a06ed70bb3b61c5c927",
-        "submission.csv":
-            "c0eef4db4ffd3aa57250c61ccf6af3eb8790bedfabb20f644383eafce2840c05",
-        "report.txt":
-            "27618e7621ff7fa5bfed9c259483959aee3e84f987fa00f1383747fbab383a0a",
-    }),
     "no_rule2": ({"rule2": False}, {
         "stacked.csv":
             "b4fbc67502fa8c2438a7830a1fa3fbbbb3a2ca79c2b294092110c13eee5faf0e",
@@ -373,7 +365,7 @@ def test_defaults_match_documented_run():
     cfg = PipelineConfig()
     assert (cfg.n, cfg.seed, cfg.models, cfg.k) == (2000, 7, 4, 5)
     assert cfg.adjust_placement == "before_stacking"
-    assert cfg.rule1 and cfg.rule2 and not cfg.unimodal
+    assert cfg.rule1 and cfg.rule2
 
 
 def run_cli(*argv):
@@ -385,15 +377,14 @@ NON_DEFAULT = {
     "n": "50", "seed": "3", "composition": "0.5,0.1,0.2,0.1,0.1",
     "image_amplitude": "2.5", "text_perturb_prob": "0.25", "label_noise": "0.1",
     "hamming_threshold": "8", "k": "3", "models": "2", "rule1": "false",
-    "rule2": "false", "adjust_placement": "after_stacking", "unimodal": "true",
+    "rule2": "false", "adjust_placement": "after_stacking",
     "separation_mu": "1.5", "sigma": "0.8",
     "noise_correlation": "0.5",
     "eval_split": "dev", "manifest": "corpus/manifest.jsonl",
     "save_images": "false", "quiet": "true",
 }
 # keys set by a switch instead of a --dashed-name flag, and that switch
-SWITCHES = {"rule1": "--no-rule1", "rule2": "--no-rule2",
-            "unimodal": "--unimodal", "save_images": "--no-images"}
+SWITCHES = {"rule1": "--no-rule1", "rule2": "--no-rule2", "save_images": "--no-images"}
 
 
 def pipeline_config(monkeypatch, *argv):
@@ -431,13 +422,11 @@ def test_every_config_key_has_a_matching_flag(tmp_path, monkeypatch, capsys):
     for key in keys:
         assert getattr(from_file, key) != getattr(default, key), key
 
-    # the four switches, on their own
+    # the three switches, on their own
     code, cfg = pipeline_config(monkeypatch, "pipeline", "--outdir", out,
-                                "--no-rule1", "--no-rule2", "--no-images",
-                                "--unimodal")
+                                "--no-rule1", "--no-rule2", "--no-images")
     assert code == 0
-    assert (cfg.rule1, cfg.rule2, cfg.save_images, cfg.unimodal) == \
-        (False, False, False, True)
+    assert (cfg.rule1, cfg.rule2, cfg.save_images) == (False, False, False)
     assert cfg.quiet is False
 
     # a flag wins over the config file; an absent flag leaves it alone
@@ -522,18 +511,6 @@ def test_cli_stage_chain_matches_pipeline(tmp_path):
                    "--tuples", str(work / "tuples.jsonl"), "--rule", "1",
                    "--out", str(work / "stacked.csv")) == 0
     assert (work / "stacked.csv").read_bytes() == (out / "stacked.csv").read_bytes()
-
-    # the unimodal rule over the train split's all-hateful clusters gives the
-    # stacked.csv of a run with unimodal=true
-    assert run_cli("--quiet", "tuples", "--manifest", str(out / "manifest.jsonl"),
-                   "--clusters", str(work / "clusters.csv"), "--unimodal-scope", "train",
-                   "--out", str(work / "unimodal.jsonl")) == 0
-    assert run_cli("--quiet", "adjust", "--preds", str(out / "stacked.csv"),
-                   "--tuples", str(work / "unimodal.jsonl"), "--rule", "unimodal",
-                   "--clusters", str(work / "clusters.csv"),
-                   "--out", str(work / "unimodal.csv")) == 0
-    assert hashlib.sha256((work / "unimodal.csv").read_bytes()).hexdigest() == \
-        BRANCH_DIGESTS["unimodal"][1]["stacked.csv"]
 
     # pseudo-label labels every three-tuple member; the pipeline keeps the
     # held-out ones
@@ -637,6 +614,41 @@ def test_cli_exit_codes(tmp_path, capsys):
         if named:
             assert f"data error: {named.format(d=faults)}: " in err, (name, err)
     assert not (faults / "pseudo.csv").exists()
+    # the options of the removed unimodal rule are refused by the parser
+    for argv, message in (
+            ("pipeline --outdir {d}/refused --unimodal",
+             "unrecognized arguments: --unimodal"),
+            ("adjust --preds {d}/both.csv --tuples {d}/pair.jsonl --rule unimodal "
+             "--out {d}/refused.csv", "argument --rule: invalid choice: 'unimodal'"),
+            ("adjust --preds {d}/both.csv --tuples {d}/pair.jsonl --rule 2 "
+             "--clusters x --out {d}/refused.csv", "unrecognized arguments: --clusters x")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv.format(d=faults).split())
+        assert exc.value.code == 2, argv
+        assert message in capsys.readouterr().err, argv
+    assert not (faults / "refused").exists() and not (faults / "refused.csv").exists()
+
+
+def test_pipeline_single_class_eval_split_writes_no_report(tmp_path, capsys):
+    # AUROC needs both classes: the run still writes its submission, and
+    # says on stderr why there is no report
+    write_faulty_inputs(tmp_path)
+    out = tmp_path / "run"
+    assert run_cli("pipeline", "--outdir", str(out),
+                   "--manifest", str(tmp_path / "corpus" / "one_class.jsonl")) == 0
+    captured = capsys.readouterr()
+    assert "RESULT" not in captured.out
+    assert ("[evaluate] skipped: eval split 'test' has 0 benign, 2 hateful and "
+            "0 unlabelled memes") in captured.err
+    assert not (out / "report.txt").exists()
+    rows = (out / "submission.csv").read_text().splitlines()
+    assert rows[0] == "id,proba,label"
+    assert [row.split(",")[0] for row in rows[1:]] == ["2", "3"]
+    assert "report.txt" not in json.loads((out / "run_manifest.json").read_text())["artifacts"]
+    # --quiet silences the line
+    assert run_cli("--quiet", "pipeline", "--outdir", str(tmp_path / "quiet"),
+                   "--manifest", str(tmp_path / "corpus" / "one_class.jsonl")) == 0
+    assert capsys.readouterr() == ("", "")
 
 
 # name: (argv, with {d} the write_faulty_inputs directory; exit code; the
@@ -664,9 +676,6 @@ EXIT_CODE_TABLE = {
     "pipeline --manifest, unlabelled eval split":
         ("--quiet pipeline --outdir {d}/run --manifest {d}/corpus/unlabelled.jsonl",
          3, "{d}/corpus/unlabelled.jsonl"),
-    "pipeline --manifest, single-class eval split":
-        ("--quiet pipeline --outdir {d}/run --manifest {d}/corpus/one_class.jsonl",
-         3, "{d}/corpus/one_class.jsonl"),
     "pipeline, rule1=maybe": ("pipeline --outdir {d}/run --config {d}/maybe.cfg", 2, None),
     "pipeline --models 0": ("pipeline --outdir {d}/run --models 0", 2, None),
     "pipeline --eval-split train":
@@ -674,9 +683,6 @@ EXIT_CODE_TABLE = {
     "pseudo-label, string pivot":
         ("pseudo-label --tuples {d}/string_pivot.jsonl --out {d}/pseudo.csv",
          3, "{d}/string_pivot.jsonl"),
-    "adjust --rule unimodal without --clusters":
-        ("adjust --preds {d}/both.csv --tuples {d}/pair.jsonl --rule unimodal "
-         "--out {d}/a.csv", 2, None),
     "evaluate, split without labels":
         ("evaluate --submission {d}/sub.csv --truth {d}/unlabelled.jsonl",
          3, "{d}/unlabelled.jsonl"),
@@ -713,10 +719,10 @@ def write_faulty_inputs(d):
     (d / "underscore_id.csv").write_text("id,proba\n0,0.5\n1_0,0.25\n")
     (d / "signed_hash_id.csv").write_text("0,0000000000000000\n+1,00000000000000ff\n")
     write_manifest([MemeRecord(0, "0.pgm", "t", None, "test")], d / "unlabelled.jsonl")
-    (d / "one_cluster.csv").write_text("0,0,0\n")
     write_manifest([MemeRecord(i, f"{i}.pgm", "t", i % 2, "test") for i in range(3)],
                    d / "three.jsonl")
     (d / "maybe.cfg").write_text("rule1 = maybe\n")
+    (d / "unimodal.cfg").write_text("n = 20\nunimodal = true\n")
     (d / "string_pivot.jsonl").write_text(
         '{"kind": "two_tuple", "a": 0, "b": 1, "shared": "image"}\n'
         '{"kind": "three_tuple", "pivot": "a", "image_partner": 1, "text_partner": 2}\n')
@@ -766,10 +772,9 @@ ODD_INPUTS = {
     "sigma nan": ("pipeline --outdir {d}/run --sigma nan", 2, "sigma must be positive"),
     "image amplitude nan":
         ("pipeline --outdir {d}/run --image-amplitude nan", 2, "image_amplitude must be >= 0"),
-    "unlabelled meme in the unimodal scope":
-        ("tuples --manifest {d}/unlabelled.jsonl --clusters {d}/one_cluster.csv "
-         "--unimodal-scope test --out {d}/g.jsonl",
-         3, "{d}/unlabelled.jsonl: meme 0 has no label"),
+    "config file with the removed unimodal key":
+        ("pipeline --outdir {d}/run --config {d}/unimodal.cfg",
+         2, "config error: {d}/unimodal.cfg: line 2: unknown key 'unimodal'"),
     "empty manifest":
         ("pipeline --outdir {d}/run --manifest {d}/empty.csv", 3, "{d}/empty.csv: no records"),
     "generated corpus with no dev records":
@@ -899,11 +904,15 @@ def test_cli_tuples_rejects_unknown_split_names(tmp_path, capsys):
     base = ["tuples", "--manifest", str(out / "manifest.jsonl"),
             "--clusters", str(out / "clusters.csv"),
             "--out", str(tmp_path / "groups.jsonl")]
-    for flag in ("--scope", "--unimodal-scope"):
-        assert run_cli(*base, flag, "train,tain") == 2
-        assert f"unknown split(s) in {flag}: ['tain']" in capsys.readouterr().err
+    assert run_cli(*base, "--scope", "train,tain") == 2
+    assert "unknown split(s) in --scope: ['tain']" in capsys.readouterr().err
+    # the unimodal scan is gone, and so is its option
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*base, "--unimodal-scope", "train")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --unimodal-scope" in capsys.readouterr().err
     assert not (tmp_path / "groups.jsonl").exists()
-    assert run_cli("--quiet", *base, "--unimodal-scope", "train") == 0
+    assert run_cli("--quiet", *base, "--scope", "train") == 0
 
 
 def test_cli_stack_writes_submission_rows(tmp_path):

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memepipe.clustering import ClusterAssignment
 from memepipe.dataset import MemeRecord
 from memepipe.ensemble import StackedPrediction, stack_equal_weight
 from memepipe.errors import DataFormatError
 from memepipe.rules import (PredictionSet, PseudoLabelSet, apply_rule1,
-                            apply_rule2, apply_unimodal_signatures,
-                            merge_pseudo_labels, rule1_pseudo_labels,
-                            write_pseudo_labels)
-from memepipe.tuples import Other, ThreeTuple, TwoTuple, UnimodalHate
+                            apply_rule2, merge_pseudo_labels,
+                            rule1_pseudo_labels, write_pseudo_labels)
+from memepipe.tuples import Other, ThreeTuple, TwoTuple
 
 
 def preds(scores):
@@ -229,32 +227,6 @@ def test_prediction_set_columns_are_its_own_and_read_only():
     # the caller's arrays stay the caller's, writable
     ids[0], values[0] = 0, 1.0
     assert columns.scores == {1: 0.25, 2: 0.75, 3: 0.5}
-
-
-def test_unimodal_signature_sets_matches_to_one():
-    sigs = [UnimodalHate("image", 4, (4, 5))]
-    a = ClusterAssignment(image={1: 4, 2: 7}, text={1: 1, 2: 2})
-    out = apply_unimodal_signatures(sigs, a, preds({1: 0.3, 2: 0.3}))
-    assert out.scores == {1: 1.0, 2: 0.3}
-
-
-def test_unimodal_signature_no_match_identity():
-    sigs = [UnimodalHate("text", 9, (9, 10))]
-    a = ClusterAssignment(image={1: 1}, text={1: 1})
-    out = apply_unimodal_signatures(sigs, a, preds({1: 0.3}))
-    assert out.scores == {1: 0.3}
-
-
-def test_unimodal_signature_after_rule1_wins():
-    # a meme can be both a tuple partner (forced to 0) and carry a hateful
-    # signature; applying signatures after rule 1 leaves it at 1
-    groups = [ThreeTuple(1, 2, 3)]
-    sigs = [UnimodalHate("image", 20, (20, 2))]
-    a = ClusterAssignment(image={1: 1, 2: 20, 3: 3}, text={1: 1, 2: 2, 3: 1})
-    step1 = apply_rule1(groups, preds({1: 0.5, 2: 0.5, 3: 0.5}))
-    assert step1.scores[2] == 0.0
-    step2 = apply_unimodal_signatures(sigs, a, step1)
-    assert step2.scores[2] == 1.0
 
 
 def test_pseudo_label_file_round_trip(tmp_path):

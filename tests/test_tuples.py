@@ -8,14 +8,12 @@ from memepipe.dataset import MemeRecord
 from memepipe.errors import DataFormatError
 from memepipe.tuples import (Other, ThreeTuple, TupleStats, TwoTuple,
                              UnimodalHate, _classify, detect_tuples,
-                             detect_unimodal_hate, read_groups, tuple_stats,
-                             write_groups)
+                             read_groups, tuple_stats, write_groups)
 
 
-def recs(ids, labels=None):
-    labels = labels or {}
-    return [MemeRecord(id=i, img=f"{i}.pgm", text=f"t{i}",
-                       label=labels.get(i, 0), split="test") for i in ids]
+def recs(ids):
+    return [MemeRecord(id=i, img=f"{i}.pgm", text=f"t{i}", label=0, split="test")
+            for i in ids]
 
 
 def asg(image, text):
@@ -140,38 +138,6 @@ def test_missing_assignment_raises():
     a = asg({1: 1}, {1: 1})
     with pytest.raises(ValueError, match="no cluster assignment"):
         detect_tuples(recs([1, 2]), a)
-
-
-def test_unimodal_hate_pair():
-    a = asg({1: 1, 2: 1}, {1: 1, 2: 2})
-    groups = detect_unimodal_hate(recs([1, 2], labels={1: 1, 2: 1}), a)
-    assert groups == [UnimodalHate("image", 1, (1, 2))]
-
-
-def test_unimodal_hate_mixed_labels_skipped():
-    a = asg({1: 1, 2: 1}, {1: 1, 2: 2})
-    assert detect_unimodal_hate(recs([1, 2], labels={1: 1, 2: 0}), a) == []
-
-
-def test_unimodal_hate_singletons_skipped():
-    a = asg({1: 1, 2: 2}, {1: 1, 2: 2})
-    assert detect_unimodal_hate(recs([1, 2], labels={1: 1, 2: 1}), a) == []
-
-
-def test_unimodal_hate_both_modalities():
-    a = asg({1: 1, 2: 1, 3: 3, 4: 4}, {1: 1, 2: 2, 3: 3, 4: 3})
-    groups = detect_unimodal_hate(
-        recs([1, 2, 3, 4], labels={1: 1, 2: 1, 3: 1, 4: 1}), a)
-    assert UnimodalHate("image", 1, (1, 2)) in groups
-    assert UnimodalHate("text", 3, (3, 4)) in groups
-
-
-def test_unimodal_hate_requires_labels():
-    a = asg({1: 1, 2: 1}, {1: 1, 2: 2})
-    memes = recs([1, 2])
-    memes[0].label = None
-    with pytest.raises(ValueError, match="no label"):
-        detect_unimodal_hate(memes, a)
 
 
 def test_tuple_stats_single_triple():
