@@ -296,8 +296,10 @@ def build_parser():
 
 
 def _is_number(text):
+    """Whether float() reads text, or each part of it split at commas."""
     try:
-        float(text)
+        for part in text.split(","):
+            float(part)
     except ValueError:
         return False
     return True
@@ -305,7 +307,8 @@ def _is_number(text):
 
 def _negative_values_joined(argv):
     """argv with each `--flag -value` that float() reads, such as -inf, -nan
-    or -1e-3, written `--flag=-value`: argparse takes a separate such value
+    or -1e-3, or a comma-separated list of such numbers, such as a
+    composition, written `--flag=-value`: argparse takes a separate such value
     for an option and refuses the flag, so the config check would not see it."""
     out = []
     for token in argv:

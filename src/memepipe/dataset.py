@@ -4,12 +4,10 @@ A manifest is line-delimited JSON, one record per line with keys id, img,
 text, label (optional outside the train split) and split.  Images are binary
 PGM (P5) files with maxval 255.
 
-PGM files are read and written with os-level calls (os.open, os.read,
-os.write) and no buffered file object: a corpus holds thousands of small
-images, and the fixed cost per file is most of the cost.  A file is read in
-chunks of at most _READ_CHUNK bytes, and read_pgm returns a read-only view
-of the pixels in the bytes read, without a copy.  An OSError names the file,
-as open() would.
+PGM files are written with os-level calls (os.open, os.write) and no
+buffered file object: a corpus holds thousands of small images, and the
+fixed cost per file is most of the cost.  An OSError names the file, as
+open() would.
 
 A corpus's images are held in an ImageStacks: a mapping meme id -> pixels
 over one contiguous (n, h, w) uint8 array per image shape, filled as the
@@ -17,8 +15,10 @@ images are read or generated, so the hash stage takes a whole stack at
 once and no second copy of the pixels is made.  `read_images` fills it:
 a file that starts with the header write_pgm writes for the previous
 image's shape is read with one os.readv straight into the next row of that
-shape's stack, and any other file goes through read_pgm's parse and is
-copied in.  Either way read_pgm is called once per file.
+shape's stack.  Any other file, such as a corpus's first, is read whole with
+one open() call and parsed by read_pgm, which returns a read-only view of
+the pixels in the bytes read, and the pixels are copied in.  Either way
+read_pgm is called once per file.
 """
 
 import functools
@@ -41,18 +41,6 @@ _PGM_SKIP = rb"(?:\s|#[^\n]*\n)*"
 # ends at one whitespace byte (or at the end of the file)
 _PGM_HEADER = re.compile(_PGM_SKIP + rb"P5" + (rb"\s" + _PGM_SKIP + rb"(\d+)") * 3
                          + rb"(?:\s|\Z)")
-# bytes per os.read: one call holds a 64x64 image, and a large file is read
-# without a buffer much larger than itself
-_READ_CHUNK = 1 << 16
-
-
-@dataclass
-class MemeRecord:
-    id: int
-    img: str
-    text: str
-    label: int | None
-    split: str
 
 
 @dataclass(frozen=True)
@@ -126,21 +114,32 @@ def id_error(value):
     return f"id must be a non-negative integer below 2**63, got {value!r}"
 
 
-def _check_record(rec):
-    """Raise DataFormatError, naming the fault alone, on an invalid record."""
-    if not _is_meme_id(rec.id):
-        raise DataFormatError(id_error(rec.id))
-    if not isinstance(rec.img, str) or not rec.img:
-        raise DataFormatError("img must be a non-empty string")
-    if not isinstance(rec.text, str):
-        raise DataFormatError("text must be a string")
-    if rec.split not in SPLITS:
-        raise DataFormatError(f"split must be one of {SPLITS}, got {rec.split!r}")
-    # type(), not isinstance(): True == 1 and 1.0 == 1, but neither is a label
-    if rec.label is not None and (type(rec.label) is not int or rec.label not in (0, 1)):
-        raise DataFormatError(f"label must be 0 or 1, got {rec.label!r}")
-    if rec.split == "train" and rec.label is None:
-        raise DataFormatError(f"train record {rec.id} is missing a label")
+@dataclass(frozen=True)
+class MemeRecord:
+    """One meme of a corpus, checked when built: a fault raises
+    DataFormatError naming the fault alone.  A changed copy is made with
+    dataclasses.replace, which checks it again."""
+
+    id: int
+    img: str
+    text: str
+    label: int | None
+    split: str
+
+    def __post_init__(self):
+        if not _is_meme_id(self.id):
+            raise DataFormatError(id_error(self.id))
+        if not isinstance(self.img, str) or not self.img:
+            raise DataFormatError("img must be a non-empty string")
+        if not isinstance(self.text, str):
+            raise DataFormatError("text must be a string")
+        if self.split not in SPLITS:
+            raise DataFormatError(f"split must be one of {SPLITS}, got {self.split!r}")
+        # type(), not isinstance(): True == 1 and 1.0 == 1, but neither is a label
+        if self.label is not None and (type(self.label) is not int or self.label not in (0, 1)):
+            raise DataFormatError(f"label must be 0 or 1, got {self.label!r}")
+        if self.split == "train" and self.label is None:
+            raise DataFormatError(f"train record {self.id} is missing a label")
 
 
 def _numbered_lines(path):
@@ -175,10 +174,8 @@ def _manifest_record(line):
     for key in ("id", "img", "text", "split"):
         if key not in obj:
             raise DataFormatError(f"missing field {key!r}")
-    rec = MemeRecord(id=obj["id"], img=obj["img"], text=obj["text"],
-                     label=obj.get("label"), split=obj["split"])
-    _check_record(rec)
-    return rec
+    return MemeRecord(id=obj["id"], img=obj["img"], text=obj["text"],
+                      label=obj.get("label"), split=obj["split"])
 
 
 def read_manifest(path):
@@ -267,13 +264,10 @@ def write_lines(path, lines):
 
 
 def write_manifest(records, path):
-    """Write records as line-delimited JSON.  Round-trips through read_manifest."""
+    """Write records, checked when they were built, as line-delimited JSON.
+    Round-trips through read_manifest; a repeated id raises DataFormatError."""
     seen, lines = set(), []
     for rec in records:
-        try:
-            _check_record(rec)
-        except DataFormatError as exc:
-            raise DataFormatError(f"record id {rec.id}: {exc}") from None
         if rec.id in seen:
             raise DataFormatError(f"duplicate id {rec.id}")
         seen.add(rec.id)
@@ -309,22 +303,6 @@ def write_pgm(pixels, path):
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     finally:
         os.close(fd)
-
-
-def _read_bytes(path):
-    """A whole file's bytes, read in chunks of _READ_CHUNK.  An OSError names
-    the path, as open() does: os.open opens a directory, and only the
-    os.read after it fails, with no file name."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        chunks = []
-        while chunk := os.read(fd, _READ_CHUNK):
-            chunks.append(chunk)
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
-    finally:
-        os.close(fd)
-    return b"".join(chunks)
 
 
 def _read_into(path, pixels):
@@ -365,7 +343,8 @@ def read_pgm(path, into=None):
     """
     if into is not None and _read_into(path, into):
         return into
-    data = _read_bytes(path)
+    with open(path, "rb") as fh:
+        data = fh.read()
     header = _PGM_HEADER.match(data)
     if header is None:
         raise DataFormatError(f"{path}: not a binary PGM (P5) file")

@@ -38,18 +38,18 @@ class PipelineConfig:
     n: int = 2000
     seed: int = 7
     composition: DatasetComposition = field(default_factory=DatasetComposition)
-    image_amplitude: float = 4.0
-    text_perturb_prob: float = 0.5
-    label_noise: float = 0.0
+    image_amplitude: float = GeneratorNoise.image_amplitude
+    text_perturb_prob: float = GeneratorNoise.text_perturb_prob
+    label_noise: float = GeneratorNoise.label_noise
     hamming_threshold: int = HAMMING_THRESHOLD
     k: int = 5
     models: int = 4
     rule1: bool = True
     rule2: bool = True
     adjust_placement: str = "before_stacking"
-    separation_mu: float = 1.0
-    sigma: float = 1.2
-    noise_correlation: float = 0.9
+    separation_mu: float = SimulatorConfig.separation_mu
+    sigma: float = SimulatorConfig.sigma
+    noise_correlation: float = SimulatorConfig.noise_correlation
     eval_split: str = "test"
     manifest: str | None = None   # ingest an existing corpus instead of generating
     save_images: bool = True
@@ -108,8 +108,10 @@ def load_config_file(path):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:     # names the path
         raise ConfigError(f"cannot read config file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config file: {path}: not UTF-8 text: {exc}") from None
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:

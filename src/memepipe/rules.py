@@ -31,11 +31,11 @@ set returns a stacked set.
 
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import MemeRecord, _is_meme_id, id_error, write_lines
+from .dataset import _is_meme_id, id_error, write_lines
 from .errors import DataFormatError
 from .tuples import ThreeTuple, TwoTuple
 
@@ -210,6 +210,5 @@ def merge_pseudo_labels(train, pseudo, test):
     merged = list(train)
     for rec in test:
         if rec.id in pseudo.labels:
-            merged.append(MemeRecord(id=rec.id, img=rec.img, text=rec.text,
-                                     label=pseudo.labels[rec.id], split="train"))
+            merged.append(replace(rec, label=pseudo.labels[rec.id], split="train"))
     return merged

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import tempfile
@@ -301,16 +302,51 @@ def test_manifest_json_errors_are_json_loads_errors(tmp_path):
 
 
 def test_manifest_writer_names_the_record_at_fault(tmp_path):
-    with pytest.raises(DataFormatError, match=r"^record id 4: split must be one of"):
-        write_manifest([rec(3), rec(4, split="val")], tmp_path / "m.jsonl")
+    # a record with an invalid split cannot be built, so never reaches the writer
+    with pytest.raises(DataFormatError, match=r"^split must be one of"):
+        rec(4, split="val")
     with pytest.raises(DataFormatError, match=r"^duplicate id 3$"):
         write_manifest([rec(3), rec(3)], tmp_path / "m.jsonl")
 
 
+# field -> invalid value -> the bare message building a record with it raises
+RECORD_FAULTS = [
+    ("id", -1, "id must be a non-negative integer below 2**63, got -1"),
+    ("id", 2**63, f"id must be a non-negative integer below 2**63, got {2**63}"),
+    ("id", True, "id must be a non-negative integer below 2**63, got True"),
+    ("img", "", "img must be a non-empty string"),
+    ("img", None, "img must be a non-empty string"),
+    ("text", None, "text must be a string"),
+    ("split", "val", "split must be one of ('train', 'dev', 'test'), got 'val'"),
+    ("label", 2, "label must be 0 or 1, got 2"),
+    ("label", True, "label must be 0 or 1, got True"),
+    ("label", 1.0, "label must be 0 or 1, got 1.0"),
+    ("label", None, "train record 5 is missing a label"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", RECORD_FAULTS)
+def test_record_checks_itself_when_built(field, value, message):
+    fields = {"id": 5, "img": "5.pgm", "text": "t", "label": 1, "split": "train"}
+    with pytest.raises(DataFormatError) as err:
+        MemeRecord(**{**fields, field: value})
+    assert str(err.value) == message
+    # a copy is checked as well
+    with pytest.raises(DataFormatError) as err:
+        dataclasses.replace(MemeRecord(**fields), **{field: value})
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("field", ["id", "img", "text", "label", "split"])
+def test_record_is_frozen(field):
+    record = rec(5, label=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, field, getattr(record, field))
+
+
 def read_pgm_buffered(path):
-    """read_pgm as it read through a buffered file object and sliced the
-    pixels out: the reference for the os-level reader, result for result
-    and error for error."""
+    """read_pgm as it sliced the pixels out of the file's bytes: the
+    reference for the reader, result for result and error for error."""
     with open(path, "rb") as fh:
         data = fh.read()
     header = dataset._PGM_HEADER.match(data)
@@ -325,7 +361,7 @@ def read_pgm_buffered(path):
     return np.frombuffer(raw, dtype=np.uint8).reshape(height, width)
 
 
-_PIXELS = bytes(range(256)) * 600    # more than two default read chunks
+_PIXELS = bytes(range(256)) * 600    # more than the largest file below holds
 
 # name: the file's bytes (None: no file; "dir": a directory in its place)
 PGM_FILES = {
@@ -359,10 +395,8 @@ def outcome(read, path):
     return arr.dtype, arr.shape, arr.tobytes(), arr.flags.writeable
 
 
-@pytest.mark.parametrize("chunk", [7, dataset._READ_CHUNK])
 @pytest.mark.parametrize("name", sorted(PGM_FILES))
-def test_pgm_reader_matches_the_buffered_reader(tmp_path, monkeypatch, chunk, name):
-    monkeypatch.setattr(dataset, "_READ_CHUNK", chunk)
+def test_pgm_reader_matches_the_buffered_reader(tmp_path, name):
     path = tmp_path / "000005.pgm"
     content = PGM_FILES[name]
     if content == "dir":
@@ -371,24 +405,6 @@ def test_pgm_reader_matches_the_buffered_reader(tmp_path, monkeypatch, chunk, na
         path.write_bytes(content)
     for p in (path, str(path)):
         assert outcome(read_pgm, p) == outcome(read_pgm_buffered, p)
-
-
-def test_pgm_reader_reads_in_chunks(tmp_path, monkeypatch):
-    reads = []
-    real_read = os.read
-
-    def counted(fd, n):
-        chunk = real_read(fd, n)
-        reads.append((n, len(chunk)))
-        return chunk
-
-    monkeypatch.setattr(dataset.os, "read", counted)
-    path = tmp_path / "big.pgm"
-    size = path.write_bytes(PGM_FILES["larger than one read chunk"])
-    assert read_pgm(path).shape == (300, 400)
-    # a full chunk, the rest of the file, then the end of the file
-    chunk = dataset._READ_CHUNK
-    assert reads == [(chunk, chunk), (chunk, size - chunk), (chunk, 0)]
 
 
 def test_pgm_writer_bytes_and_errors(tmp_path):

@@ -760,7 +760,8 @@ ODD_INPUTS = {
     "manifest not UTF-8":
         ("hash --manifest {d}/binary --out {d}/h.csv", 3, "{d}/binary: not UTF-8"),
     "config file not UTF-8":
-        ("pipeline --outdir {d}/run --config {d}/binary", 2, "cannot read config file"),
+        ("pipeline --outdir {d}/run --config {d}/binary", 2,
+         "config error: cannot read config file: {d}/binary: not UTF-8 text: 'utf-8' codec"),
     "hashes short of the manifest":
         ("cluster --manifest {d}/two.jsonl --hashes {d}/one_hash.csv --out {d}/c.csv",
          3, "{d}/one_hash.csv: ids differ from those of {d}/two.jsonl"),
@@ -847,6 +848,13 @@ NEGATIVE_FLOAT_VALUES = {
     "gen-data label_noise -1e-3":
         ("gen-data --n 20 --outdir {d}/gen --label-noise -1e-3",
          "label_noise must be in [0, 1], got -0.001", "gen"),
+    "pipeline composition -0.1":
+        ("pipeline --outdir {d}/run --composition -0.1,0.5,0.2,0.2,0.2",
+         "bad value for 'composition': composition fractions must be >= 0, "
+         "got (-0.1, 0.5, 0.2, 0.2, 0.2)", "run"),
+    "gen-data composition -0.1":
+        ("gen-data --n 20 --outdir {d}/gen --composition -0.1,0.5,0.2,0.2,0.2",
+         "composition fractions must be >= 0, got (-0.1, 0.5, 0.2, 0.2, 0.2)", "gen"),
 }
 
 
@@ -863,9 +871,11 @@ def test_cli_negative_float_values_reach_the_config_check(tmp_path, capsys, name
 def test_cli_joins_only_number_values_to_long_flags():
     assert cli._negative_values_joined(
         ["--quiet", "pipeline", "--label-noise", "-1e-3", "--seed=-1", "--sigma", "-inf",
-         "-h", "--", "-5", "x", "-nan"]) == [
+         "--composition", "-0.1,0.5,0.2,0.2,0.2", "--composition", "-a,1", "-h", "--",
+         "-5", "x", "-nan"]) == [
         "--quiet", "pipeline", "--label-noise=-1e-3", "--seed=-1", "--sigma=-inf",
-        "-h", "--", "-5", "x", "-nan"]
+        "--composition=-0.1,0.5,0.2,0.2,0.2", "--composition", "-a,1", "-h", "--",
+        "-5", "x", "-nan"]
 
 
 def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):

@@ -252,6 +252,8 @@ def test_merge_pseudo_labels_grows_train():
     assert set(added) == {10, 11, 12}
     assert all(r.split == "train" for r in added.values())
     assert added[10].label == 1 and added[11].label == 0
+    assert added[11] == MemeRecord(id=11, img="11.pgm", text="t11", label=0, split="train")
+    assert all(type(r) is MemeRecord for r in merged)
     # originals keep their split
     assert test[0].split == "test"
 

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -117,7 +119,7 @@ def test_simulate_confounders_are_harder():
 
 def test_simulate_requires_labels():
     memes = recs({1: 1, 2: 0})
-    memes[1].label = None
+    memes[1] = dataclasses.replace(memes[1], label=None)
     with pytest.raises(ValueError, match="no label"):
         simulate_predictions(population(memes, [], SimulatorConfig()), 0)
 
@@ -227,7 +229,8 @@ def test_simulate_matches_list_seeded_reference(seed, model_index):
 
 
 def test_simulate_rejects_negative_id_as_numpy_does():
-    memes = recs({-1: 1})
+    # population takes any record-like object, and a MemeRecord cannot hold id -1
+    memes = [SimpleNamespace(id=-1, img="x.pgm", text="t", label=1, split="test")]
     with pytest.raises(ValueError, match="non-negative"):
         population(memes, [], SimulatorConfig())
 
