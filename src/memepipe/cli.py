@@ -104,6 +104,13 @@ def cmd_cluster(args):
 def cmd_stats(args):
     assignment = read_clusters(args.clusters)
     stats = corpus_stats(assignment)
+    if args.tuples:
+        groups = read_groups(args.tuples)
+        missing = {i for g in groups for i in g.member_ids()} - assignment.image.keys()
+        with _in_file(args.clusters):
+            if missing:
+                raise DataFormatError(f"meme {min(missing)} of {args.tuples} has no cluster")
+            ts = tuple_stats(groups, stats.n)
     print(f"memes               {stats.n}")
     print(f"image repeat frac   {stats.image_repeat_frac:.4f}")
     print(f"text repeat frac    {stats.text_repeat_frac:.4f}")
@@ -112,9 +119,6 @@ def cmd_stats(args):
                f"text_repeat={stats.text_repeat_frac:.6f} "
                f"independent={stats.independent_frac:.6f}")
     if args.tuples:
-        groups = read_groups(args.tuples)
-        with _in_file(args.clusters):
-            ts = tuple_stats(groups, stats.n)
         print(f"three-tuple frac    {ts.three_tuple_frac:.4f}")
         print(f"two-tuple frac      {ts.two_tuple_frac:.4f}")
         machine += (f" three_tuple={ts.three_tuple_frac:.6f}"

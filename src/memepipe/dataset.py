@@ -9,16 +9,16 @@ buffered file object: a corpus holds thousands of small images, and the
 fixed cost per file is most of the cost.  An OSError names the file, as
 open() would.
 
-A corpus's images are held in an ImageStacks: a mapping meme id -> pixels
-over one contiguous (n, h, w) uint8 array per image shape, filled as the
-images are read or generated, so the hash stage takes a whole stack at
-once and no second copy of the pixels is made.  `read_images` fills it:
-a file that starts with the header write_pgm writes for the previous
-image's shape is read with one os.readv straight into the next row of that
-shape's stack.  Any other file, such as a corpus's first, is read whole with
-one open() call and parsed by read_pgm, which returns a read-only view of
-the pixels in the bytes read, and the pixels are copied in.  Either way
-read_pgm is called once per file.
+A corpus's images are held in an ImageStacks: a read-only mapping meme id ->
+pixels over one contiguous (n, h, w) uint8 array per image shape, built
+once from finished stacks, so the hash stage takes a whole stack at once.
+`read_images` builds it with one read_pgm call per file.  The first file is
+read whole and parsed; its shape gets an array with a row per record, and
+each later file is offered the next free row, so a file that starts with
+the header write_pgm writes for that shape is read with one os.readv
+straight into it.  Any other file is parsed as the first was; its image is
+copied into the row if it has the first shape, or else kept in a list of
+its shape's images, which is stacked once after the last file.
 """
 
 import functools
@@ -356,73 +356,33 @@ def read_pgm(path, into=None):
     return np.frombuffer(data, np.uint8, width * height, header.end()).reshape(height, width)
 
 
-class _Stack:
-    """The images of one shape: `rows`, writable, with room for more;
-    `frozen`, a read-only view of the same memory; and each row's meme id."""
-
-    __slots__ = ("rows", "frozen", "ids")
-
-    def __init__(self, shape, capacity):
-        self.ids = []
-        self.resize(shape, capacity)
-
-    def resize(self, shape, capacity):
-        rows = np.empty((capacity, *shape), np.uint8)
-        if self.ids:
-            rows[:len(self.ids)] = self.rows[:len(self.ids)]
-        self.rows, self.frozen = rows, rows.view()
-        self.frozen.flags.writeable = False
-
-
 class ImageStacks(Mapping):
-    """Meme id -> pixels, a 2-D uint8 array, held as one contiguous
-    (n, h, w) uint8 array per image shape.
+    """Meme id -> pixels, a read-only 2-D uint8 array, built once from
+    finished [(ids, pixels)] stacks, each pixels one (n, h, w) uint8 array of
+    ids' images.  A read-only view of each array is kept, so the caller's
+    stays writable; ids run stack by stack, in the order given, and an id in
+    two places raises DataFormatError."""
 
-    ImageStacks(size_hint) is empty.  `add` keeps an image as a meme's,
-    copied into the next row of its shape's stack, unless it is the row
-    `next_row` handed out last, which a reader fills in place.  The first
-    shape's stack is made with size_hint rows, as a corpus is mostly of one
-    shape; another shape's starts with one row, and a full stack doubles.
-    Each image is a read-only view of its row, and `stacks` lists each
-    shape's (ids, pixels) in the order the shapes were first added.
-    """
-
-    def __init__(self, size_hint):
-        self._first_rows = max(1, size_hint)
-        self._stacks = {}      # shape -> _Stack
-        self._where = {}       # meme id -> (_Stack, row)
-        self._next = None      # the row next_row handed out last
-
-    def next_row(self, shape):
-        """The writable row that the next image of this shape goes to."""
-        stack = self._stacks.get(shape)
-        if stack is None:
-            stack = self._stacks[shape] = _Stack(shape, 1 if self._stacks else self._first_rows)
-        elif len(stack.ids) == len(stack.rows):
-            stack.resize(shape, 2 * len(stack.rows))
-        self._next = stack.rows[len(stack.ids)]
-        return self._next
-
-    def add(self, meme_id, pixels):
-        """Keep a 2-D uint8 image as meme_id's."""
-        if meme_id in self._where:
-            raise DataFormatError(f"duplicate id {meme_id}")
-        if pixels is not self._next:
-            self.next_row(pixels.shape)[...] = pixels
-        stack = self._stacks[pixels.shape]
-        self._where[meme_id] = stack, len(stack.ids)
-        stack.ids.append(meme_id)
-        self._next = None
+    def __init__(self, stacks):
+        self._stacks = []
+        self._where = {}       # meme id -> (read-only stack, row)
+        for ids, pixels in stacks:
+            frozen = pixels.view()
+            frozen.flags.writeable = False
+            for row, meme_id in enumerate(ids):
+                if meme_id in self._where:
+                    raise DataFormatError(f"duplicate id {meme_id}")
+                self._where[meme_id] = frozen, row
+            self._stacks.append((list(ids), frozen))
 
     @property
     def stacks(self):
-        """[(ids, pixels)]: each shape's meme ids, a list, and their images,
-        read-only, as one (n, h, w) uint8 array in the same order."""
-        return [(list(s.ids), s.frozen[:len(s.ids)]) for s in self._stacks.values()]
+        """[(ids, pixels)]: each stack's ids, a list, and its read-only array."""
+        return [(list(ids), pixels) for ids, pixels in self._stacks]
 
     def __getitem__(self, meme_id):
         stack, row = self._where[meme_id]
-        return stack.frozen[row]
+        return stack[row]
 
     def __iter__(self):
         return iter(self._where)
@@ -432,20 +392,31 @@ class ImageStacks(Mapping):
 
 
 def read_images(manifest_path, records):
-    """An ImageStacks of each record's image, read relative to the manifest,
-    in record order.  An image too small to hash is rejected here, by its
-    path."""
+    """An ImageStacks of each record's image, read relative to the manifest
+    as the module docstring says, the first shape's stack first.  An image
+    too small to hash is rejected here, by its path."""
     from .phash import BLOCK_SIDE  # phash imports this module
     root = os.path.dirname(os.path.abspath(manifest_path))
-    images = ImageStacks(len(records))
-    shape = None
+    rows, first_ids = None, []     # the first shape's array, and its ids
+    others = {}                    # any other shape -> ([ids], [pixels])
     for rec in records:
         path = os.path.join(root, rec.img)
-        # the next file most likely has the last one's shape and header
-        pixels = read_pgm(path, None if shape is None else images.next_row(shape))
+        row = None if rows is None else rows[len(first_ids)]
+        pixels = read_pgm(path, row)
         shape = pixels.shape
         if min(shape) < BLOCK_SIDE:
             raise DataFormatError(f"{path}: degenerate image {shape[0]}x{shape[1]}: "
                                   f"need at least {BLOCK_SIDE}x{BLOCK_SIDE} pixels")
-        images.add(rec.id, pixels)
-    return images
+        if rows is None:
+            rows = np.empty((len(records), *shape), np.uint8)
+            row = rows[0]
+        if shape == row.shape:
+            if pixels is not row:
+                row[...] = pixels
+            first_ids.append(rec.id)
+        else:
+            ids, images = others.setdefault(shape, ([], []))
+            ids.append(rec.id)
+            images.append(pixels)
+    stacks = [] if rows is None else [(first_ids, rows[:len(first_ids)])]
+    return ImageStacks(stacks + [(ids, np.stack(images)) for ids, images in others.values()])

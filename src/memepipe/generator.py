@@ -17,9 +17,9 @@ Two guarantees make downstream detection exact rather than probabilistic:
 
 All randomness flows through one seeded generator, so equal inputs give
 byte-identical manifests and images.  Each image is copied, as it is
-emitted, into the corpus's one ImageStacks stack of 64x64 images, which
-`image_hashes` hashes in chunks; the candidates the generator tries are
-hashed one at a time by `phash`.
+emitted, into the next row of one (n, 64, 64) uint8 array, the single stack
+of the corpus's ImageStacks, which `image_hashes` hashes in chunks; the
+candidates the generator tries are hashed one at a time by `phash`.
 
 A base image's DCT is zero outside its 8x8 low-frequency block, so its
 pixels are the rank-8 product B.T @ block @ B, where B is the first 8 rows
@@ -193,14 +193,14 @@ def generate_dataset(n, composition=None, noise=None, seed=0):
     texts = []
     labels = []
     categories = []
-    images = ImageStacks(n)
+    pixels = np.empty((n, IMAGE_SIDE, IMAGE_SIDE), np.uint8)
     three_tuples = []
     two_tuples = []
     unimodal_groups = []
 
     def emit(image_u8, text, label, category):
         meme_id = len(texts)
-        images.add(meme_id, image_u8)
+        pixels[meme_id] = image_u8
         texts.append(text)
         labels.append(label)
         categories.append(category)
@@ -290,7 +290,7 @@ def generate_dataset(n, composition=None, noise=None, seed=0):
     records = [MemeRecord(id=i, img=f"images/{i:06d}.pgm", text=texts[i],
                           label=labels[i] ^ flips[i], split=splits[i])
                for i in range(n)]
-    return GeneratedDataset(records=records, images=images,
+    return GeneratedDataset(records=records, images=ImageStacks([(range(n), pixels)]),
                             categories={i: categories[i] for i in range(n)},
                             three_tuples=three_tuples, two_tuples=two_tuples,
                             unimodal_groups=unimodal_groups, label_draws=label_draws)

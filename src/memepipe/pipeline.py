@@ -103,7 +103,8 @@ def from_number_fields(cls, source):
 
 
 def load_config_file(path):
-    """Parse a flat key=value config file; '#' starts a comment."""
+    """Parse a flat key=value config file into key -> value; '#' starts a
+    comment.  A fault, such as a repeated key, raises ConfigError with the line."""
     values = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -121,7 +122,13 @@ def load_config_file(path):
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _FIELD_PARSERS:
             raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
-        values[key] = value
+        if key in values:
+            raise ConfigError(f"{path}: line {lineno}: repeated key {key!r}")
+        try:
+            values[key] = _FIELD_PARSERS[key](value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: line {lineno}: bad value for {key!r}: "
+                              f"{exc}") from None
     return values
 
 

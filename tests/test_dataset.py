@@ -439,28 +439,23 @@ def test_pgm_reader_reads_a_writer_file_into_a_row(tmp_path):
 
 def test_image_stacks_hold_each_shape_in_one_array():
     rng = np.random.default_rng(42)
-    images = {10 + i: rng.integers(0, 256, size=(8 + i % 2, 9), dtype=np.uint8)
-              for i in range(7)}
-    stacks = ImageStacks(3)
-    for meme_id, img in images.items():
-        stacks.add(meme_id, img)
-    # the first shape's stack took 3 rows and doubled once; the second grew
-    # from one row to two and four, and kept every image through each copy
-    assert len(stacks) == 7 and list(stacks) == list(images)
-    for meme_id, img in images.items():
-        assert np.array_equal(stacks[meme_id], img) and not stacks[meme_id].flags.writeable
-    (ids_a, pixels_a), (ids_b, pixels_b) = stacks.stacks
-    assert ids_a == [10, 12, 14, 16] and pixels_a.shape == (4, 8, 9)
-    assert ids_b == [11, 13, 15] and pixels_b.shape == (3, 9, 9)
-    assert not pixels_a.flags.writeable
-    assert np.array_equal(pixels_b, np.stack([images[11], images[13], images[15]]))
-    # a row filled in place is kept without a copy
-    row = stacks.next_row((9, 9))
-    row[...] = 7
-    stacks.add(30, row)
-    assert np.shares_memory(stacks[30], row) and (stacks[30] == 7).all()
-    with pytest.raises(DataFormatError, match="^duplicate id 30$"):
-        stacks.add(30, images[10])
+    a = rng.integers(0, 256, size=(4, 8, 9), dtype=np.uint8)
+    b = rng.integers(0, 256, size=(3, 9, 9), dtype=np.uint8)
+    ids_a, ids_b = [10, 12, 14, 16], [11, 13, 15]
+    stacks = ImageStacks([(ids_a, a), (ids_b, b)])
+    assert len(stacks) == 7 and list(stacks) == ids_a + ids_b
+    for ids, pixels in ((ids_a, a), (ids_b, b)):
+        for row, meme_id in enumerate(ids):
+            assert np.array_equal(stacks[meme_id], pixels[row])
+            assert not stacks[meme_id].flags.writeable
+    # each stack is a read-only view of the caller's array, which stays writable
+    (got_ids_a, pixels_a), (got_ids_b, pixels_b) = stacks.stacks
+    assert (got_ids_a, got_ids_b) == (ids_a, ids_b)
+    for got, given in ((pixels_a, a), (pixels_b, b)):
+        assert np.shares_memory(got, given) and np.array_equal(got, given)
+        assert not got.flags.writeable and given.flags.writeable
+    with pytest.raises(DataFormatError, match="^duplicate id 12$"):
+        ImageStacks([(ids_a, a), ([11, 12, 15], b)])
     with pytest.raises(KeyError):
         stacks[31]
 
@@ -508,14 +503,16 @@ def test_read_images_stacks_each_shape_as_read_pgm_reads_it(tmp_path, monkeypatc
 
     monkeypatch.setattr(dataset, "read_pgm", counted)
     got = read_images(manifest, records)
-    # one read_pgm call per file; the two in the writer's form after an
-    # image of their shape are read straight into their rows
-    assert calls == [(str(p), k in (5, 8)) for k, p in enumerate(paths)]
-    assert isinstance(got, ImageStacks) and list(got) == [r.id for r in records]
+    # one read_pgm call per file; the first shape's files in the writer's
+    # form after the first are read straight into their rows
+    assert calls == [(str(p), k in (3, 6, 8)) for k, p in enumerate(paths)]
+    # the mapping runs in stack order: the first shape's ids, then the other's
+    ids = [r.id for r in records]
+    assert isinstance(got, ImageStacks)
+    assert list(got) == [ids[k] for k in (0, 1, 3, 6, 7, 8, 2, 4, 5)]
     for r, path, img in zip(records, paths, images):
         assert np.array_equal(got[r.id], real_read_pgm(path))
         assert np.array_equal(got[r.id], img) and not got[r.id].flags.writeable
-    ids = [r.id for r in records]
     assert [(i, p.shape) for i, p in got.stacks] == [
         ([ids[k] for k in (0, 1, 3, 6, 7, 8)], (6, 64, 64)),
         ([ids[k] for k in (2, 4, 5)], (3, 37, 53))]

@@ -221,6 +221,8 @@ def test_detection_recovers_planted_structure():
     [(ids, pixels)] = ds.images.stacks
     assert ids == list(range(300)) and pixels.shape == (300, 64, 64)
     assert not pixels.flags.writeable
+    # a view of the one array the generator wrote, which is not frozen
+    assert pixels.base.shape == (300, 64, 64) and pixels.base.flags.writeable
     hashes = image_hashes(ds.images)
     assert hashes == image_hashes(dict(ds.images)) == [(i, phash(pixels[i])) for i in ids]
     asg = ClusterAssignment(image=cluster_images(hashes, 10),

@@ -663,6 +663,9 @@ EXIT_CODE_TABLE = {
         ("evaluate --submission {d}/sub.csv --truth {d}/two.jsonl", 3, "{d}/two.jsonl"),
     "stats --tuples, empty clusters file":
         ("stats --clusters {d}/empty.csv --tuples {d}/pair.jsonl", 3, "{d}/empty.csv"),
+    "stats --tuples, groups of another corpus":
+        ("stats --clusters {d}/one_cluster.csv --tuples {d}/pair.jsonl", 3,
+         "{d}/one_cluster.csv"),
     "adjust, missing member":
         ("adjust --preds {d}/one.csv --tuples {d}/pair.jsonl --rule 2 --out {d}/a.csv",
          3, "{d}/one.csv"),
@@ -704,6 +707,7 @@ def write_faulty_inputs(d):
                     MemeRecord(1, "1.pgm", "u", 1, "test")], d / "two.jsonl")
     (d / "short.csv").write_text("1,1,1\n")
     (d / "empty.csv").write_text("")
+    (d / "one_cluster.csv").write_text("0,0,0\n")
     (d / "hashes.csv").write_text("0,0000000000000000\n1,00000000000000ff\n")
     (d / "sub.csv").write_text("id,proba,label\n0,0.9,1\n1,0.2,0\n")
     write_groups([TwoTuple(0, 1, "image")], d / "pair.jsonl")
@@ -723,6 +727,8 @@ def write_faulty_inputs(d):
                    d / "three.jsonl")
     (d / "maybe.cfg").write_text("rule1 = maybe\n")
     (d / "unimodal.cfg").write_text("n = 20\nunimodal = true\n")
+    (d / "repeated.cfg").write_text("n = 100\nn = 200\n")
+    (d / "empty_value.cfg").write_text("seed = 3\nn =\n")
     (d / "string_pivot.jsonl").write_text(
         '{"kind": "two_tuple", "a": 0, "b": 1, "shared": "image"}\n'
         '{"kind": "three_tuple", "pivot": "a", "image_partner": 1, "text_partner": 2}\n')
@@ -773,6 +779,16 @@ ODD_INPUTS = {
     "sigma nan": ("pipeline --outdir {d}/run --sigma nan", 2, "sigma must be positive"),
     "image amplitude nan":
         ("pipeline --outdir {d}/run --image-amplitude nan", 2, "image_amplitude must be >= 0"),
+    "config file repeating a key":
+        ("pipeline --outdir {d}/run --config {d}/repeated.cfg",
+         2, "config error: {d}/repeated.cfg: line 2: repeated key 'n'"),
+    "config file value that does not parse":
+        ("pipeline --outdir {d}/run --config {d}/empty_value.cfg", 2,
+         "config error: {d}/empty_value.cfg: line 2: bad value for 'n': "
+         "invalid literal for int() with base 10: ''"),
+    "stats --tuples of another corpus":
+        ("stats --clusters {d}/one_cluster.csv --tuples {d}/pair.jsonl", 3,
+         "data error: {d}/one_cluster.csv: meme 1 of {d}/pair.jsonl has no cluster"),
     "config file with the removed unimodal key":
         ("pipeline --outdir {d}/run --config {d}/unimodal.cfg",
          2, "config error: {d}/unimodal.cfg: line 2: unknown key 'unimodal'"),
