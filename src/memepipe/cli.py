@@ -21,7 +21,7 @@ from .dataset import (SPLITS, DatasetComposition, GeneratorNoise, read_images,
 from .ensemble import (read_predictions, read_submission, stack_equal_weight,
                        write_predictions, write_submission)
 from .errors import ConfigError, DataFormatError, StageError, _in_file
-from .generator import generate_dataset, image_hashes, write_corpus
+from .generator import generate_corpus, image_hashes
 from .metrics import evaluate
 from .phash import read_hashes, write_hashes
 from .pipeline import (PipelineConfig, build_config, from_number_fields,
@@ -77,8 +77,7 @@ def cmd_gen_data(args):
     _non_negative(args.seed, "--seed")
     comp = DatasetComposition.parse(args.composition)
     noise = from_number_fields(GeneratorNoise, args)
-    ds = generate_dataset(args.n, comp, noise, args.seed)
-    write_corpus(ds, args.outdir)
+    ds, _ = generate_corpus(args.outdir, args.n, comp, noise, args.seed)
     _say(args, f"wrote {len(ds.records)} memes to {args.outdir}")
 
 

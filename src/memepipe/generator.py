@@ -20,6 +20,8 @@ byte-identical manifests and images.  Each image is copied, as it is
 emitted, into the next row of one (n, 64, 64) uint8 array, the single stack
 of the corpus's ImageStacks, which `image_hashes` hashes in chunks; the
 candidates the generator tries are hashed one at a time by `phash`.
+`generate_corpus` hands each row, once filled, to an ImageWriter, whose one
+thread writes the image file while the generator goes on.
 
 A base image's DCT is zero outside its 8x8 low-frequency block, so its
 pixels are the rank-8 product B.T @ block @ B, where B is the first 8 rows
@@ -32,6 +34,9 @@ not be bit-identical.
 """
 
 import os
+import queue
+import threading
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -170,7 +175,12 @@ def _text_variant(rng, text, perturb_prob):
     return out
 
 
-def generate_dataset(n, composition=None, noise=None, seed=0):
+def _image_name(meme_id):
+    """The path of a generated meme's image, relative to its corpus."""
+    return f"images/{meme_id:06d}.pgm"
+
+
+def generate_dataset(n, composition=None, noise=None, seed=0, on_image=None):
     """Build a synthetic corpus of n memes with planted confounder structure.
 
     Category counts follow the composition (floors, remainder to random
@@ -178,6 +188,9 @@ def generate_dataset(n, composition=None, noise=None, seed=0):
     both confounder budgets and pivots last; leftover confounders attach to
     spare pivots as two-member groups, then fall back to independent benign
     memes.  Splits are roughly 85/5/10 train/dev/test.
+
+    `on_image(meme_id, pixels)`, if given, is called as each image is
+    emitted, with its row of the corpus's stack, which is never written again.
     """
     if n < 10:
         raise ConfigError(f"need n >= 10, got {n}")
@@ -201,6 +214,8 @@ def generate_dataset(n, composition=None, noise=None, seed=0):
     def emit(image_u8, text, label, category):
         meme_id = len(texts)
         pixels[meme_id] = image_u8
+        if on_image is not None:
+            on_image(meme_id, pixels[meme_id])
         texts.append(text)
         labels.append(label)
         categories.append(category)
@@ -287,7 +302,7 @@ def generate_dataset(n, composition=None, noise=None, seed=0):
 
     label_draws = rng.random(n)
     flips = (label_draws < noi.label_noise).tolist()
-    records = [MemeRecord(id=i, img=f"images/{i:06d}.pgm", text=texts[i],
+    records = [MemeRecord(id=i, img=_image_name(i), text=texts[i],
                           label=labels[i] ^ flips[i], split=splits[i])
                for i in range(n)]
     return GeneratedDataset(records=records, images=ImageStacks([(range(n), pixels)]),
@@ -296,24 +311,107 @@ def generate_dataset(n, composition=None, noise=None, seed=0):
                             unimodal_groups=unimodal_groups, label_draws=label_draws)
 
 
-def write_images(dataset, out_dir):
-    """Write every image as images/<id>.pgm under out_dir."""
-    img_dir = os.path.join(out_dir, "images")
-    os.makedirs(img_dir, exist_ok=True)
-    for rec in dataset.records:
-        write_pgm(dataset.images[rec.id], os.path.join(out_dir, rec.img))
+class ImageWriter:
+    """Writes images/<id>.pgm files under out_dir with `write_pgm`, on one
+    background thread, in the order they are put.
+
+    The pixels put must not change until the writer is finished.  After a
+    write fails, no later image is written; `finish` waits for the thread
+    and raises that first error, which names its path.  `discard` stops the
+    thread and removes every image it wrote, then the directories it made
+    if they are empty.
+    """
+
+    def __init__(self, out_dir):
+        self._out_dir = out_dir
+        img_dir = os.path.join(out_dir, "images")
+        self._made = [d for d in (img_dir, out_dir) if not os.path.isdir(d)]
+        os.makedirs(img_dir, exist_ok=True)
+        self._queue = queue.SimpleQueue()
+        self._written = []
+        self._error = None
+        self._skip = False
+        self._thread = threading.Thread(target=self._run, name="image-writer", daemon=True)
+        self._thread.start()
+
+    def put(self, meme_id, pixels):
+        self._queue.put((meme_id, pixels))
+
+    def _run(self):
+        # only write_pgm and small helpers run here: a profiler that wraps
+        # memepipe's stage functions and keeps one stack of open calls for
+        # all threads must see no call from this thread.  An error is kept
+        # for finish, since one raised here would be lost
+        for meme_id, pixels in iter(self._queue.get, None):
+            if self._skip:
+                continue
+            path = os.path.join(self._out_dir, _image_name(meme_id))
+            try:
+                write_pgm(pixels, path)
+            except Exception as exc:
+                self._error, self._skip = exc, True
+            else:
+                self._written.append(path)
+
+    def _join(self):
+        self._queue.put(None)
+        self._thread.join()
+
+    def finish(self):
+        """Wait for every image put; raise the first failed write's error."""
+        self._join()
+        if self._error is not None:
+            raise self._error
+
+    def discard(self):
+        """Stop writing; remove the images written and the directories made."""
+        self._skip = True
+        self._join()
+        for path in self._written:
+            with suppress(OSError):
+                os.remove(path)
+        for path in self._made:
+            with suppress(OSError):
+                os.rmdir(path)
 
 
-def write_corpus(dataset, out_dir, images=True):
-    """Write manifest.jsonl, the images (if asked) and the planted groups as
-    constructed_groups.jsonl under out_dir; return the two file names."""
-    os.makedirs(out_dir, exist_ok=True)
-    write_manifest(dataset.records, os.path.join(out_dir, "manifest.jsonl"))
-    if images:
-        write_images(dataset, out_dir)
-    truth = dataset.three_tuples + dataset.two_tuples + dataset.unimodal_groups
+def write_images(dataset, out_dir, writer=None):
+    """Finish images/<id>.pgm under out_dir for every meme of dataset.
+
+    `writer` is the ImageWriter that generate_dataset fed as it emitted the
+    images, and is waited for; with none, every image is written now.  The
+    first failed write's OSError is raised, with its path."""
+    if writer is None:
+        writer = ImageWriter(out_dir)
+        for rec in dataset.records:
+            writer.put(rec.id, dataset.images[rec.id])
+    writer.finish()
+
+
+def generate_corpus(out_dir, n, composition=None, noise=None, seed=0, images=True):
+    """Generate a corpus and write it under out_dir: manifest.jsonl, the
+    images (if asked) and the planted groups as constructed_groups.jsonl.
+    Return the dataset and the two file names.
+
+    Each image is written by an ImageWriter as the generator emits it, and
+    `write_images` waits for them.  If generating or writing fails, the
+    writer is discarded, so no image it wrote is left.
+    """
+    writer = ImageWriter(out_dir) if images else None
+    try:
+        ds = generate_dataset(n, composition, noise, seed,
+                              None if writer is None else writer.put)
+        os.makedirs(out_dir, exist_ok=True)
+        write_manifest(ds.records, os.path.join(out_dir, "manifest.jsonl"))
+        if writer is not None:
+            write_images(ds, out_dir, writer)
+    except BaseException:
+        if writer is not None:
+            writer.discard()
+        raise
+    truth = ds.three_tuples + ds.two_tuples + ds.unimodal_groups
     write_groups(truth, os.path.join(out_dir, "constructed_groups.jsonl"))
-    return ("manifest.jsonl", "constructed_groups.jsonl")
+    return ds, ("manifest.jsonl", "constructed_groups.jsonl")
 
 
 def image_hashes(images):

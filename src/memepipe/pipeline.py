@@ -22,7 +22,7 @@ from .dataset import (SPLITS, DatasetComposition, GeneratorNoise, read_images,
 from .ensemble import (StackedPrediction, stack_equal_weight, write_predictions,
                        write_submission)
 from .errors import ConfigError, DataFormatError, StageError, _in_file
-from .generator import generate_dataset, image_hashes, write_corpus
+from .generator import generate_corpus, image_hashes
 from .metrics import evaluate
 from .phash import write_hashes
 from .rules import (PseudoLabelSet, apply_rule1, apply_rule2, merge_pseudo_labels,
@@ -288,8 +288,8 @@ def run_pipeline(cfg, out_dir):
 
     if cfg.manifest is None:
         def gen():
-            ds = generate_dataset(cfg.n, cfg.composition, noise, cfg.seed)
-            names = write_corpus(ds, out_dir, cfg.save_images)
+            ds, names = generate_corpus(out_dir, cfg.n, cfg.composition, noise,
+                                        cfg.seed, cfg.save_images)
             return ds.records, ds.images, list(names)
         records, images, names = _stage("generate", gen, quiet)
     else:

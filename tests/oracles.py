@@ -5,6 +5,8 @@
   direct double-cosine sum that checks `dct2` in turn.
 - AUROC, for test_metrics.py and test_acceptance.py: brute-force pair
   counting, and the trapezoidal area under a ROC staircase.
+- Image clusters, for test_clustering.py and test_acceptance.py: the
+  transitive closure of the within-threshold pairs, found by an O(n^2) search.
 """
 
 import math
@@ -46,6 +48,31 @@ def dct2_double_sum(x):
             av = math.sqrt(1.0 / n1) if v == 0 else math.sqrt(2.0 / n1)
             out[u, v] = au * av * s
     return out
+
+
+def closure_oracle(entries, threshold):
+    """Cluster labels of (id, hash) entries: each id -> the least id of its
+    component, where two hashes within `threshold` bits share a component."""
+    ids = [i for i, _ in entries]
+    hs = dict(entries)
+    labels = {}
+    seen = set()
+    for i in ids:
+        if i in seen:
+            continue
+        seen.add(i)
+        comp, queue = [i], [i]
+        while queue:
+            a = queue.pop()
+            for b in ids:
+                if b not in seen and bin(hs[a] ^ hs[b]).count("1") <= threshold:
+                    seen.add(b)
+                    comp.append(b)
+                    queue.append(b)
+        lab = min(comp)
+        for c in comp:
+            labels[c] = lab
+    return labels
 
 
 def pair_count_auroc(scores, labels):

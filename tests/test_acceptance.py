@@ -18,7 +18,7 @@ from memepipe.metrics import auroc
 from memepipe.phash import hamming, phash
 from memepipe.pipeline import PipelineConfig, build_config, detect, run_pipeline
 from memepipe.tuples import ThreeTuple
-from oracles import pair_count_auroc, roc_curve, trapezoid_area
+from oracles import closure_oracle, pair_count_auroc, roc_curve, trapezoid_area
 
 
 def report(capfd, num, ok, detail):
@@ -46,29 +46,6 @@ def test_criterion_1_auroc_oracle_equivalence(capfd):
     ok = worst_pair <= 1e-12 and worst_trap <= 1e-12 and elapsed < 10.0
     report(capfd, 1, ok, f"auroc oracle equivalence: max |rank-paircount|={worst_pair:.2e} "
                   f"max |rank-trapezoid|={worst_trap:.2e} elapsed={elapsed:.1f}s")
-
-
-def closure_oracle(entries, threshold):
-    ids = [i for i, _ in entries]
-    hs = dict(entries)
-    labels = {}
-    seen = set()
-    for i in ids:
-        if i in seen:
-            continue
-        seen.add(i)
-        comp, queue = [i], [i]
-        while queue:
-            a = queue.pop()
-            for b in ids:
-                if b not in seen and bin(hs[a] ^ hs[b]).count("1") <= threshold:
-                    seen.add(b)
-                    comp.append(b)
-                    queue.append(b)
-        lab = min(comp)
-        for c in comp:
-            labels[c] = lab
-    return labels
 
 
 def test_criterion_2_clustering_oracle_equivalence(capfd):

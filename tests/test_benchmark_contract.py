@@ -2,11 +2,12 @@
 
 perfbench/spans.py wraps memepipe functions by module and name to split a
 run's time by layer; renaming or inlining one of them breaks the benchmark
-only when it runs.  One test installs the tracer around one small pipeline
-run, so such a break fails here first.  Another runs one small operation
-through perfbench's own workload and checks, restage included, so a changed
-type or artifact that would crash or fail them fails here too.  A third runs
-perfbench's warm-up at a hundred seeds, since one that fails stops a workload.
+only when it runs.  Two tests install the tracer around one small pipeline
+run, with and without images, so such a break fails here first.  Another
+runs one small operation through perfbench's own workload and checks,
+restage included, so a changed type or artifact that would crash or fail
+them fails here too.  A fourth runs perfbench's warm-up at a hundred seeds,
+since one that fails stops a workload.
 """
 
 import importlib.util
@@ -26,7 +27,9 @@ def load_perfbench(name):
     return module
 
 
-def test_traced_pipeline_feeds_layer_metrics(tmp_path):
+def traced_pipeline(out_dir, *args):
+    """perfbench's tracer installed around one small pipeline run: the
+    spans module, the exit code, the spans and the run's wall time."""
     spans = load_perfbench("spans")
     tracer = spans.Tracer()
     tracer.install()          # raises spans.MissingTarget if a target is gone
@@ -34,12 +37,17 @@ def test_traced_pipeline_feeds_layer_metrics(tmp_path):
         tracer.run = "run"
         start = time.perf_counter()
         code = cli.main(["--quiet", "pipeline", "--n", "60", "--models", "1",
-                         "--k", "2", "--no-images", "--outdir", str(tmp_path)])
+                         "--k", "2", *args, "--outdir", str(out_dir)])
         wall_s = time.perf_counter() - start
     finally:
         tracer.uninstall()
+    return spans, code, tracer.spans, wall_s
+
+
+def test_traced_pipeline_feeds_layer_metrics(tmp_path):
+    spans, code, traced, wall_s = traced_pipeline(tmp_path, "--no-images")
     assert code == 0
-    metrics = spans.layer_metrics(tracer.spans, "run", wall_s)
+    metrics = spans.layer_metrics(traced, "run", wall_s)
     assert metrics["simulator.sets"] == 2
     # two sets, their two rule 2 copies and stacked.csv; the rules' changed
     # scores are summed over every call, so a writer or rule refactor that
@@ -52,9 +60,23 @@ def test_traced_pipeline_feeds_layer_metrics(tmp_path):
     # generator.phash_calls rests on; the hash stage is one image_hashes
     # call that hashes the corpus's stack, with no per-image phash span
     assert metrics["generator.phash_calls"] == 61
-    stage = [i for i, s in enumerate(tracer.spans) if s.name == "generator.image_hashes"]
+    stage = [i for i, s in enumerate(traced) if s.name == "generator.image_hashes"]
     assert len(stage) == 1
-    assert not [s for s in tracer.spans if s.parent == stage[0]]
+    assert not [s for s in traced if s.parent == stage[0]]
+
+
+def test_traced_pipeline_with_images_nests_every_span(tmp_path):
+    # the tracer keeps one stack of open spans for every thread, so a traced
+    # function called by the image writer's thread would give the main
+    # thread's spans the wrong parents and move these counts
+    spans, code, traced, wall_s = traced_pipeline(tmp_path)
+    assert code == 0
+    assert spans.layer_metrics(traced, "run", wall_s)["generator.phash_calls"] == 61
+    assert [s.name for s in traced].count("generator.write_images") == 1
+    for s in traced:
+        if s.parent >= 0:
+            parent = traced[s.parent]
+            assert parent.start <= s.start <= s.end <= parent.end, (s, parent)
 
 
 def test_restaged_operation_passes_every_check(tmp_path):

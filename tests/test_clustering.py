@@ -9,40 +9,10 @@ from memepipe.clustering import (ClusterAssignment, cluster_images,
                                  read_clusters, write_clusters)
 from memepipe.dataset import MemeRecord
 from memepipe.errors import DataFormatError
-from memepipe.phash import hamming
+from oracles import closure_oracle
 
 # the package re-exports the phash function under the submodule's name
 phash_module = importlib.import_module("memepipe.phash")
-
-
-def closure_oracle(entries, threshold):
-    """O(n^2) transitive closure with min-id labels."""
-    ids = [i for i, _ in entries]
-    hashes = dict(entries)
-    adj = {i: [] for i in ids}
-    for a in ids:
-        for b in ids:
-            if a < b and hamming(hashes[a], hashes[b]) <= threshold:
-                adj[a].append(b)
-                adj[b].append(a)
-    labels = {}
-    for start in ids:
-        if start in labels:
-            continue
-        comp = []
-        stack = [start]
-        seen = {start}
-        while stack:
-            cur = stack.pop()
-            comp.append(cur)
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        root = min(comp)
-        for member in comp:
-            labels[member] = root
-    return labels
 
 
 def rec(meme_id, text):

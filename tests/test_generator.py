@@ -1,4 +1,7 @@
 import hashlib
+import os
+import sys
+import time
 from collections import Counter
 
 import numpy as np
@@ -7,8 +10,8 @@ import scipy.fft
 
 from memepipe.clustering import (ClusterAssignment, cluster_images,
                                  cluster_texts, normalize_text)
-from memepipe.dataset import (DatasetComposition, GeneratorNoise, read_pgm)
-from memepipe.generator import (generate_dataset, image_hashes, write_images,
+from memepipe.dataset import DatasetComposition, GeneratorNoise, read_pgm, write_pgm
+from memepipe.generator import (ImageWriter, generate_dataset, image_hashes, write_images,
                                 _BAND, _BASE_MIN_SEPARATION, _DUP_MAX_RADIUS,
                                 _LOW_ROWS, _base_image, _fresh_base,
                                 _near_duplicate, _quantize, _render)
@@ -273,6 +276,36 @@ def test_write_images_round_trip(tmp_path):
     write_images(ds, tmp_path)
     for r in ds.records:
         assert np.array_equal(read_pgm(tmp_path / r.img), ds.images[r.id])
+
+
+def test_image_writer_under_frequent_thread_switches(tmp_path):
+    # a switch every microsecond interleaves the writer's thread with puts,
+    # finish and discard at many more points than a normal run does
+    ds = generate_dataset(40, seed=16)
+    expected = {}
+    for rec in ds.records:
+        write_pgm(ds.images[rec.id], tmp_path / "expected.pgm")
+        expected[rec.img] = (tmp_path / "expected.pgm").read_bytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    start = time.perf_counter()
+    try:
+        for round_ in range(20):
+            done, dropped = tmp_path / f"done{round_}", tmp_path / f"dropped{round_}"
+            finished, discarded = ImageWriter(done), ImageWriter(dropped)
+            for rec in ds.records:
+                finished.put(rec.id, ds.images[rec.id])
+                if rec.id < round_:
+                    discarded.put(rec.id, ds.images[rec.id])
+            discarded.discard()
+            finished.finish()
+            assert not dropped.exists()
+            assert {f"images/{name}" for name in os.listdir(done / "images")} == set(expected)
+            for img, data in expected.items():
+                assert (done / img).read_bytes() == data
+    finally:
+        sys.setswitchinterval(interval)
+    assert time.perf_counter() - start < 30
 
 
 def dataset_digest(ds):

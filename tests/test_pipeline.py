@@ -4,6 +4,8 @@ import json
 import os
 import pathlib
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -539,6 +541,85 @@ def test_cli_gen_data_and_stats(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "STATS n=60" in printed
     assert "three_tuple=" in printed
+
+
+def only_main_thread():
+    return threading.enumerate() == [threading.main_thread()]
+
+
+# the two commands that generate a corpus: name: argv, with {d} the output
+# directory and --n and --seed left to the caller
+GENERATING = {
+    "pipeline": ("--quiet", "pipeline", "--outdir", "{d}", "--models", "1", "--k", "2"),
+    "gen-data": ("--quiet", "gen-data", "--outdir", "{d}"),
+}
+
+
+def generating_argv(name, out, *more):
+    return [arg.format(d=out) for arg in GENERATING[name]] + list(more)
+
+
+@pytest.mark.parametrize("name", sorted(GENERATING))
+def test_generation_failure_leaves_no_images_and_no_thread(tmp_path, capsys, name):
+    # the first near-duplicate fails after an image has been emitted, and
+    # so handed to the image writer
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert run_cli(*generating_argv(name, out, "--n", "200",
+                                    "--image-amplitude", "400")) == 2
+    assert time.perf_counter() - start < 20
+    assert "keeps pushing near-duplicates" in capsys.readouterr().err
+    assert only_main_thread()
+    assert not (out / "images").exists()
+    # gen-data made no directory before it failed, and leaves none
+    assert out.exists() == (name == "pipeline")
+
+
+@pytest.mark.parametrize("name", sorted(GENERATING))
+def test_image_write_failure_names_the_path_and_leaves_no_thread(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    (out / "images" / "000005.pgm").mkdir(parents=True)
+    assert run_cli(*generating_argv(name, out, "--n", "60")) == 4
+    err = capsys.readouterr().err
+    blocked = out / "images" / "000005.pgm"
+    assert f"[Errno 21] Is a directory: '{blocked}'" in err
+    assert ("stage 'generate' failed" in err) == (name == "pipeline")
+    assert only_main_thread()
+    # the images written before and after the failure are removed again
+    assert os.listdir(out / "images") == ["000005.pgm"]
+
+
+@pytest.mark.parametrize("name", sorted(GENERATING))
+def test_written_images_are_the_corpus_in_memory(tmp_path, name):
+    out = tmp_path / "out"
+    assert run_cli(*generating_argv(name, out, "--n", "60", "--seed", "3")) == 0
+    assert only_main_thread()
+    ds = generate_dataset(60, seed=3)
+    records = read_manifest(out / "manifest.jsonl")
+    assert records == ds.records
+    assert {f"images/{p.name}" for p in (out / "images").iterdir()} == \
+        {rec.img for rec in records}
+    for rec in records:
+        write_pgm(ds.images[rec.id], tmp_path / "expected.pgm")
+        assert (out / rec.img).read_bytes() == (tmp_path / "expected.pgm").read_bytes()
+
+
+def test_runs_without_generated_images_start_no_thread(tmp_path, monkeypatch):
+    assert run_cli("--quiet", "gen-data", "--n", "60", "--outdir", str(tmp_path / "corpus")) == 0
+    started = []
+    start = threading.Thread.start
+
+    def recording(thread):
+        started.append(thread.name)
+        start(thread)
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    assert run_cli(*generating_argv("pipeline", tmp_path / "plain", "--n", "60",
+                                    "--no-images")) == 0
+    assert run_cli(*generating_argv("pipeline", tmp_path / "ingest", "--manifest",
+                                    str(tmp_path / "corpus" / "manifest.jsonl"))) == 0
+    assert started == []
+    assert not (tmp_path / "plain" / "images").exists()
+    assert not (tmp_path / "ingest" / "images").exists()
 
 
 def test_cli_evaluate_matches_report(tmp_path, capsys):
