@@ -375,16 +375,11 @@ class ImageWriter:
                 os.rmdir(path)
 
 
-def write_images(dataset, out_dir, writer=None):
-    """Finish images/<id>.pgm under out_dir for every meme of dataset.
-
-    `writer` is the ImageWriter that generate_dataset fed as it emitted the
-    images, and is waited for; with none, every image is written now.  The
-    first failed write's OSError is raised, with its path."""
-    if writer is None:
-        writer = ImageWriter(out_dir)
-        for rec in dataset.records:
-            writer.put(rec.id, dataset.images[rec.id])
+def write_images(writer):
+    """Wait for the ImageWriter that generate_corpus fed as the generator
+    emitted the images; the first failed write's OSError is raised, with its
+    path.  A function of its own, so a profiler that wraps memepipe's
+    functions sees the generate stage's wait as one call."""
     writer.finish()
 
 
@@ -393,9 +388,10 @@ def generate_corpus(out_dir, n, composition=None, noise=None, seed=0, images=Tru
     images (if asked) and the planted groups as constructed_groups.jsonl.
     Return the dataset and the two file names.
 
-    Each image is written by an ImageWriter as the generator emits it, and
-    `write_images` waits for them.  If generating or writing fails, the
-    writer is discarded, so no image it wrote is left.
+    With images, one ImageWriter writes each image as the generator emits
+    it, and `write_images` waits for the last of them before the planted
+    groups are written.  If generating or writing fails, the writer is
+    discarded, so no image it wrote is left.
     """
     writer = ImageWriter(out_dir) if images else None
     try:
@@ -404,7 +400,7 @@ def generate_corpus(out_dir, n, composition=None, noise=None, seed=0, images=Tru
         os.makedirs(out_dir, exist_ok=True)
         write_manifest(ds.records, os.path.join(out_dir, "manifest.jsonl"))
         if writer is not None:
-            write_images(ds, out_dir, writer)
+            write_images(writer)
     except BaseException:
         if writer is not None:
             writer.discard()

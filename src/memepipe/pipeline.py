@@ -87,10 +87,16 @@ def _parse_bool(text):
     return _BOOL_WORDS[word]
 
 
+def _parse_path(text):
+    if not text:
+        raise ValueError("expected a file path, got ''")
+    return text
+
+
 # config key -> parser of its text value; the keys are the PipelineConfig fields
 _FIELD_PARSERS = {
     f.name: {bool: _parse_bool, DatasetComposition: DatasetComposition.parse,
-             str | None: str}.get(f.type, f.type)
+             str | None: _parse_path}.get(f.type, f.type)
     for f in dataclasses.fields(PipelineConfig)
 }
 

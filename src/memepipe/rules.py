@@ -19,9 +19,8 @@ benign, so their probabilities become (1, 0, 0) and the same labels can be
 used as pseudo-labels for unlabeled data.
 
 Rule 2: inside a TwoTuple the member with the larger probability goes to 1
-and the other to 0.  An exact tie leaves both alone.  The sets of a run
-share their ids and their groups, so the pairs' positions are looked up
-once per run and kept (`_pair_positions`).
+and the other to 0.  An exact tie leaves both alone.  The pairs' positions
+are looked up on each call, in the set's ids.
 
 The rules write by position, group by group in the order given, so groups
 that share a meme give the result of applying them one after another.  They
@@ -30,7 +29,6 @@ set returns a stacked set.
 """
 
 import numbers
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -154,31 +152,10 @@ def rule1_pseudo_labels(groups):
     return PseudoLabelSet(dict(_rule1_labels(groups)))
 
 
-# the last _pair_positions call, (its groups, a copy of its ids, its
-# result): the groups are frozen, so the same group objects mean the same
-# groups, and the ids are compared by content, as _id_rows does
-_last_pairs = ([], np.empty(0, np.int64), None)
-
-
-def _pair_positions(groups, preds):
-    """The positions in preds.ids of each TwoTuple's two members, as a list
-    of pairs.  The sets of a run share their ids and are adjusted by the
-    same groups, so with the last call kept each run looks them up once."""
-    global _last_pairs
-    groups = list(groups)
-    last_groups, last_ids, pairs = _last_pairs
-    if (len(last_groups) == len(groups) and all(map(operator.is_, last_groups, groups))
-            and np.array_equal(last_ids, preds.ids)):
-        return pairs
-    members = [i for g in groups if isinstance(g, TwoTuple) for i in (g.a_id, g.b_id)]
-    pairs = preds.positions(members, "rule 2").reshape(-1, 2).tolist()
-    _last_pairs = (groups, preds.ids.copy(), pairs)
-    return pairs
-
-
 def apply_rule2(groups, preds):
     """Polarize every TwoTuple to (1, 0) by the larger score; ties untouched."""
-    pairs = _pair_positions(groups, preds)
+    members = [i for g in groups if isinstance(g, TwoTuple) for i in (g.a_id, g.b_id)]
+    pairs = preds.positions(members, "rule 2").reshape(-1, 2).tolist()
     values = preds.values.copy()
     # in order: pairs that share a meme each read the scores the pairs before wrote
     for a, b in pairs:

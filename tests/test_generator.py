@@ -273,7 +273,10 @@ def test_minimum_size_enforced():
 
 def test_write_images_round_trip(tmp_path):
     ds = generate_dataset(12, DatasetComposition(0, 0, 0, 0, 1.0), seed=15)
-    write_images(ds, tmp_path)
+    writer = ImageWriter(tmp_path)
+    for r in ds.records:
+        writer.put(r.id, ds.images[r.id])
+    write_images(writer)
     for r in ds.records:
         assert np.array_equal(read_pgm(tmp_path / r.img), ds.images[r.id])
 

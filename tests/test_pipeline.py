@@ -762,6 +762,9 @@ EXIT_CODE_TABLE = {
          3, "{d}/corpus/unlabelled.jsonl"),
     "pipeline, rule1=maybe": ("pipeline --outdir {d}/run --config {d}/maybe.cfg", 2, None),
     "pipeline --models 0": ("pipeline --outdir {d}/run --models 0", 2, None),
+    "pipeline --manifest=": ("pipeline --outdir {d}/run --manifest=", 2, None),
+    "pipeline, manifest =":
+        ("pipeline --outdir {d}/run --config {d}/empty_manifest.cfg", 2, None),
     "pipeline --eval-split train":
         ("pipeline --outdir {d}/run --eval-split train", 2, None),
     "pseudo-label, string pivot":
@@ -810,6 +813,7 @@ def write_faulty_inputs(d):
     (d / "unimodal.cfg").write_text("n = 20\nunimodal = true\n")
     (d / "repeated.cfg").write_text("n = 100\nn = 200\n")
     (d / "empty_value.cfg").write_text("seed = 3\nn =\n")
+    (d / "empty_manifest.cfg").write_text("seed = 3\nmanifest =\n")
     (d / "string_pivot.jsonl").write_text(
         '{"kind": "two_tuple", "a": 0, "b": 1, "shared": "image"}\n'
         '{"kind": "three_tuple", "pivot": "a", "image_partner": 1, "text_partner": 2}\n')
@@ -867,6 +871,13 @@ ODD_INPUTS = {
         ("pipeline --outdir {d}/run --config {d}/empty_value.cfg", 2,
          "config error: {d}/empty_value.cfg: line 2: bad value for 'n': "
          "invalid literal for int() with base 10: ''"),
+    "empty manifest path":
+        ("pipeline --outdir {d}/run --manifest=", 2,
+         "config error: bad value for 'manifest': expected a file path, got ''"),
+    "config file with an empty manifest path":
+        ("pipeline --outdir {d}/run --config {d}/empty_manifest.cfg", 2,
+         "config error: {d}/empty_manifest.cfg: line 2: bad value for 'manifest': "
+         "expected a file path, got ''"),
     "stats --tuples of another corpus":
         ("stats --clusters {d}/one_cluster.csv --tuples {d}/pair.jsonl", 3,
          "data error: {d}/one_cluster.csv: meme 1 of {d}/pair.jsonl has no cluster"),

@@ -156,8 +156,8 @@ def test_rules_match_the_group_by_group_reference(groups, values):
 
 
 def test_rule2_pair_positions_follow_the_groups_and_the_ids():
-    # the positions are kept from one call to the next, so each call here
-    # changes the groups or the ids and must see its own
+    # each call here changes the groups or the ids from the call before,
+    # and must look its pairs up in its own set's ids
     a = PredictionSet("a", ids=np.array([1, 2, 3]), values=[0.2, 0.9, 0.4])
     b = PredictionSet("b", ids=np.array([1, 3, 4]), values=[0.2, 0.9, 0.4])
     pair = [TwoTuple(1, 3, "image")]

@@ -1,7 +1,7 @@
 """Source hygiene of src/memepipe, read with the stdlib ast: no unused import,
 an `__all__` that matches the package's imports, no module-level private
-name that nothing refers to, and no import of a package the project does
-not depend on."""
+name that nothing refers to, no import of a package the project does not
+depend on, and no module state but one measured memo."""
 
 import ast
 import pathlib
@@ -95,3 +95,15 @@ def test_every_import_is_stdlib_or_a_declared_dependency():
                for module, tree in TREES.items() for name, line in _absolute_imports(tree)
                if name.split(".")[0] not in allowed]
     assert foreign == []
+
+
+def test_the_only_module_state_is_the_id_column_memo():
+    # ensemble._last_id_rows keeps the last id column's written rows: the
+    # 161 prediction files of an n=1000 run with 8x10 sets share one id
+    # column, and without the memo that run's pipeline took about 4% longer
+    # (in-process medians 0.166 and 0.172 s, slower in 6 of 6 alternating
+    # pairs).  Any other state kept between calls needs such a measurement
+    declared = [(module, name) for module, tree in TREES.items()
+                for node in ast.walk(tree) if isinstance(node, ast.Global)
+                for name in node.names]
+    assert declared == [("ensemble.py", "_last_id_rows")]
