@@ -21,15 +21,16 @@ units of the ninth place) of a half, `:.9f` itself decides, one value at a
 time.  Its grid value num / 1e9 is float() of those digits, as both
 operands are exact and the division rounds correctly.
 
-The writers format every file in numpy, as a set holds only scores in
-[0, 1] without a sign bit; the bytes are those of one `f"{id},{x:.9f}"` per
-row.  `read_predictions` parses a file in the writer's exact form from its
-bytes in numpy: each row's digits are found from its newline, and its score
-is num / 1e9 for the integer num its ten digits spell.  A file with an id of
-more than 18 digits, a repeated id or a value above 1, and any other file,
-falls back on `read_csv`, the per-row reference, which reads or rejects it
-with its line.  Both give the same values, and the set comes back sorted by
-id.
+The writers and the reader share one row layout: the id right-aligned in
+the widest id's field, then a fixed tail.  The writers fill it in numpy,
+zero-padded, and drop the padding with one mask, so the bytes are those of
+one `f"{id},{x:.9f}"` per row; a set holds only scores in [0, 1] without a
+sign bit.  `read_predictions` cuts a file in the writer's exact form into
+that layout from each row's newline, and a row's score is num / 1e9 for the
+integer num its ten digits spell.  A file with an id of more than 18 digits,
+a repeated id or a value above 1, and any other file, falls back on
+`read_csv`, the per-row reference, which reads or rejects it with its line.
+Both give the same values, and the set comes back sorted by id.
 """
 
 import math
@@ -126,26 +127,22 @@ def _write_rows(path, header, ids, values, labels=None):
     """Write the header and a row `id,proba[,label]` per sorted id, each
     score with nine decimals as `:.9f` writes it, in one write.  The scores
     are a set's, so in [0, 1] without a sign bit."""
+    tail = 13 if labels is None else 15
+    rows, keep = _id_rows(ids, tail)
+    rows = rows.copy()
     # each row's bytes after its id: `,d.ddddddddd[,l]\n`, the score's digits
     # in three groups of a thousand
+    tails = rows[:, -tail:]
     lead, rest = np.divmod(_numerators(values).astype(np.int64), 10**6)
     mid, low = np.divmod(rest, 1000)
-    tails = np.empty((len(ids), 13 if labels is None else 15), np.uint8)
     tails[:, 0], tails[:, -1] = ord(","), ord("\n")
     tails[:, 1:6] = _LEADS.take(lead, 0)
     tails[:, 6:9] = _TRIPLES.take(mid, 0)
     tails[:, 9:12] = _TRIPLES.take(low, 0)
     if labels is not None:
         tails[:, 12], tails[:, 13] = ord(","), labels + ord("0")
-    head = np.frombuffer(header.encode() + b"\n", np.uint8)
-    rows, blocks = _id_rows(ids, tails.shape[1])
-    out = np.concatenate([head, rows])
-    for start, lo, hi, k in blocks:
-        start += len(head)
-        out[start:start + (hi - lo) * (k + tails.shape[1])].reshape(hi - lo, -1)[:, k:] = \
-            tails[lo:hi]
     with open(path, "wb") as fh:
-        fh.write(out)
+        fh.write(header.encode() + b"\n" + rows[keep].tobytes())
 
 
 def _digits(values, width):
@@ -164,31 +161,23 @@ _last_id_rows = (np.empty(0, np.int64), -1, None)
 
 
 def _id_rows(ids, tail):
-    """(body, blocks) for sorted ids in [0, 2**63): body holds each id's
-    digits followed by `tail` bytes for the caller to fill, and blocks is
-    (byte offset, first row, end row, digit count) for each run of ids of
-    one digit count.  The sets of a run share one id column, so with the
-    last call kept each run formats its ids once."""
+    """(rows, keep) for sorted ids in [0, 2**63): rows holds each id's digits
+    right-aligned in the widest id's field, zero-padded, then `tail` bytes
+    for the caller to fill, and keep masks out the padding.  The sets of a
+    run share one id column, so with the last call kept each run formats
+    its ids once."""
     global _last_id_rows
     last_ids, last_tail, result = _last_id_rows
     if last_tail == tail and np.array_equal(last_ids, ids):
         return result
     width = len(str(ids[-1])) if len(ids) else 1
-    digits = _digits(ids.astype(np.uint64), width)
-    bounds = [0, *np.searchsorted(ids, 10 ** np.arange(1, width, dtype=np.int64)).tolist(),
-              len(ids)]
-    chunks, blocks, start = [np.empty(0, np.uint8)], [], 0
-    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=1):
-        if hi > lo:
-            rows = np.zeros((hi - lo, k + tail), np.uint8)
-            rows[:, :k] = digits[lo:hi, width - k:]
-            chunks.append(rows.reshape(-1))
-            blocks.append((start, lo, hi, k))
-            start += rows.size
-    body = np.concatenate(chunks)
-    body.flags.writeable = False
-    _last_id_rows = (ids.copy(), tail, (body, blocks))
-    return body, blocks
+    rows = np.zeros((len(ids), width + tail), np.uint8)
+    rows[:, :width] = _digits(ids.astype(np.uint64), width)
+    pad = (ids[:, None] < 10 ** np.arange(1, width, dtype=np.int64)).sum(1)
+    keep = np.arange(width + tail) >= pad[:, None]
+    rows.flags.writeable = keep.flags.writeable = False
+    _last_id_rows = (ids.copy(), tail, (rows, keep))
+    return rows, keep
 
 
 def _proba(field):

@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -285,10 +286,46 @@ def _write_artifacts(cfg, out_dir, records, structure, sets, scores):
     return names
 
 
+def _remove_previous_run(cfg, out_dir):
+    """Remove what the run that out_dir's run_manifest.json records wrote:
+    its artifacts, `preds/`, `preds_adjusted/`, the images it generated and
+    the manifest itself.  The corpus this run reads stays: its manifest, the
+    constructed_groups.jsonl beside it and, when that is out_dir, `images/`."""
+    path = os.path.join(out_dir, "run_manifest.json")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            previous = json.load(fh)
+        names, config = list(previous["artifacts"].keys()), previous["config"]
+        images = config["manifest"] is None and config["save_images"] is True
+    except FileNotFoundError:
+        return
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise DataFormatError(f"{path}: not a run manifest: {exc}") from None
+    kept = set()
+    if cfg.manifest is not None:
+        corpus = os.path.dirname(os.path.realpath(cfg.manifest))
+        kept = {os.path.realpath(cfg.manifest), os.path.join(corpus, "constructed_groups.jsonl")}
+        images = images and corpus != os.path.realpath(out_dir)
+    # a name with a folder lies in preds/ or preds_adjusted/, removed whole
+    for name in names:
+        target = os.path.join(out_dir, name)
+        if (os.path.basename(name) == name and os.path.isfile(target)
+                and os.path.realpath(target) not in kept):
+            os.remove(target)
+    for folder in ("preds", "preds_adjusted") + ("images",) * images:
+        folder = os.path.join(out_dir, folder)
+        if os.path.isdir(folder):
+            shutil.rmtree(folder)
+    os.remove(path)
+
+
 def run_pipeline(cfg, out_dir):
     """Corpus, detect, simulate and score, then one write stage and the run
-    manifest under out_dir; a run that fails before the write leaves only the corpus."""
+    manifest under out_dir.  out_dir holds one run: what a previous run there
+    wrote is removed first, and a run that fails before the write leaves only
+    the corpus."""
     os.makedirs(out_dir, exist_ok=True)
+    _remove_previous_run(cfg, out_dir)
     quiet = cfg.quiet
     noise = from_number_fields(GeneratorNoise, cfg)
 

@@ -105,12 +105,11 @@ def _hasher(hc, mult):
     return hashmix
 
 
-def _bulk_normals(words, wi, ki):
-    """(draws, fast): default_rng(row).standard_normal() for each row of an
-    (m, k <= 4) uint32 array, or of k columns, each a uint32 array of shape
-    (m,) or an int that every row shares.  fast marks the draws that took the
-    ziggurat's fast path."""
-    cols = list(words.T) if isinstance(words, np.ndarray) else list(words)
+def _bulk_normals(cols, wi, ki):
+    """(draws, fast): default_rng(row).standard_normal() for each row of a
+    list of k <= 4 columns, each a uint32 array of shape (m,) or an int that
+    every row shares.  fast marks the draws that took the ziggurat's fast
+    path."""
     # a word every row shares is mixed as one Python int, not once per row;
     # the products are masked so that int and uint32 array mix alike
     hashmix = _hasher(_INIT_A, _MULT_A)
@@ -187,30 +186,24 @@ def _ziggurat():
     set, some of them off the fast path, else None."""
     wi, ki = _read_tables()
     for prefix in ((0, 0), (_WORD_END - 1, 1, _WORD_END - 1)):
-        words = np.array([(*prefix, i) for i in range(512)], np.uint32)
-        x, fast = _bulk_normals(words, wi, ki)
-        want = np.array([np.random.default_rng(w).standard_normal() for w in words.tolist()])
+        x, fast = _bulk_normals([*prefix, np.arange(512, dtype=np.uint32)], wi, ki)
+        want = np.array([np.random.default_rng([*prefix, i]).standard_normal()
+                         for i in range(512)])
         if fast.all() or not fast.any() or not np.array_equal(x.view(np.uint64),
                                                                want.view(np.uint64)):
             return None
     return wi, ki
 
 
-def _id_words(ids):
-    """The positions of the ids below 2**32 in an int64 array of ids, and
-    those ids as uint32."""
-    pos = np.flatnonzero(ids < _WORD_END)
-    return pos, ids[pos].astype(np.uint32)
-
-
-def _normals(prefix, ids, id_words=None):
+def _normals(prefix, ids):
     """default_rng([*prefix, id]).standard_normal() for each of the meme
-    ids, as an array; id_words is _id_words(ids), if the caller has it."""
+    ids, as an array."""
     ids = np.asarray(ids, np.int64)
     out, done = np.empty(len(ids)), np.zeros(len(ids), bool)
     if all(type(w) is int and 0 <= w < _WORD_END for w in prefix) and (tables := _ziggurat()):
-        pos, col = _id_words(ids) if id_words is None else id_words
-        out[pos], done[pos] = _bulk_normals([*prefix, col], *tables)[0], True
+        pos = np.flatnonzero(ids < _WORD_END)
+        out[pos] = _bulk_normals([*prefix, ids[pos].astype(np.uint32)], *tables)[0]
+        done[pos] = True
     for j in np.flatnonzero(~done):
         out[j] = np.random.default_rng([*prefix, int(ids[j])]).standard_normal()
     return out
@@ -224,7 +217,6 @@ class Population(NamedTuple):
     ids: np.ndarray               # sorted read-only int64 ids, shared by every set
     mean: np.ndarray              # separation times the label's sign
     shared: np.ndarray            # sqrt(noise_correlation) times the shared draw
-    id_words: tuple               # _id_words(ids), for every model's draw
 
 
 def population(memes, groups, cfg):
@@ -243,15 +235,14 @@ def population(memes, groups, cfg):
     discounts = member_discounts([rec.id for rec in memes], groups)
     seps = np.array([cfg.separation_mu * discounts[rec.id] for rec in memes])
     signs = np.array([2 * rec.label - 1 for rec in memes], float)
-    id_words = _id_words(ids)
-    shared = math.sqrt(cfg.noise_correlation) * _normals((cfg.seed, 0), ids, id_words)
-    return Population(cfg, ids, (seps * signs)[order], shared, id_words)
+    shared = math.sqrt(cfg.noise_correlation) * _normals((cfg.seed, 0), ids)
+    return Population(cfg, ids, (seps * signs)[order], shared)
 
 
 def simulate_predictions(pop, model_index):
     """One simulated model's scores for every meme of a population."""
     cfg = pop.cfg
-    local = _normals((cfg.seed, 1, model_index), pop.ids, pop.id_words)
+    local = _normals((cfg.seed, 1, model_index), pop.ids)
     # a sigma near the float maximum overflows z to +-inf, which the
     # logistic below maps to exactly 1 or 0
     with np.errstate(over="ignore"):

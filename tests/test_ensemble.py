@@ -290,6 +290,28 @@ def test_writer_writes_an_empty_set_as_its_header(tmp_path):
     assert (tmp_path / "p.csv").read_bytes() == b"id,proba\n"
 
 
+def test_writer_memo_is_keyed_on_the_ids_and_the_tail(tmp_path):
+    # the writers keep the last id column's rows: each file below changes
+    # the ids' content, the row tail or both, and must match the reference
+    rng = np.random.default_rng(4)
+    first = PredictionSet("first", ids=np.arange(1201), values=on_grid(rng.random(1201)))
+    other = PredictionSet("other", ids=np.arange(1201) * 7 + 3, values=first.values)
+    stacked = ensemble.StackedPrediction("s", ids=first.ids, values=first.values)
+    subset = list(range(0, 1201, 7))
+    write_predictions(first, tmp_path / "first.csv")
+    write_submission(stacked, tmp_path / "subset.csv", subset)
+    write_predictions(other, tmp_path / "other.csv")
+    write_predictions(first, tmp_path / "again.csv")
+    write_submission(stacked, tmp_path / "all.csv")   # the same ids, a longer tail
+    scores = first.scores
+    for name, ids in (("subset", subset), ("all", range(1201))):
+        assert (tmp_path / f"{name}.csv").read_bytes() == "".join(
+            ["id,proba,label\n", *(f"{i},{scores[i]:.9f},{int(scores[i] >= 0.5)}\n"
+                                   for i in ids)]).encode()
+    for name, ps in (("first", first), ("other", other), ("again", first)):
+        assert (tmp_path / f"{name}.csv").read_bytes() == reference_bytes(ps.scores)
+
+
 @pytest.mark.parametrize("body", [
     b"id,proba\n1,0.500000000\n1,0.600000000\n",
     b"id,proba\n1,1.500000000\n",

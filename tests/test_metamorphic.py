@@ -8,11 +8,12 @@ import json
 import random
 import re
 
+import numpy as np
 import pytest
 
 from memepipe import cli
 from memepipe.clustering import normalize_text
-from memepipe.dataset import read_manifest, write_manifest
+from memepipe.dataset import read_manifest, read_pgm, write_manifest, write_pgm
 from memepipe.generator import generate_corpus
 
 # the two files that may differ: the merged training manifest, which keeps
@@ -81,3 +82,43 @@ def test_text_case_and_whitespace_change_no_answer(corpus, tmp_path):
     assert differing(base, run) == EDITABLE
     config = json.loads(run["run_manifest.json"])["config"]
     assert config["manifest"] == str(corpus_dir / "recased.jsonl")
+
+
+# the corpus's pixels span 73..187, so each map stays inside 0..255
+@pytest.mark.parametrize("scale, shift", [(2, -140), (1, 60)])
+def test_affine_pixel_map_changes_no_answer(corpus, tmp_path, scale, shift):
+    corpus_dir, records, base = corpus
+    mapped = tmp_path / "corpus"
+    (mapped / "images").mkdir(parents=True)
+    for rec in records:
+        pixels = read_pgm(corpus_dir / rec.img).astype(np.int64)
+        assert 73 <= pixels.min() and pixels.max() <= 187
+        write_pgm((scale * pixels + shift).astype(np.uint8), mapped / rec.img)
+    write_manifest(records, mapped / "manifest.jsonl")
+    run = ingest(mapped / "manifest.jsonl", tmp_path / "run")
+    assert differing(base, run) == {"run_manifest.json"}
+
+
+def _renumbered(text, new_id):
+    """The rows of a clusters.csv or tuples.jsonl, each id as new_id(id)."""
+    if text.startswith(b"{"):
+        return [{k: new_id(v) if type(v) is int else v for k, v in json.loads(line).items()}
+                for line in text.splitlines()]
+    return [[new_id(int(field)) for field in line.split(b",")] for line in text.splitlines()]
+
+
+def test_monotone_id_renumbering_maps_the_structure(corpus, tmp_path):
+    corpus_dir, records, base = corpus
+
+    def new_id(meme_id):
+        return 3 * meme_id + 5
+    renumbered = [dataclasses.replace(rec, id=new_id(rec.id)) for rec in records]
+    write_manifest(renumbered, corpus_dir / "renumbered.jsonl")
+    run = ingest(corpus_dir / "renumbered.jsonl", tmp_path / "run")
+    for name in ("clusters.csv", "tuples.jsonl"):
+        assert _renumbered(base[name], new_id) == _renumbered(run[name], int)
+    # every draw is seeded by its id, so the scores move
+    base_rows = [row.split(b",") for row in base["stacked.csv"].splitlines()[1:]]
+    run_rows = [row.split(b",") for row in run["stacked.csv"].splitlines()[1:]]
+    assert [new_id(int(row[0])) for row in base_rows] == [int(row[0]) for row in run_rows]
+    assert [row[1] for row in base_rows] != [row[1] for row in run_rows]

@@ -275,6 +275,79 @@ def test_artifacts_are_written_only_after_scoring(tmp_path, monkeypatch):
         run_quick(out)
 
 
+def files(root):
+    """Relative path -> bytes of every file under root."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+# (first run, second run) into one directory; an images run then a
+# --no-images run of another seed, and a run whose rule 1 and rule 2 files
+# the second does not write
+@pytest.mark.parametrize("first, second", [
+    ({"save_images": True}, {"seed": 4}),
+    ({}, {"rule1": False, "adjust_placement": "after_stacking"})])
+def test_a_directory_holds_only_its_last_run(tmp_path, first, second):
+    run_quick(tmp_path / "run", **first)
+    run_quick(tmp_path / "run", **second)
+    run_quick(tmp_path / "alone", **second)
+    assert files(tmp_path / "run") == files(tmp_path / "alone")
+
+
+def test_single_class_run_leaves_no_earlier_report(tmp_path, capsys):
+    write_faulty_inputs(tmp_path)
+    corpus, out = tmp_path / "corpus", tmp_path / "run"
+    write_manifest([MemeRecord(i, f"{i}.pgm", "abcd"[i], i % 2, ("train", "test")[i // 2])
+                    for i in range(4)], corpus / "two_class.jsonl")
+    assert run_cli("--quiet", "pipeline", "--outdir", str(out),
+                   "--manifest", str(corpus / "two_class.jsonl")) == 0
+    assert (out / "report.txt").exists()
+    assert run_cli("--quiet", "pipeline", "--outdir", str(out),
+                   "--manifest", str(corpus / "one_class.jsonl")) == 0
+    assert not (out / "report.txt").exists()
+    listed = json.loads((out / "run_manifest.json").read_text())["artifacts"]
+    assert sorted(files(out)) == sorted([*listed, "run_manifest.json"])
+
+
+def test_failed_run_after_a_good_one_leaves_only_its_corpus(tmp_path, monkeypatch, capsys):
+    run_quick(tmp_path / "run", save_images=True)
+
+    def broken(groups, preds):
+        raise RuntimeError("rule 1 broke")
+    monkeypatch.setattr(pipeline, "apply_rule1", broken)
+    with pytest.raises(StageError, match="rule1-override"):
+        run_quick(tmp_path / "run", seed=4)
+    with pytest.raises(StageError, match="rule1-override"):
+        run_quick(tmp_path / "alone", seed=4)
+    assert files(tmp_path / "run") == files(tmp_path / "alone")
+    assert sorted(files(tmp_path / "run")) == ["constructed_groups.jsonl", "manifest.jsonl"]
+    # a run whose corpus lies elsewhere leaves nothing
+    monkeypatch.undo()
+    run_quick(tmp_path / "run")
+    write_faulty_inputs(tmp_path / "faults")
+    assert run_cli("--quiet", "pipeline", "--outdir", str(tmp_path / "run"), "--manifest",
+                   str(tmp_path / "faults" / "corpus" / "unlabelled.jsonl")) == 3
+    assert files(tmp_path / "run") == {}
+
+
+def test_rerun_on_its_own_corpus_keeps_the_corpus(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("--quiet", "pipeline", "--outdir", str(out), "--n", "120", "--seed", "3") == 0
+    corpus = {name: data for name, data in files(out).items()
+              if name in ("manifest.jsonl", "constructed_groups.jsonl")
+              or name.startswith("images/")}
+    assert len(corpus) == 122
+    assert run_cli("--quiet", "pipeline", "--outdir", str(out),
+                   "--manifest", str(out / "manifest.jsonl")) == 0
+    after = files(out)
+    assert {name: after[name] for name in corpus} == corpus
+    # a run_manifest.json that no run wrote is a data error, and nothing goes
+    (out / "run_manifest.json").write_text("[1]\n")
+    before = files(out)
+    assert run_cli("--quiet", "pipeline", "--outdir", str(out), "--n", "120") == 3
+    assert "not a run manifest" in capsys.readouterr().err
+    assert files(out) == before
+
+
 def test_config_validation_errors():
     with pytest.raises(ConfigError, match="n must be"):
         build_config({}, {"n": 5})

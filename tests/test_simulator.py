@@ -243,7 +243,7 @@ def test_bulk_draws_match_numpy_bit_for_bit(prefix):
     tables = simulator._ziggurat()
     assert tables is not None
     words = np.array([(*prefix, i) for i in ids], np.uint32)
-    fast_x, fast = simulator._bulk_normals(words, *tables)
+    fast_x, fast = simulator._bulk_normals(list(words.T), *tables)
     want = np.array([np.random.default_rng([*prefix, i]).standard_normal() for i in ids])
     got = simulator._normals(prefix, ids)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -288,7 +288,7 @@ def test_normals_build_no_generator_per_draw(monkeypatch):
     tables = simulator._ziggurat()
     assert tables is not None
     words = np.array([(*prefix, i) for i in ids], np.uint32)
-    _, fast = simulator._bulk_normals(words, *tables)
+    _, fast = simulator._bulk_normals(list(words.T), *tables)
     strips = {int(np.random.PCG64([*prefix, int(i)]).random_raw()) & 0xFF
               for i in np.flatnonzero(~fast)}
     assert 0 in strips and strips - {0}
