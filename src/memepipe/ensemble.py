@@ -4,9 +4,12 @@ prediction set.
 A PredictionSet (rules.py) is `ids`, sorted int64 meme ids in [0, 2**63),
 and `values`, one float64 probability in [0, 1] each, checked when the set
 is built.  The sets of one run share a single read-only `ids` array, and
-the stacked set shares it too; stacking sums the sets' score columns id by
-id, and the writers format the shared id column once per run, so each file
-costs only its score digits and one write.
+the stacked set shares it too.  Stacking sums the sets' score columns id by
+id, exactly: a score on the files' grid is 0 or at least 1e-9 > 2**-30, so
+a multiple of 2**-82, and fewer than 4096 columns of them add up in two
+float64 accumulators without rounding, so the sum is math.fsum's with no
+Python float per score (`_sums`).  The writers format the shared id column
+once per run, so each file costs only its score digits and one write.
 
 Prediction files are CSV with header `id,proba`; submissions add a `label`
 column, and read as prediction files with that column ignored.
@@ -88,10 +91,33 @@ def stack_equal_weight(sets):
         if ps.ids is not ids and not np.array_equal(ps.ids, ids):
             sample = np.setxor1d(ids, ps.ids)[:5].tolist()
             raise DataFormatError(f"prediction sets disagree on ids, e.g. {sample}")
-    # one row of every set's score per id
-    rows = np.stack([ps.values for ps in sets], axis=1).tolist()
-    sums = np.fromiter(map(math.fsum, rows), np.float64, len(ids))
+    sums = _sums([ps.values for ps in sets])
     return StackedPrediction("stacked", ids=ids, values=on_grid(sums / len(sets)))
+
+
+# a score that is 0 or at least _FINEST is a whole multiple of _FINEST * 2**-52
+_FINEST = 2.0 ** -30
+_SCALE = 2.0 ** 41
+
+
+def _sums(columns):
+    """math.fsum of each row of equal-length columns of scores in [0, 1],
+    bit for bit.
+
+    Each score times 2**41 is its whole part, at most 2**41, plus a multiple
+    of 2**-41 below 1, when the score is 0 or at least 2**-30; fewer than
+    4096 such parts of either kind then add up exactly in a float64, and one
+    correctly rounded addition of the two totals gives fsum's value.  Any
+    other columns go row by row through fsum."""
+    if len(columns) >= 4096 or any(((c > 0) & (c < _FINEST)).any() for c in columns):
+        rows = np.stack(columns, axis=1).tolist()
+        return np.fromiter(map(math.fsum, rows), np.float64, len(rows))
+    whole, frac = np.zeros(len(columns[0])), np.zeros(len(columns[0]))
+    for column in columns:
+        f, w = np.modf(column * _SCALE)
+        whole += w
+        frac += f
+    return (whole + frac) / _SCALE
 
 
 def _numerators(x):

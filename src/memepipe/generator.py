@@ -18,8 +18,11 @@ Two guarantees make downstream detection exact rather than probabilistic:
 All randomness flows through one seeded generator, so equal inputs give
 byte-identical manifests and images.  Each image is copied, as it is
 emitted, into the next row of one (n, 64, 64) uint8 array, the single stack
-of the corpus's ImageStacks, which `image_hashes` hashes in chunks; the
-candidates the generator tries are hashed one at a time by `phash`.
+of the corpus's ImageStacks.  The candidates the generator tries are hashed
+one at a time by `phash`, and the hash of each image it emits is kept as
+`hashes`, the pairs `image_hashes` gives for that stack, so a generated
+corpus is hashed once: a near-duplicate at zero amplitude is its base's
+pixels, so it takes its base's hash.
 `generate_corpus` hands each row, once filled, to an ImageWriter, whose one
 thread writes the image file while the generator goes on.
 
@@ -75,6 +78,7 @@ class GeneratedDataset:
 
     records: list
     images: ImageStacks               # id -> 64x64 uint8, one stack
+    hashes: list                      # (id, phash) pairs, sorted by id
     categories: dict                  # id -> composition category
     three_tuples: list = field(default_factory=list)
     two_tuples: list = field(default_factory=list)
@@ -135,13 +139,15 @@ def _fresh_base(rng, base_hashes):
 
 
 def _near_duplicate(rng, base, base_hash, amplitude):
+    # (pixels, hash) of a near-duplicate of base
     if amplitude == 0.0:
-        return base.u8
+        return base.u8, base_hash
     for _ in range(50):
         noise = rng.uniform(-amplitude, amplitude, size=(_BAND.stop - _BAND.start, IMAGE_SIDE))
         dup_q = _render(base.block, base.stripes, noise)
-        if hamming(phash(dup_q), base_hash) <= _DUP_MAX_RADIUS:
-            return dup_q
+        h = phash(dup_q)
+        if hamming(h, base_hash) <= _DUP_MAX_RADIUS:
+            return dup_q, h
     raise ConfigError(f"image_amplitude {amplitude} keeps pushing near-duplicates "
                       f"more than {_DUP_MAX_RADIUS} hash bits from their base")
 
@@ -206,16 +212,18 @@ def generate_dataset(n, composition=None, noise=None, seed=0, on_image=None):
     texts = []
     labels = []
     categories = []
+    hashes = []
     pixels = np.empty((n, IMAGE_SIDE, IMAGE_SIDE), np.uint8)
     three_tuples = []
     two_tuples = []
     unimodal_groups = []
 
-    def emit(image_u8, text, label, category):
+    def emit(image_u8, h, text, label, category):
         meme_id = len(texts)
         pixels[meme_id] = image_u8
         if on_image is not None:
             on_image(meme_id, pixels[meme_id])
+        hashes.append((meme_id, h))
         texts.append(text)
         labels.append(label)
         categories.append(category)
@@ -235,16 +243,16 @@ def generate_dataset(n, composition=None, noise=None, seed=0, on_image=None):
         base, h = fresh_base()
         if text is None:
             text = _fresh_text(rng, used_norms)
-        return emit(base.u8, text, label, category), base, h, text
+        return emit(base.u8, h, text, label, category), base, h, text
 
     def image_partner(base, h, label, category):
-        dup = _near_duplicate(rng, base, h, noi.image_amplitude)
-        return emit(dup, _fresh_text(rng, used_norms), label, category)
+        dup, dup_h = _near_duplicate(rng, base, h, noi.image_amplitude)
+        return emit(dup, dup_h, _fresh_text(rng, used_norms), label, category)
 
     def text_partner(text, label, category):
-        base, _ = fresh_base()
+        base, h = fresh_base()
         variant = _text_variant(rng, text, noi.text_perturb_prob)
-        return emit(base.u8, variant, label, category)
+        return emit(base.u8, h, variant, label, category)
 
     triples = min(c_mm, c_btc, c_bic)
     pivots_left = c_mm - triples
@@ -306,7 +314,7 @@ def generate_dataset(n, composition=None, noise=None, seed=0, on_image=None):
                           label=labels[i] ^ flips[i], split=splits[i])
                for i in range(n)]
     return GeneratedDataset(records=records, images=ImageStacks([(range(n), pixels)]),
-                            categories={i: categories[i] for i in range(n)},
+                            hashes=hashes, categories={i: categories[i] for i in range(n)},
                             three_tuples=three_tuples, two_tuples=two_tuples,
                             unimodal_groups=unimodal_groups, label_draws=label_draws)
 

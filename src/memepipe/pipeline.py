@@ -1,10 +1,14 @@
 """End-to-end run: data -> hashes -> clusters -> tuples -> predictions ->
 adjusted stacking -> submission -> evaluation.
 
-Three pure phases, `detect`, `simulate` and `score`, compute the run; then
-every artifact is written under the output directory, and a run manifest
-records the effective config plus content digests, so two runs with the
-same config write byte-identical directories, the run manifest included.
+The corpus comes first, generated or ingested, with one (id, hash) pair
+per image: the generator keeps the hash of each image it emits, and the
+`hash` stage hashes an ingested corpus's image stacks, so no pixel array is
+held past that stage.  Three pure phases, `detect`, `simulate` and `score`,
+then compute the run from the records and hashes; then every artifact is
+written under the output directory, and a run manifest records the
+effective config plus content digests, so two runs with the same config
+write byte-identical directories, the run manifest included.
 """
 
 import dataclasses
@@ -197,10 +201,10 @@ class Scores:
     report: object                # EvaluationReport, or None unless the eval split is two-class
 
 
-def detect(cfg, records, images):
-    """Hash, cluster and group the corpus; pseudo-label held-out memes by rule 1."""
+def detect(cfg, records, hashes):
+    """Cluster and group the corpus, given its (id, hash) pairs sorted by id;
+    pseudo-label held-out memes by rule 1."""
     quiet = cfg.quiet
-    hashes = _stage("hash", lambda: image_hashes(images), quiet)
     assignment = _stage("cluster", lambda: ClusterAssignment(
         image=cluster_images(hashes, cfg.hamming_threshold),
         text=cluster_texts(records)), quiet)
@@ -319,6 +323,31 @@ def _remove_previous_run(cfg, out_dir):
     os.remove(path)
 
 
+def _corpus(cfg, out_dir):
+    """The generate or ingest stage, then the hash stage: the records, their
+    (id, hash) pairs sorted by id and the names of the corpus files written.
+    No pixel array outlives the call."""
+    quiet = cfg.quiet
+    if cfg.manifest is None:
+        def gen():
+            ds, names = generate_corpus(out_dir, cfg.n, cfg.composition,
+                                        from_number_fields(GeneratorNoise, cfg),
+                                        cfg.seed, cfg.save_images)
+            return ds.records, ds.hashes, list(names)
+        records, hashes, names = _stage("generate", gen, quiet)
+        # the generator hashed each image as it emitted it
+        return records, _stage("hash", lambda: hashes, quiet), names
+
+    def ingest():
+        recs = read_manifest(cfg.manifest)
+        if not recs:
+            raise DataFormatError(f"{cfg.manifest}: no records")
+        return recs, read_images(cfg.manifest, recs)
+    records, images = _stage("ingest", ingest, quiet)
+    with _in_file(cfg.manifest):
+        return records, _stage("hash", lambda: image_hashes(images), quiet), []
+
+
 def run_pipeline(cfg, out_dir):
     """Corpus, detect, simulate and score, then one write stage and the run
     manifest under out_dir.  out_dir holds one run: what a previous run there
@@ -327,26 +356,11 @@ def run_pipeline(cfg, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     _remove_previous_run(cfg, out_dir)
     quiet = cfg.quiet
-    noise = from_number_fields(GeneratorNoise, cfg)
-
-    if cfg.manifest is None:
-        def gen():
-            ds, names = generate_corpus(out_dir, cfg.n, cfg.composition, noise,
-                                        cfg.seed, cfg.save_images)
-            return ds.records, ds.images, list(names)
-        records, images, names = _stage("generate", gen, quiet)
-    else:
-        def ingest():
-            recs = read_manifest(cfg.manifest)
-            if not recs:
-                raise DataFormatError(f"{cfg.manifest}: no records")
-            return recs, read_images(cfg.manifest, recs), []
-        records, images, names = _stage("ingest", ingest, quiet)
-
+    records, hashes, names = _corpus(cfg, out_dir)
     # a data fault found after ingest lies in the ingested corpus: name it
     in_corpus = nullcontext() if cfg.manifest is None else _in_file(cfg.manifest)
     with in_corpus:
-        structure = detect(cfg, records, images)
+        structure = detect(cfg, records, hashes)
         sets = simulate(cfg, records, structure.groups)
         scores = score(cfg, records, structure, sets)
     names += _stage("write", lambda: _write_artifacts(

@@ -26,7 +26,7 @@ def _run_seed(seed):
     ds = generate_dataset(SWEEP_N, seed=seed)
     records = ds.records
     truth = {r.id: r.label for r in records}
-    structure = detect(cfg, records, ds.images)
+    structure = detect(cfg, records, ds.hashes)
     full = rule1_pseudo_labels(structure.groups)
     # the labels this corpus gets with 2% label noise (see label_draws)
     noisy = dict(zip(truth, (ds.label_draws < 0.02).tolist()))

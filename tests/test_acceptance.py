@@ -95,7 +95,7 @@ def test_criterion_3_phash_affine_invariance(capfd):
 
 def detect_triples(ds):
     cfg = PipelineConfig(rule1=False, quiet=True)
-    groups = detect(cfg, ds.records, ds.images).groups
+    groups = detect(cfg, ds.records, ds.hashes).groups
     return {g for g in groups if isinstance(g, ThreeTuple)}
 
 

@@ -2,12 +2,13 @@
 
 perfbench/spans.py wraps memepipe functions by module and name to split a
 run's time by layer; renaming or inlining one of them breaks the benchmark
-only when it runs.  Two tests install the tracer around one small pipeline
-run, with and without images, so such a break fails here first.  Another
-runs one small operation through perfbench's own workload and checks,
-restage included, so a changed type or artifact that would crash or fail
-them fails here too.  A fourth runs perfbench's warm-up at a hundred seeds,
-since one that fails stops a workload.
+only when it runs.  Three tests install the tracer around one small
+pipeline run, with and without images and on an ingested corpus, so such a
+break fails here first.  Another runs one small operation through
+perfbench's own workload and checks, restage included, so a changed type or
+artifact that would crash or fail them fails here too.  A fifth runs
+perfbench's warm-up at a hundred seeds, since one that fails stops a
+workload.
 """
 
 import importlib.util
@@ -16,6 +17,7 @@ import time
 from pathlib import Path
 
 from memepipe import cli
+from memepipe.generator import generate_corpus
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -57,9 +59,19 @@ def test_traced_pipeline_feeds_layer_metrics(tmp_path):
     # the held-out three-tuple members written to pseudo_labels.csv
     assert metrics["rules.pseudo_labels"] == 6
     # 60 memes placed from 61 candidates, the count perfbench's
-    # generator.phash_calls rests on; the hash stage is one image_hashes
-    # call that hashes the corpus's stack, with no per-image phash span
+    # generator.phash_calls rests on; the hash stage takes the hashes the
+    # generator kept, so a generated corpus is not hashed again
     assert metrics["generator.phash_calls"] == 61
+    assert not [s for s in traced if s.name == "generator.image_hashes"]
+
+
+def test_traced_ingest_hashes_the_corpus_once(tmp_path):
+    generate_corpus(tmp_path / "corpus", 60, seed=7)
+    spans, code, traced, _ = traced_pipeline(
+        tmp_path / "run", "--manifest", str(tmp_path / "corpus" / "manifest.jsonl"))
+    assert code == 0
+    # the hash stage is one image_hashes call that hashes the corpus's
+    # stack, with no per-image phash span
     stage = [i for i, s in enumerate(traced) if s.name == "generator.image_hashes"]
     assert len(stage) == 1
     assert not [s for s in traced if s.parent == stage[0]]

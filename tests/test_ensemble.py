@@ -1,3 +1,4 @@
+import math
 import re
 import tempfile
 import time
@@ -50,6 +51,41 @@ def test_stack_order_invariant_exactly():
     mix = stack_equal_weight(shuffled)
     # exact summation: equality must hold bit for bit
     assert fwd.mean_score == rev.mean_score == mix.mean_score
+
+
+def assert_sums_are_fsums(columns):
+    """Stacking's column sums equal math.fsum of each row, bit for bit."""
+    want = np.array([math.fsum(row) for row in zip(*columns)], np.float64)
+    got = ensemble._sums([np.array(column, np.float64) for column in columns])
+    assert got.tobytes() == want.tobytes()
+
+
+# a score on the nine-decimal grid, with 0, 1e-9, 0.5 and 1 drawn often
+GRID_SCORES = (st.sampled_from([0, 1, 500_000_000, 10**9]) | st.integers(0, 10**9)).map(
+    lambda k: k / 1e9)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(columns=st.integers(1, 8).flatmap(lambda n: st.lists(
+    st.lists(GRID_SCORES, min_size=n, max_size=n), min_size=1, max_size=200)))
+def test_stacked_sums_of_grid_scores_are_fsums(columns):
+    assert_sums_are_fsums(columns)
+
+
+@pytest.mark.parametrize("columns", [
+    # a plain float sum gives 0.6000000000000001
+    [[0.1], [0.2], [0.3]],
+    [[0.1, 0.7, 1.0], [0.2, 0.1, 1.0], [0.3, 0.2, 1.0]],
+    # 1e-12 is off the grid, below 2**-30: summed by fsum, row by row
+    [[0.1], [0.2], [0.3], [1e-12]],
+    # so is 2**-54: a fixed point of 2**-41 units would round 2**-108 away,
+    # and then 2**-54, a tie, down to even
+    [[0.5], [2.0**-54], [2.0**-108]],
+    # from 4096 sets on, stacking sums by fsum again
+    [[0.1]] * 4096,
+])
+def test_stacked_sums_are_fsums(columns):
+    assert_sums_are_fsums(columns)
 
 
 def test_stack_writes_labels_that_agree_with_the_written_probability(tmp_path):

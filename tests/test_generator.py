@@ -197,9 +197,11 @@ def test_near_duplicate_on_a_half_integer_rounds_the_product():
     noise = np.zeros(band.shape)
     noise[2, 5] = np.floor(band[2, 5]) + 0.5 - band[2, 5]
     rng = FixedNoise(noise)
-    dup = _near_duplicate(rng, base, phash(base.u8), 4.0)
+    dup, h = _near_duplicate(rng, base, phash(base.u8), 4.0)
     assert rng.draws == 1
     assert np.array_equal(dup, _quantize(rank8(base.block, base.stripes, noise)))
+    # the hash it accepted the duplicate by, returned, not taken again
+    assert h == phash(dup)
 
 
 def test_shared_texts_normalize_equal():
@@ -228,6 +230,13 @@ def test_detection_recovers_planted_structure():
     assert pixels.base.shape == (300, 64, 64) and pixels.base.flags.writeable
     hashes = image_hashes(ds.images)
     assert hashes == image_hashes(dict(ds.images)) == [(i, phash(pixels[i])) for i in ids]
+    # the generator's own hashes, taken as it placed each image, are those
+    assert ds.hashes == hashes
+    # at zero amplitude each near-duplicate carries its base's hash; label
+    # noise draws after the images and leaves every hash as it was
+    for noise in (GeneratorNoise(image_amplitude=0.0), GeneratorNoise(label_noise=0.3)):
+        other = generate_dataset(300, None, noise, 12)
+        assert other.hashes == image_hashes(other.images)
     asg = ClusterAssignment(image=cluster_images(hashes, 10),
                             text=cluster_texts(ds.records))
     groups = detect_tuples(ds.records, asg)

@@ -6,16 +6,17 @@ import pathlib
 import re
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
 
-from memepipe import cli, pipeline
+from memepipe import cli, clustering, generator, pipeline
 from memepipe.dataset import MemeRecord, read_manifest, write_manifest, write_pgm
 from memepipe.ensemble import (read_predictions, stack_equal_weight,
                                write_predictions)
 from memepipe.errors import ConfigError, StageError
-from memepipe.generator import generate_dataset
+from memepipe.generator import generate_corpus, generate_dataset
 from memepipe.rules import PredictionSet
 from memepipe.simulator import SimulatorConfig
 from memepipe.pipeline import (PipelineConfig, build_config, detect,
@@ -217,7 +218,7 @@ def test_score_without_eval_labels_has_no_report():
     # way an unlabeled eval split reaches score
     ds = generate_dataset(120, seed=3)
     cfg = PipelineConfig(quiet=True)
-    structure = detect(cfg, ds.records, ds.images)
+    structure = detect(cfg, ds.records, ds.hashes)
     sets = simulate(cfg, ds.records, structure.groups)
     labeled = score(cfg, ds.records, structure, sets)
     unlabeled = score(cfg, [dataclasses.replace(r, label=None) if r.split == "test"
@@ -241,6 +242,33 @@ def test_simulate_builds_one_population_per_run(tmp_path, monkeypatch):
     counted("simulate_predictions")
     run_quick(tmp_path / "run", models=2, k=2)
     assert calls == ["population"] + ["simulate_predictions"] * 4
+
+
+@pytest.mark.parametrize("ingest", [False, True])
+def test_no_pixel_array_outlives_the_hash_stage(tmp_path, monkeypatch, ingest):
+    # pixels serve only to hash the corpus, so none may be held by the time
+    # clustering starts: a generated corpus's one stack, or an ingested one's
+    corpus = tmp_path / "corpus"
+    if ingest:
+        generate_corpus(corpus, 60, seed=3)
+    module, name = (pipeline, "read_images") if ingest else (generator, "generate_dataset")
+    make_corpus = getattr(module, name)
+    pixel_refs = []
+
+    def watched(*args, **kwargs):
+        result = make_corpus(*args, **kwargs)
+        images = result if ingest else result.images
+        pixel_refs.extend(weakref.ref(pixels.base) for _, pixels in images.stacks)
+        return result
+
+    def cluster_images(*args):
+        assert pixel_refs and all(ref() is None for ref in pixel_refs)
+        return clustering.cluster_images(*args)
+
+    monkeypatch.setattr(module, name, watched)
+    monkeypatch.setattr(pipeline, "cluster_images", cluster_images)
+    overrides = {"manifest": str(corpus / "manifest.jsonl")} if ingest else {"n": 60}
+    run_quick(tmp_path / "run", **overrides)
 
 
 def test_ingest_failure_names_stage(tmp_path):
