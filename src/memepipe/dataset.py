@@ -9,16 +9,16 @@ buffered file object: a corpus holds thousands of small images, and the
 fixed cost per file is most of the cost.  An OSError names the file, as
 open() would.
 
-A corpus's images are held in an ImageStacks: a read-only mapping meme id ->
-pixels over one contiguous (n, h, w) uint8 array per image shape, built
-once from finished stacks, so the hash stage takes a whole stack at once.
-`read_images` builds it with one read_pgm call per file.  The first file is
-read whole and parsed; its shape gets an array with a row per record, and
-each later file is offered the next free row, so a file that starts with
-the header write_pgm writes for that shape is read with one os.readv
-straight into it.  Any other file is parsed as the first was; its image is
-copied into the row if it has the first shape, or else kept in a list of
-its shape's images, which is stacked once after the last file.
+A corpus's images are held as [(ids, pixels)] stacks, one per image shape,
+each pixels one contiguous (n, h, w) uint8 array of ids' images, so the
+hash stage takes a whole stack at once.  `read_images` builds them with one
+read_pgm call per file.  The first file is read whole and parsed; its shape
+gets an array with a row per record, and each later file is offered the
+next free row, so a file that starts with the header write_pgm writes for
+that shape is read with one os.readv straight into it.  Any other file is
+parsed as the first was; its image is copied into the row if it has the
+first shape, or else kept in a list of its shape's images, which is stacked
+once after the last file.
 """
 
 import functools
@@ -26,7 +26,6 @@ import json
 import math
 import os
 import re
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -356,50 +355,20 @@ def read_pgm(path, into=None):
     return np.frombuffer(data, np.uint8, width * height, header.end()).reshape(height, width)
 
 
-class ImageStacks(Mapping):
-    """Meme id -> pixels, a read-only 2-D uint8 array, built once from
-    finished [(ids, pixels)] stacks, each pixels one (n, h, w) uint8 array of
-    ids' images.  A read-only view of each array is kept, so the caller's
-    stays writable; ids run stack by stack, in the order given, and an id in
-    two places raises DataFormatError."""
-
-    def __init__(self, stacks):
-        self._stacks = []
-        self._where = {}       # meme id -> (read-only stack, row)
-        for ids, pixels in stacks:
-            frozen = pixels.view()
-            frozen.flags.writeable = False
-            for row, meme_id in enumerate(ids):
-                if meme_id in self._where:
-                    raise DataFormatError(f"duplicate id {meme_id}")
-                self._where[meme_id] = frozen, row
-            self._stacks.append((list(ids), frozen))
-
-    @property
-    def stacks(self):
-        """[(ids, pixels)]: each stack's ids, a list, and its read-only array."""
-        return [(list(ids), pixels) for ids, pixels in self._stacks]
-
-    def __getitem__(self, meme_id):
-        stack, row = self._where[meme_id]
-        return stack[row]
-
-    def __iter__(self):
-        return iter(self._where)
-
-    def __len__(self):
-        return len(self._where)
-
-
 def read_images(manifest_path, records):
-    """An ImageStacks of each record's image, read relative to the manifest
-    as the module docstring says, the first shape's stack first.  An image
-    too small to hash is rejected here, by its path."""
+    """[(ids, pixels)] stacks of each record's image, read relative to the
+    manifest as the module docstring says, the first shape's stack first.
+    An image too small to hash is rejected here, by its path, and an id
+    given twice raises DataFormatError."""
     from .phash import BLOCK_SIDE  # phash imports this module
     root = os.path.dirname(os.path.abspath(manifest_path))
     rows, first_ids = None, []     # the first shape's array, and its ids
     others = {}                    # any other shape -> ([ids], [pixels])
+    seen = set()
     for rec in records:
+        if rec.id in seen:
+            raise DataFormatError(f"duplicate id {rec.id}")
+        seen.add(rec.id)
         path = os.path.join(root, rec.img)
         row = None if rows is None else rows[len(first_ids)]
         pixels = read_pgm(path, row)
@@ -419,4 +388,4 @@ def read_images(manifest_path, records):
             ids.append(rec.id)
             images.append(pixels)
     stacks = [] if rows is None else [(first_ids, rows[:len(first_ids)])]
-    return ImageStacks(stacks + [(ids, np.stack(images)) for ids, images in others.values()])
+    return stacks + [(ids, np.stack(images)) for ids, images in others.values()]

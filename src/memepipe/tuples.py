@@ -183,18 +183,25 @@ def _ids(*values):
     return values
 
 
+def _members(*values):
+    """The values, each checked to be a meme id, two or more and no two alike."""
+    if len(values) < 2 or len(set(_ids(*values))) < len(values):
+        raise ValueError(f"members must be two or more distinct ids, got {list(values)}")
+    return values
+
+
 def _obj_to_group(obj):
     kind = obj["kind"]
     if kind == "three_tuple":
-        return ThreeTuple(*_ids(obj["pivot"], obj["image_partner"], obj["text_partner"]))
+        return ThreeTuple(*_members(obj["pivot"], obj["image_partner"], obj["text_partner"]))
     if kind == "two_tuple":
         if obj["shared"] not in ("image", "text"):
             raise ValueError(f"bad shared modality {obj['shared']!r}")
-        return TwoTuple(*_ids(obj["a"], obj["b"]), obj["shared"])
+        return TwoTuple(*_members(obj["a"], obj["b"]), obj["shared"])
     if kind == "unimodal_hate":
         if obj["modality"] not in ("image", "text"):
             raise ValueError(f"bad modality {obj['modality']!r}")
-        return UnimodalHate(obj["modality"], *_ids(obj["cluster"]), _ids(*obj["members"]))
+        return UnimodalHate(obj["modality"], *_ids(obj["cluster"]), _members(*obj["members"]))
     if kind == "other":
-        return Other(_ids(*obj["members"]))
+        return Other(_members(*obj["members"]))
     raise ValueError(f"unknown kind {kind!r}")

@@ -62,6 +62,9 @@ def test_traced_pipeline_feeds_layer_metrics(tmp_path):
     # generator.phash_calls rests on; the hash stage takes the hashes the
     # generator kept, so a generated corpus is not hashed again
     assert metrics["generator.phash_calls"] == 61
+    # 60 images over those 61 candidates: perfbench reads the count as
+    # len(r.images), so a changed type of GeneratedDataset.images fails here
+    assert metrics["generator.accept_ratio"] == 60 / 61
     assert not [s for s in traced if s.name == "generator.image_hashes"]
 
 

@@ -10,13 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from memepipe import dataset
 from memepipe.clustering import read_clusters, write_clusters
-from memepipe.dataset import (DatasetComposition, GeneratorNoise, ImageStacks,
-                              MemeRecord, read_images, read_manifest, read_pgm,
-                              write_manifest, write_pgm)
+from memepipe.dataset import (DatasetComposition, GeneratorNoise, MemeRecord,
+                              read_images, read_manifest, read_pgm, write_manifest,
+                              write_pgm)
 from memepipe.ensemble import (StackedPrediction, read_predictions, read_submission,
                                write_predictions, write_submission)
 from memepipe.errors import DataFormatError
-from memepipe.phash import read_hashes, write_hashes
+from memepipe.generator import image_hashes
+from memepipe.phash import phash, read_hashes, write_hashes
 from memepipe.rules import PredictionSet
 
 
@@ -437,29 +438,6 @@ def test_pgm_reader_reads_a_writer_file_into_a_row(tmp_path):
             assert (got is other) == (header == b"P5\n9 6\n255\n" and other.shape == (6, 9))
 
 
-def test_image_stacks_hold_each_shape_in_one_array():
-    rng = np.random.default_rng(42)
-    a = rng.integers(0, 256, size=(4, 8, 9), dtype=np.uint8)
-    b = rng.integers(0, 256, size=(3, 9, 9), dtype=np.uint8)
-    ids_a, ids_b = [10, 12, 14, 16], [11, 13, 15]
-    stacks = ImageStacks([(ids_a, a), (ids_b, b)])
-    assert len(stacks) == 7 and list(stacks) == ids_a + ids_b
-    for ids, pixels in ((ids_a, a), (ids_b, b)):
-        for row, meme_id in enumerate(ids):
-            assert np.array_equal(stacks[meme_id], pixels[row])
-            assert not stacks[meme_id].flags.writeable
-    # each stack is a read-only view of the caller's array, which stays writable
-    (got_ids_a, pixels_a), (got_ids_b, pixels_b) = stacks.stacks
-    assert (got_ids_a, got_ids_b) == (ids_a, ids_b)
-    for got, given in ((pixels_a, a), (pixels_b, b)):
-        assert np.shares_memory(got, given) and np.array_equal(got, given)
-        assert not got.flags.writeable and given.flags.writeable
-    with pytest.raises(DataFormatError, match="^duplicate id 12$"):
-        ImageStacks([(ids_a, a), ([11, 12, 15], b)])
-    with pytest.raises(KeyError):
-        stacks[31]
-
-
 def write_image_corpus(root, contents):
     """Write each file's bytes (None: no file; "dir": a directory) as an
     image of a manifest; return the manifest path, its records and the paths."""
@@ -506,16 +484,39 @@ def test_read_images_stacks_each_shape_as_read_pgm_reads_it(tmp_path, monkeypatc
     # one read_pgm call per file; the first shape's files in the writer's
     # form after the first are read straight into their rows
     assert calls == [(str(p), k in (3, 6, 8)) for k, p in enumerate(paths)]
-    # the mapping runs in stack order: the first shape's ids, then the other's
+    # the first shape's stack first, each in record order
     ids = [r.id for r in records]
-    assert isinstance(got, ImageStacks)
-    assert list(got) == [ids[k] for k in (0, 1, 3, 6, 7, 8, 2, 4, 5)]
-    for r, path, img in zip(records, paths, images):
-        assert np.array_equal(got[r.id], real_read_pgm(path))
-        assert np.array_equal(got[r.id], img) and not got[r.id].flags.writeable
-    assert [(i, p.shape) for i, p in got.stacks] == [
+    assert [(i, p.shape) for i, p in got] == [
         ([ids[k] for k in (0, 1, 3, 6, 7, 8)], (6, 64, 64)),
         ([ids[k] for k in (2, 4, 5)], (3, 37, 53))]
+    for stack_ids, pixels in got:
+        for meme_id, row in zip(stack_ids, pixels):
+            k = ids.index(meme_id)
+            assert np.array_equal(row, real_read_pgm(paths[k]))
+            assert np.array_equal(row, images[k])
+
+
+def test_read_images_rejects_an_id_given_twice(tmp_path):
+    # before the repeat's file is read, so its missing file is not reported
+    img = np.zeros((8, 8), np.uint8)
+    manifest, records, _ = write_image_corpus(tmp_path, [pgm_bytes(img)] * 2 + [None])
+    records[2] = dataclasses.replace(records[2], id=records[0].id)
+    with pytest.raises(DataFormatError, match=f"^duplicate id {records[0].id}$"):
+        read_images(manifest, records)
+
+
+def test_ingest_hashes_of_mixed_shapes_are_each_images_phash(tmp_path):
+    # the hash stage's path over a corpus of three shapes, whose ids do not
+    # run in stack order
+    rng = np.random.default_rng(45)
+    shapes = [(64, 64), (37, 53), (64, 64), (20, 90), (37, 53), (64, 64), (20, 90)]
+    contents = [pgm_bytes(rng.integers(0, 256, size=shape, dtype=np.uint8))
+                for shape in shapes]
+    manifest, records, paths = write_image_corpus(tmp_path, contents)
+    stacks = read_images(manifest, records)
+    assert [p.shape[1:] for _, p in stacks] == [(64, 64), (37, 53), (20, 90)]
+    assert image_hashes(stacks) == sorted(
+        (r.id, phash(read_pgm(path))) for r, path in zip(records, paths))
 
 
 @pytest.mark.parametrize("name, content, message", [

@@ -91,8 +91,7 @@ def test_determinism():
     b = generate_dataset(80, seed=9)
     assert a.records == b.records
     assert a.three_tuples == b.three_tuples
-    for meme_id in a.images:
-        assert np.array_equal(a.images[meme_id], b.images[meme_id])
+    assert np.array_equal(a.images, b.images)
 
 
 def test_seed_changes_content():
@@ -103,14 +102,14 @@ def test_seed_changes_content():
 
 def test_near_duplicates_stay_close():
     ds = generate_dataset(160, seed=6)
-    hashes = {i: phash(img) for i, img in ds.images.items()}
+    hashes = dict(enumerate(map(phash, ds.images)))
     for a, b in planted_image_pairs(ds):
         assert hamming(hashes[a], hashes[b]) <= _DUP_MAX_RADIUS
 
 
 def test_bases_stay_separated():
     ds = generate_dataset(120, seed=7)
-    hashes = {i: phash(img) for i, img in ds.images.items()}
+    hashes = dict(enumerate(map(phash, ds.images)))
     paired = set()
     for a, b in planted_image_pairs(ds):
         paired.add((a, b))
@@ -221,22 +220,19 @@ def test_shared_texts_normalize_equal():
 
 def test_detection_recovers_planted_structure():
     ds = generate_dataset(300, seed=12)
-    # the images are one read-only stack, in id order, hashed in chunks as
-    # phash hashes each image
-    [(ids, pixels)] = ds.images.stacks
-    assert ids == list(range(300)) and pixels.shape == (300, 64, 64)
-    assert not pixels.flags.writeable
-    # a view of the one array the generator wrote, which is not frozen
-    assert pixels.base.shape == (300, 64, 64) and pixels.base.flags.writeable
-    hashes = image_hashes(ds.images)
-    assert hashes == image_hashes(dict(ds.images)) == [(i, phash(pixels[i])) for i in ids]
+    # the images are one read-only array, meme i in row i, hashed in chunks
+    # as phash hashes each image
+    pixels = ds.images
+    assert pixels.shape == (300, 64, 64) and not pixels.flags.writeable
+    hashes = image_hashes([(range(300), pixels)])
+    assert hashes == [(i, phash(img)) for i, img in enumerate(pixels)]
     # the generator's own hashes, taken as it placed each image, are those
     assert ds.hashes == hashes
     # at zero amplitude each near-duplicate carries its base's hash; label
     # noise draws after the images and leaves every hash as it was
     for noise in (GeneratorNoise(image_amplitude=0.0), GeneratorNoise(label_noise=0.3)):
         other = generate_dataset(300, None, noise, 12)
-        assert other.hashes == image_hashes(other.images)
+        assert other.hashes == image_hashes([(range(300), other.images)])
     asg = ClusterAssignment(image=cluster_images(hashes, 10),
                             text=cluster_texts(ds.records))
     groups = detect_tuples(ds.records, asg)
@@ -265,8 +261,7 @@ def test_label_noise_flips_labels_only():
         a.label ^ bool(d < 0.3) for a, d in zip(clean.records, clean.label_draws)]
     for a, b in zip(clean.records, noisy.records):
         assert a.text == b.text and a.split == b.split
-    for meme_id in clean.images:
-        assert np.array_equal(clean.images[meme_id], noisy.images[meme_id])
+    assert np.array_equal(clean.images, noisy.images)
 
 
 def test_zero_amplitude_gives_identical_duplicates():
@@ -326,8 +321,7 @@ def dataset_digest(ds):
     for part in (ds.records, sorted(ds.categories.items()), ds.three_tuples,
                  ds.two_tuples, ds.unimodal_groups):
         digest.update(repr(part).encode())
-    for meme_id in sorted(ds.images):
-        digest.update(ds.images[meme_id].tobytes())
+    digest.update(ds.images.tobytes())
     return digest.hexdigest()
 
 

@@ -257,8 +257,10 @@ def test_no_pixel_array_outlives_the_hash_stage(tmp_path, monkeypatch, ingest):
 
     def watched(*args, **kwargs):
         result = make_corpus(*args, **kwargs)
-        images = result if ingest else result.images
-        pixel_refs.extend(weakref.ref(pixels.base) for _, pixels in images.stacks)
+        arrays = [pixels for _, pixels in result] if ingest else [result.images]
+        # each array, and the one a view is of (a list cannot be weakref'd)
+        pixel_refs.extend(weakref.ref(a) for pixels in arrays
+                          for a in (pixels, pixels.base) if a is not None)
         return result
 
     def cluster_images(*args):
@@ -918,6 +920,8 @@ def write_faulty_inputs(d):
     (d / "string_pivot.jsonl").write_text(
         '{"kind": "two_tuple", "a": 0, "b": 1, "shared": "image"}\n'
         '{"kind": "three_tuple", "pivot": "a", "image_partner": 1, "text_partner": 2}\n')
+    (d / "repeated_member.jsonl").write_text(
+        '{"kind": "three_tuple", "pivot": 0, "image_partner": 0, "text_partner": 1}\n')
     # a four-meme corpus whose eval split lacks labels, or has one class
     (d / "corpus").mkdir()
     rng = np.random.default_rng(0)
@@ -944,6 +948,9 @@ def write_faulty_inputs(d):
     # a directory where gen-data writes an image
     (d / "gen_dir" / "images" / "000005.pgm").mkdir(parents=True)
 
+
+REPEATED_MEMBER = ("data error: {d}/repeated_member.jsonl: line 1: bad group: "
+                   "members must be two or more distinct ids, got [0, 0, 1]")
 
 # inputs a builtin error would report, with no path or the wrong exit code,
 # unless checked: name: (argv, with {d} the write_faulty_inputs directory;
@@ -1019,6 +1026,18 @@ ODD_INPUTS = {
     "gen-data onto a directory in place of an image":
         ("gen-data --n 20 --outdir {d}/gen_dir",
          4, "[Errno 21] Is a directory: '{d}/gen_dir/images/000005.pgm'"),
+    "adjust over a group naming one meme twice":
+        ("adjust --preds {d}/both.csv --tuples {d}/repeated_member.jsonl --rule 1 "
+         "--out {d}/a.csv", 3, REPEATED_MEMBER),
+    "pseudo-label over a group naming one meme twice":
+        ("pseudo-label --tuples {d}/repeated_member.jsonl --out {d}/p.csv",
+         3, REPEATED_MEMBER),
+    "simulate over a group naming one meme twice":
+        ("simulate --manifest {d}/two.jsonl --tuples {d}/repeated_member.jsonl "
+         "--out {d}/s.csv", 3, REPEATED_MEMBER),
+    "stats over a group naming one meme twice":
+        ("stats --clusters {d}/one_cluster.csv --tuples {d}/repeated_member.jsonl",
+         3, REPEATED_MEMBER),
     "signed hash id":
         ("cluster --manifest {d}/two.jsonl --hashes {d}/signed_hash_id.csv --out {d}/c.csv",
          3, "{d}/signed_hash_id.csv: line 2: malformed row '+1,00000000000000ff'"),

@@ -189,7 +189,13 @@ def test_groups_file_errors(tmp_path):
                 '"unimodal_hate", "modality": "image", "cluster": -1, "members": [1, 2]',
                 '"unimodal_hate", "modality": "text", "cluster": 1, "members": [1, null]',
                 '"other", "members": "12"',
-                '"other", "members": 12'):
+                '"other", "members": 12',
+                # a group's members are two or more distinct ids
+                '"three_tuple", "pivot": 0, "image_partner": 0, "text_partner": 1',
+                '"two_tuple", "a": 3, "b": 3, "shared": "text"',
+                '"unimodal_hate", "modality": "image", "cluster": 1, "members": [4]',
+                '"other", "members": [5, 6, 5]',
+                '"other", "members": []'):
         path.write_text(good + '{"kind": ' + bad + "}\n")
         with pytest.raises(DataFormatError, match=r"line 2: bad group"):
             read_groups(path)
