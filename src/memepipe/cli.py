@@ -57,15 +57,6 @@ def _non_negative(value, flag):
         raise ConfigError(f"{flag} must be >= 0, got {value}")
 
 
-def _splits(text, flag):
-    """The set of split names in a comma-separated flag value."""
-    wanted = {s.strip() for s in text.split(",")}
-    bad = wanted.difference(SPLITS)
-    if bad:
-        raise ConfigError(f"unknown split(s) in {flag}: {sorted(bad)}")
-    return wanted
-
-
 def _say(args, message):
     """Print a progress message on stderr unless args (parsed flags or a
     built config) is quiet."""
@@ -77,7 +68,12 @@ def cmd_gen_data(args):
     _non_negative(args.seed, "--seed")
     comp = DatasetComposition.parse(args.composition)
     noise = from_number_fields(GeneratorNoise, args)
-    ds, _ = generate_corpus(args.outdir, args.n, comp, noise, args.seed)
+    try:
+        ds, _ = generate_corpus(args.outdir, args.n, comp, noise, args.seed)
+    except (ConfigError, OSError):      # exit 2, or 4 with the path
+        raise
+    except Exception as exc:   # such as MemoryError: exit 4, as the generate stage
+        raise StageError("generate", exc) from exc
     _say(args, f"wrote {len(ds.records)} memes to {args.outdir}")
 
 
@@ -126,12 +122,10 @@ def cmd_stats(args):
 
 
 def cmd_tuples(args):
-    scope = None if args.scope == "all" else _splits(args.scope, "--scope")
     records = read_manifest(args.manifest)
     assignment = read_clusters(args.clusters)
     with _in_file(args.clusters):
-        groups = detect_tuples([rec for rec in records
-                                if scope is None or rec.split in scope], assignment)
+        groups = detect_tuples(records, assignment)
     write_groups(groups, args.out)
     _say(args, f"found {len(groups)} groups -> {args.out}")
 
@@ -246,8 +240,6 @@ def build_parser():
     p = sub.add_parser("tuples", help="detect confounder groups")
     p.add_argument("--manifest", required=True)
     p.add_argument("--clusters", required=True)
-    p.add_argument("--scope", default="all",
-                   help="comma-separated splits to analyze, or 'all'")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_tuples)
 

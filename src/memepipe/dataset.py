@@ -23,9 +23,9 @@ once after the last file.
 
 import functools
 import json
-import math
 import os
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,9 +90,10 @@ class GeneratorNoise:
     label_noise: float = 0.0          # chance a recorded label is flipped
 
     def __post_init__(self):
-        if not 0 <= self.image_amplitude < math.inf:   # rejects NaN too
-            raise ConfigError(f"image_amplitude must be >= 0 and finite, "
-                              f"got {self.image_amplitude}")
+        # the noise is drawn from [-a, a], whose width 2 * a must be finite
+        if not 0 <= self.image_amplitude <= sys.float_info.max / 2:   # rejects NaN too
+            raise ConfigError(f"image_amplitude must be >= 0 and finite, at most "
+                              f"{sys.float_info.max / 2!r}, got {self.image_amplitude}")
         for name in ("text_perturb_prob", "label_noise"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

@@ -31,9 +31,10 @@ one `f"{id},{x:.9f}"` per row; a set holds only scores in [0, 1] without a
 sign bit.  `read_predictions` cuts a file in the writer's exact form into
 that layout from each row's newline, and a row's score is num / 1e9 for the
 integer num its ten digits spell.  A file with an id of more than 18 digits,
-a repeated id or a value above 1, and any other file, falls back on
-`read_csv`, the per-row reference, which reads or rejects it with its line.
-Both give the same values, and the set comes back sorted by id.
+ids out of the writer's strictly increasing order or a value above 1, and
+any other file, falls back on `read_csv`, the per-row reference, which reads
+or rejects it with its line.  Both give the same values, and the set comes
+back sorted by id.
 """
 
 import math
@@ -231,9 +232,9 @@ def read_predictions(path):
 
 
 def _bulk_read(path):
-    """(ids, values), sorted by id, of a file in exactly the writer's form
-    with ids of at most 18 digits, none repeated, and no value above 1;
-    else None for `read_csv` to read or reject."""
+    """(ids, values) of a file in exactly the writer's form: ids of at most
+    18 digits in strictly increasing order, and no value above 1; else None
+    for `read_csv` to read or reject."""
     text = path.read_bytes()
     if not (text.startswith(_HEADER) and text.endswith(b"\n")):
         return None
@@ -260,13 +261,8 @@ def _bulk_read(path):
     # a shorter id's row starts with bytes of the row before: mask them out
     ids = (np.where(np.arange(width, 0, -1) <= id_len[:, None], rows[:, :width], 0)
            @ 10 ** np.arange(width - 1, -1, -1, dtype=np.int64))
-    if num.max(initial=0.0) > 1e9:
+    if num.max(initial=0.0) > 1e9 or not np.all(ids[1:] > ids[:-1]):   # the writer's order
         return None
-    if not np.all(ids[1:] > ids[:-1]):   # the writer's order; else sort, barring repeats
-        order = np.argsort(ids, kind="stable")
-        ids, num = ids[order], num[order]
-        if np.any(ids[1:] == ids[:-1]):
-            return None
     ids.flags.writeable = False
     return ids, num / 1e9
 

@@ -105,22 +105,19 @@ class PredictionSet:
 
     def positions(self, meme_ids, what):
         """The index in `ids` of each id of the list meme_ids; the first id
-        missing raises DataFormatError naming `what`."""
-        if len(self.ids) and {*map(type, meme_ids)} <= {int}:
-            try:
-                want = np.array(meme_ids, np.int64)
-            except OverflowError:      # beyond int64, so in no set
-                want = None
-            if want is not None:
-                pos = np.searchsorted(self.ids, want)
-                if np.array_equal(self.ids.take(pos, mode="clip"), want):
-                    return pos
-        # a missing id, or ids of other types, looked up as a dict would
-        index = dict(zip(self.ids.tolist(), range(len(self.ids))))
-        for meme_id in meme_ids:
-            if meme_id not in index:
-                raise DataFormatError(f"{what}: meme {meme_id} missing from predictions")
-        return np.array([index[i] for i in meme_ids], np.intp)
+        missing raises DataFormatError naming `what`.  Numpy integer ids are
+        found; a float, an id past int64 or a list of bools alone is not."""
+        want = np.array(meme_ids)
+        if want.dtype != np.int64:
+            ints = [int(i) if isinstance(i, np.integer) else i for i in meme_ids]
+            want = np.array([i if _is_meme_id(i) else -1 for i in ints], np.int64)
+        pos = np.searchsorted(self.ids, want)
+        found = pos < len(self.ids)
+        found[found] = self.ids[pos[found]] == want[found]
+        if not found.all():
+            missing = meme_ids[int(np.argmin(found))]
+            raise DataFormatError(f"{what}: meme {missing} missing from predictions")
+        return pos
 
     def replaced(self, values):
         """A set of the same type, model and ids with the given values."""

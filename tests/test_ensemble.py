@@ -369,22 +369,25 @@ def test_reader_matches_read_csv_on_files_off_the_written_form(tmp_path, body):
 
 
 # files in the writer's form, which the bulk path reads: 18-digit ids (the
-# longest it takes), a short id before a long one, leading zeros, the ends of [0, 1]
+# longest it takes), a short id before a long one, leading zeros in
+# increasing ids, the ends of [0, 1]
 IN_FORM = [
     b"id,proba\n" + b"9" * 18 + b",0.500000000\n",
     b"id,proba\n5,0.250000000\n123456789012345678,0.750000000\n",
-    b"id,proba\n0007,0.500000000\n000000000000000012,0.100000000\n0,0.300000000\n",
+    b"id,proba\n0,0.300000000\n0007,0.500000000\n000000000000000012,0.100000000\n",
     b"id,proba\n1,1.000000000\n2,0.000000000\n",
     b"id,proba\n",
 ]
 # and files it hands to read_csv: a 19-digit id, a value above 1, an empty id,
-# a repeated id written with leading zeros, no final newline (after a row or
-# after digits alone), CRLF, and a row with its ',' or '.' swapped out
+# ids out of increasing order, a repeated id written with leading zeros, no
+# final newline (after a row or after digits alone), CRLF, and a row with its
+# ',' or '.' swapped out
 OFF_FORM = [
     b"id,proba\n" + b"9" * 19 + b",0.500000000\n",
     b"id,proba\n5,0.250000000\n" + b"1" * 19 + b",0.750000000\n",
     b"id,proba\n1,1.000000001\n",
     b"id,proba\n,0.500000000\n",
+    b"id,proba\n0007,0.500000000\n000000000000000012,0.100000000\n0,0.300000000\n",
     b"id,proba\n12,0.500000000\n0012,0.500000000\n",
     b"id,proba\n1,0.250000000",
     b"id,proba\n1,0.250000000\r\n",
@@ -414,6 +417,23 @@ def test_reader_matches_read_csv_on_any_digits_in_the_written_form(rows):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "p.csv"
         path.write_text("id,proba\n" + "".join(f"{i},{d}.{f}\n" for i, d, f in rows))
+        assert bulk_read(path) == reference_read(path)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(ids=st.lists(st.integers(0, 10**18 - 1), max_size=12, unique=True),
+       zeros=st.lists(st.integers(0, 3), min_size=12, max_size=12),
+       fractions=st.lists(st.integers(0, 10**9), min_size=12, max_size=12))
+def test_bulk_reader_reads_increasing_ids_as_read_csv_does(ids, zeros, fractions):
+    # rows in the writer's strictly increasing id order, some ids with
+    # leading zeros up to 18 digits, scores anywhere in [0, 1]: the bulk path
+    # reads them all
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.csv"
+        path.write_text("id,proba\n" + "".join(
+            f"{i:0{min(len(str(i)) + z, 18)}d},{f // 10**9}.{f % 10**9:09d}\n"
+            for i, z, f in zip(sorted(ids), zeros, fractions)))
+        assert ensemble._bulk_read(path) is not None
         assert bulk_read(path) == reference_read(path)
 
 

@@ -69,6 +69,26 @@ def test_pipeline_deterministic_across_directories(tmp_path):
         assert a[name] == b[name], f"{name} differs between runs"
 
 
+def test_k_is_not_a_fold_only_models_times_k_reaches_the_artifacts(tmp_path):
+    # the simulator draws models x k independent sets, so 1 x 4 and 2 x 2
+    # write the same files, and the run manifest records only the knobs
+    runs = []
+    for models, k in (("1", "4"), ("2", "2")):
+        out = tmp_path / f"{models}x{k}"
+        assert run_cli("--quiet", "pipeline", "--outdir", str(out), "--n", "60",
+                       "--no-images", "--models", models, "--k", k) == 0
+        runs.append({str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*")
+                     if p.is_file()})
+    a, b = runs
+    assert a.keys() == b.keys() and len([n for n in a if n.startswith("preds/")]) == 4
+    for name in a.keys() - {"run_manifest.json"}:
+        assert a[name] == b[name], f"{name} differs between 1 x 4 and 2 x 2"
+    manifests = [json.loads(run["run_manifest.json"]) for run in runs]
+    assert [(m["config"].pop("models"), m["config"].pop("k")) for m in manifests] == \
+        [(1, 4), (2, 2)]
+    assert manifests[0] == manifests[1]
+
+
 def test_pipeline_run_manifest_digests_match_files(tmp_path):
     run_quick(tmp_path / "run")
     manifest = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
@@ -693,6 +713,25 @@ def test_image_write_failure_names_the_path_and_leaves_no_thread(tmp_path, capsy
 
 
 @pytest.mark.parametrize("name", sorted(GENERATING))
+def test_any_generator_failure_is_one_line_and_leaves_no_images(
+        tmp_path, capsys, monkeypatch, name):
+    # a fault outside the three error classes, such as running out of
+    # memory, after images have been handed to the writer
+    real = generator.generate_dataset
+
+    def failing(n, composition, noise, seed, on_image):
+        real(20, composition, noise, seed, on_image)
+        raise MemoryError("Unable to allocate 3.05 TiB")
+    monkeypatch.setattr(generator, "generate_dataset", failing)
+    out = tmp_path / "out"
+    assert run_cli(*generating_argv(name, out, "--n", "1000000000")) == 4
+    assert capsys.readouterr().err == \
+        "error: stage 'generate' failed: Unable to allocate 3.05 TiB\n"
+    assert only_main_thread()
+    assert not (out / "images").exists()
+
+
+@pytest.mark.parametrize("name", sorted(GENERATING))
 def test_written_images_are_the_corpus_in_memory(tmp_path, name):
     out = tmp_path / "out"
     assert run_cli(*generating_argv(name, out, "--n", "60", "--seed", "3")) == 0
@@ -854,6 +893,10 @@ EXIT_CODE_TABLE = {
         ("adjust --preds {d}/one.csv --tuples {d}/pair.jsonl --rule 2 --out {d}/a.csv",
          3, "{d}/one.csv"),
     "gen-data --n 5": ("gen-data --n 5 --outdir {d}/gen", 2, None),
+    "gen-data --image-amplitude 1e308":
+        ("gen-data --n 300 --image-amplitude 1e308 --outdir {d}/gen", 2, None),
+    "pipeline --image-amplitude 1e308":
+        ("pipeline --outdir {d}/run --n 300 --image-amplitude 1e308", 2, None),
     "cluster --threshold 99":
         ("cluster --manifest {d}/two.jsonl --hashes {d}/hashes.csv --threshold 99 "
          "--out {d}/c.csv", 2, None),
@@ -1136,21 +1179,22 @@ def test_cli_simulate_unlabelled_manifest_is_a_data_error(tmp_path, capsys):
     assert not (tmp_path / "sim.csv").exists()
 
 
-def test_cli_tuples_rejects_unknown_split_names(tmp_path, capsys):
+def test_cli_tuples_refuses_the_removed_scope_options(tmp_path, capsys):
     out = tmp_path / "run"
     run_quick(out)
     base = ["tuples", "--manifest", str(out / "manifest.jsonl"),
             "--clusters", str(out / "clusters.csv"),
             "--out", str(tmp_path / "groups.jsonl")]
-    assert run_cli(*base, "--scope", "train,tain") == 2
-    assert "unknown split(s) in --scope: ['tain']" in capsys.readouterr().err
-    # the unimodal scan is gone, and so is its option
-    with pytest.raises(SystemExit) as exc:
-        run_cli(*base, "--unimodal-scope", "train")
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --unimodal-scope" in capsys.readouterr().err
+    # tuples always groups the whole corpus: the split scope and the
+    # unimodal scan are gone, and so are their options
+    for flag, value in (("--scope", "train"), ("--unimodal-scope", "train")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*base, flag, value)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not (tmp_path / "groups.jsonl").exists()
-    assert run_cli("--quiet", *base, "--scope", "train") == 0
+    assert run_cli("--quiet", *base) == 0
+    assert (tmp_path / "groups.jsonl").read_bytes() == (out / "tuples.jsonl").read_bytes()
 
 
 def test_cli_stack_writes_submission_rows(tmp_path):

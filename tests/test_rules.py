@@ -169,6 +169,21 @@ def test_rule2_pair_positions_follow_the_groups_and_the_ids():
         apply_rule2([TwoTuple(3, 4, "text")], a)
 
 
+def test_positions_look_ids_up_by_their_integer_value():
+    ps = PredictionSet("m0", ids=np.array([0, 1, 5, 2**63 - 1]), values=[0.1, 0.2, 0.3, 0.4])
+    assert ps.positions([5, 0, 2**63 - 1], "x").tolist() == [2, 0, 3]
+    assert ps.positions([np.int32(5), np.uint64(1), np.int64(0)], "x").tolist() == [2, 1, 0]
+    assert ps.positions([], "x").tolist() == []
+    # a bool or a float is not an id, though it equals one; the first id
+    # missing, in the order given, is named
+    for meme_ids, missing in (([True, False], True), ([1.0, 5.0], 1.0),
+                              ([5, 2**63, 7], 2**63), ([5, 3, -1], 3)):
+        with pytest.raises(DataFormatError, match=f"x: meme {missing} missing"):
+            ps.positions(meme_ids, "x")
+    with pytest.raises(DataFormatError, match="x: meme 0 missing"):
+        PredictionSet("empty", {}).positions([0], "x")
+
+
 def test_rule2_pairs_sharing_a_meme_apply_in_order():
     # (1, 2) sends 1 up and 2 down; then (2, 3) compares 2's new 0.0 with 3
     groups = [TwoTuple(1, 2, "image"), TwoTuple(2, 3, "image")]
