@@ -197,7 +197,7 @@ def cmd_pipeline(args):
     result = run_pipeline(cfg, args.outdir)
     if result.report is not None:
         print(result.report.machine_line())
-    _say(cfg, f"submission: {result.submission_path}")
+    _say(cfg, f"submission: {result.artifacts['submission.csv']}")
 
 
 def build_parser():

@@ -61,8 +61,8 @@ _TRIPLES = _LEADS[:1000, 2:]
 
 
 class StackedPrediction(PredictionSet):
-    """A stacked set, labelled 1 iff its score >= 0.5; `mean_score` and
-    `label` read it as fresh dicts id -> score and id -> label."""
+    """A stacked set, labelled 1 iff its score >= 0.5; `mean_score` reads
+    it as a fresh dict id -> score."""
 
     @property
     def labels(self):
@@ -71,10 +71,6 @@ class StackedPrediction(PredictionSet):
     @property
     def mean_score(self):
         return self.scores
-
-    @property
-    def label(self):
-        return dict(zip(self.ids.tolist(), self.labels.tolist()))
 
 
 def stack_equal_weight(sets):

@@ -325,10 +325,10 @@ class ImageWriter:
     background thread, in the order they are put.
 
     The pixels put must not change until the writer is finished.  After a
-    write fails, no later image is written; `finish` waits for the thread
-    and raises that first error, which names its path.  `discard` stops the
-    thread and removes every image it wrote, then the directories it made
-    if they are empty.
+    write fails, no later image is written; `write_images` waits for the
+    thread and raises that first error, which names its path.  `discard`
+    stops the thread and removes every image it wrote, then the directories
+    it made if they are empty.
     """
 
     def __init__(self, out_dir):
@@ -350,7 +350,7 @@ class ImageWriter:
         # only write_pgm and small helpers run here: a profiler that wraps
         # memepipe's stage functions and keeps one stack of open calls for
         # all threads must see no call from this thread.  An error is kept
-        # for finish, since one raised here would be lost
+        # for write_images, since one raised here would be lost
         for meme_id, pixels in iter(self._queue.get, None):
             if self._skip:
                 continue
@@ -365,12 +365,6 @@ class ImageWriter:
     def _join(self):
         self._queue.put(None)
         self._thread.join()
-
-    def finish(self):
-        """Wait for every image put; raise the first failed write's error."""
-        self._join()
-        if self._error is not None:
-            raise self._error
 
     def discard(self):
         """Stop writing; remove the images written and the directories made."""
@@ -389,7 +383,9 @@ def write_images(writer):
     emitted the images; the first failed write's OSError is raised, with its
     path.  A function of its own, so a profiler that wraps memepipe's
     functions sees the generate stage's wait as one call."""
-    writer.finish()
+    writer._join()
+    if writer._error is not None:
+        raise writer._error
 
 
 def generate_corpus(out_dir, n, composition=None, noise=None, seed=0, images=True):

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 from .clustering import (HAMMING_THRESHOLD, ClusterAssignment, cluster_images,
                          cluster_texts, corpus_stats, write_clusters)
-from .dataset import (SPLITS, DatasetComposition, GeneratorNoise, read_images,
-                      read_manifest, write_lines, write_manifest)
+from .dataset import (SPLITS, DatasetComposition, GeneratorNoise, _numbered_lines,
+                      read_images, read_manifest, write_lines, write_manifest)
 from .ensemble import (StackedPrediction, stack_equal_weight, write_predictions,
                        write_submission)
 from .errors import ConfigError, DataFormatError, StageError, _in_file
@@ -118,13 +118,10 @@ def load_config_file(path):
     comment.  A fault, such as a repeated key, raises ConfigError with the line."""
     values = {}
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:     # names the path
+        lines = _numbered_lines(path)
+    except (OSError, DataFormatError) as exc:     # each names the path
         raise ConfigError(f"cannot read config file: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"cannot read config file: {path}: not UTF-8 text: {exc}") from None
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in lines:
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -162,7 +159,6 @@ def build_config(file_values=None, overrides=None):
 @dataclass
 class PipelineResult:
     report: object                # EvaluationReport, or None unless the eval split is two-class
-    submission_path: str
     artifacts: dict               # name -> path
     stacked: StackedPrediction    # the final scores and labels
 
@@ -188,7 +184,6 @@ def _digest(path):
 
 @dataclass
 class Structure:
-    hashes: list                  # (id, hash) pairs sorted by id
     assignment: ClusterAssignment
     groups: list                  # detected tuples
     pseudo: object                # held-out rule 1 PseudoLabelSet, None without rule 1
@@ -216,7 +211,7 @@ def detect(cfg, records, hashes):
             full = rule1_pseudo_labels(groups).labels
             return PseudoLabelSet({i: v for i, v in full.items() if i in held_ids})
         pseudo = _stage("pseudo-label", pseudo_stage, quiet)
-    return Structure(hashes, assignment, groups, pseudo)
+    return Structure(assignment, groups, pseudo)
 
 
 def simulate(cfg, records, groups):
@@ -260,7 +255,7 @@ def score(cfg, records, structure, sets):
     return Scores(adjusted, final, report)
 
 
-def _write_artifacts(cfg, out_dir, records, structure, sets, scores):
+def _write_artifacts(cfg, out_dir, records, hashes, structure, sets, scores):
     """Write every artifact of detect, simulate and score; return their names."""
     names = []
 
@@ -268,7 +263,7 @@ def _write_artifacts(cfg, out_dir, records, structure, sets, scores):
         names.append(name)
         return os.path.join(out_dir, name)
 
-    write_hashes(structure.hashes, out("hashes.csv"))
+    write_hashes(hashes, out("hashes.csv"))
     write_clusters(structure.assignment, out("clusters.csv"))
     write_groups(structure.groups, out("tuples.jsonl"))
     if structure.pseudo is not None:
@@ -364,7 +359,7 @@ def run_pipeline(cfg, out_dir):
         sets = simulate(cfg, records, structure.groups)
         scores = score(cfg, records, structure, sets)
     names += _stage("write", lambda: _write_artifacts(
-        cfg, out_dir, records, structure, sets, scores), quiet)
+        cfg, out_dir, records, hashes, structure, sets, scores), quiet)
 
     artifacts = {name: os.path.join(out_dir, name) for name in names}
     stats = corpus_stats(structure.assignment)
@@ -384,8 +379,7 @@ def run_pipeline(cfg, out_dir):
     }
     write_lines(os.path.join(out_dir, "run_manifest.json"),
                 [json.dumps(run_manifest, indent=2, sort_keys=True)])
-    return PipelineResult(scores.report, artifacts["submission.csv"], artifacts,
-                          scores.final)
+    return PipelineResult(scores.report, artifacts, scores.final)
 
 
 def _config_obj(cfg):

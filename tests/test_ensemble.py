@@ -21,7 +21,7 @@ def test_stack_single_set_identity():
     ps = PredictionSet("a", {1: 0.9, 2: 0.3})
     out = stack_equal_weight([ps])
     assert out.mean_score == {1: 0.9, 2: 0.3}
-    assert out.label == {1: 1, 2: 0}
+    assert out.labels.tolist() == [1, 0]
 
 
 def test_stack_mean_at_threshold_is_positive():
@@ -29,14 +29,14 @@ def test_stack_mean_at_threshold_is_positive():
             PredictionSet("c", {1: 0.9})]
     out = stack_equal_weight(sets)
     assert out.mean_score[1] == pytest.approx(0.5, abs=1e-15)
-    assert out.label[1] == 1
+    assert out.labels.tolist() == [1]
 
 
 def test_stack_constant_sets():
     sets = [PredictionSet(f"m{i}", {1: 0.3, 2: 0.3}) for i in range(20)]
     out = stack_equal_weight(sets)
     assert out.mean_score == {1: 0.3, 2: 0.3}
-    assert out.label == {1: 0, 2: 0}
+    assert out.labels.tolist() == [0, 0]
 
 
 def test_stack_order_invariant_exactly():

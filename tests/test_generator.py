@@ -287,7 +287,7 @@ def test_write_images_round_trip(tmp_path):
 
 def test_image_writer_under_frequent_thread_switches(tmp_path):
     # a switch every microsecond interleaves the writer's thread with puts,
-    # finish and discard at many more points than a normal run does
+    # write_images and discard at many more points than a normal run does
     ds = generate_dataset(40, seed=16)
     expected = {}
     for rec in ds.records:
@@ -305,7 +305,7 @@ def test_image_writer_under_frequent_thread_switches(tmp_path):
                 if rec.id < round_:
                     discarded.put(rec.id, ds.images[rec.id])
             discarded.discard()
-            finished.finish()
+            write_images(finished)
             assert not dropped.exists()
             assert {f"images/{name}" for name in os.listdir(done / "images")} == set(expected)
             for img, data in expected.items():

@@ -4,6 +4,8 @@ import json
 import os
 import pathlib
 import re
+import subprocess
+import sys
 import threading
 import time
 import weakref
@@ -12,11 +14,12 @@ import numpy as np
 import pytest
 
 from memepipe import cli, clustering, generator, pipeline
-from memepipe.dataset import MemeRecord, read_manifest, write_manifest, write_pgm
+from memepipe.dataset import (MemeRecord, read_images, read_manifest, write_manifest,
+                              write_pgm)
 from memepipe.ensemble import (read_predictions, stack_equal_weight,
-                               write_predictions)
+                               write_predictions, write_submission)
 from memepipe.errors import ConfigError, StageError
-from memepipe.generator import generate_corpus, generate_dataset
+from memepipe.generator import generate_corpus, generate_dataset, image_hashes
 from memepipe.rules import PredictionSet
 from memepipe.simulator import SimulatorConfig
 from memepipe.pipeline import (PipelineConfig, build_config, detect,
@@ -226,9 +229,9 @@ def test_ingest_mode_reuses_generated_corpus(tmp_path):
         {}, {"manifest": str(tmp_path / "gen" / "manifest.jsonl"), "seed": 3, "quiet": True}),
         str(tmp_path / "ingest"))
     assert second.report is not None
-    with open(first.submission_path, "rb") as fh:
+    with open(first.artifacts["submission.csv"], "rb") as fh:
         left = fh.read()
-    with open(second.submission_path, "rb") as fh:
+    with open(second.artifacts["submission.csv"], "rb") as fh:
         right = fh.read()
     assert left == right
 
@@ -245,6 +248,60 @@ def test_score_without_eval_labels_has_no_report():
                             else r for r in ds.records], structure, sets)
     assert labeled.report is not None and unlabeled.report is None
     assert unlabeled.final == labeled.final
+
+
+def test_unlabelled_corpus_scores_a_labelled_runs_prediction_files(tmp_path):
+    # the gate a run on genuine prediction files must pass: detection needs
+    # no label, so with the dev and test labels stripped, a labelled run's
+    # preds/ files give its stacked.csv and submission.csv byte for byte
+    corpus = tmp_path / "corpus"
+    assert run_cli("--quiet", "gen-data", "--n", "300", "--seed", "3",
+                   "--outdir", str(corpus)) == 0
+    lab = tmp_path / "lab"
+    assert run_cli("--quiet", "pipeline", "--outdir", str(lab), "--manifest",
+                   str(corpus / "manifest.jsonl"), "--models", "2", "--k", "2") == 0
+    unlabelled = [rec if rec.split == "train" else dataclasses.replace(rec, label=None)
+                  for rec in read_manifest(corpus / "manifest.jsonl")]
+    test_ids = sorted(rec.id for rec in unlabelled if rec.split == "test")
+
+    def run(name, records, pred_paths):
+        """stacked.csv and submission.csv of records, written as name.jsonl
+        beside the images, scored with the files at pred_paths."""
+        manifest = corpus / f"{name}.jsonl"
+        write_manifest(records, manifest)
+        records = read_manifest(manifest)
+        cfg = PipelineConfig(manifest=str(manifest), models=2, k=2, quiet=True)
+        structure = detect(cfg, records, image_hashes(read_images(str(manifest), records)))
+        scores = score(cfg, records, structure, [read_predictions(p) for p in pred_paths])
+        assert scores.report is None
+        stacked, submission = tmp_path / f"{name}-stacked.csv", tmp_path / f"{name}-sub.csv"
+        write_predictions(scores.final, stacked)
+        write_submission(scores.final, submission,
+                         [rec.id for rec in records if rec.split == "test"])
+        return stacked.read_bytes(), submission.read_bytes()
+
+    pred_paths = sorted((lab / "preds").glob("*.csv"))
+    assert len(pred_paths) == 4
+    stacked, submission = run("unlabelled", unlabelled, pred_paths)
+    assert stacked == (lab / "stacked.csv").read_bytes()
+    assert submission == (lab / "submission.csv").read_bytes()
+    rows = [line.split(b",") for line in submission.splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == test_ids
+
+    # ids renumbered monotonically in the manifest and in every prediction
+    # file: the submission maps one to one onto the one above
+    def new_id(meme_id):
+        return 3 * meme_id + 5
+    (tmp_path / "renumbered").mkdir()
+    for path in pred_paths:
+        ps = read_predictions(path)
+        write_predictions(PredictionSet(ps.model_id, ids=new_id(ps.ids), values=ps.values),
+                          tmp_path / "renumbered" / path.name)
+    _, renumbered = run("renumbered",
+                        [dataclasses.replace(rec, id=new_id(rec.id)) for rec in unlabelled],
+                        sorted((tmp_path / "renumbered").glob("*.csv")))
+    assert [line.split(b",") for line in renumbered.splitlines()[1:]] == [
+        [str(new_id(int(i))).encode(), *rest] for i, *rest in rows]
 
 
 def test_simulate_builds_one_population_per_run(tmp_path, monkeypatch):
@@ -486,6 +543,23 @@ def test_readme_library_snippet_prints_the_readme_result(capsys):
     assert capsys.readouterr().out == result + "\n"
 
 
+def test_readme_rule_table_matches_the_readme_config():
+    # the README's test AUROC with each rule on and off: one corpus,
+    # structure and set of simulated scores, scored once per table row
+    rows = re.findall(r"^\| [^|]+ \| (.+) \| (0\.\d{9}) \|$",
+                      README.read_text(encoding="utf-8"), re.M)
+    switches = [("--no-rule1" not in flags, "--no-rule2" not in flags) for flags, _ in rows]
+    assert sorted(switches) == [(False, False), (False, True), (True, False), (True, True)]
+    cfg = PipelineConfig(seed=7, quiet=True)
+    ds = generate_dataset(cfg.n, seed=cfg.seed)
+    structure = detect(cfg, ds.records, ds.hashes)
+    sets = simulate(cfg, ds.records, structure.groups)
+    for (rule1, rule2), (flags, auroc) in zip(switches, rows):
+        report = score(dataclasses.replace(cfg, rule1=rule1, rule2=rule2),
+                       ds.records, structure, sets).report
+        assert f"{report.auroc:.9f}" == auroc, flags
+
+
 def test_defaults_match_documented_run():
     cfg = PipelineConfig()
     assert (cfg.n, cfg.seed, cfg.models, cfg.k) == (2000, 7, 4, 5)
@@ -518,7 +592,7 @@ def pipeline_config(monkeypatch, *argv):
 
     def fake_run(cfg, out_dir):
         seen.append(cfg)
-        return type("Result", (), {"report": None, "submission_path": ""})()
+        return type("Result", (), {"report": None, "artifacts": {"submission.csv": ""}})()
     monkeypatch.setattr(cli, "run_pipeline", fake_run)
     code = cli.main(list(argv))
     return code, (seen[0] if seen else None)
@@ -850,6 +924,32 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert exc.value.code == 2, argv
         assert message in capsys.readouterr().err, argv
     assert not (faults / "refused").exists() and not (faults / "refused.csv").exists()
+
+
+def test_console_script_target_exits_with_each_code(tmp_path):
+    # the other CLI tests call cli.main in-process; the installed script
+    # imports pyproject.toml's target in a fresh interpreter and exits with
+    # what it returns
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = README.parent / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["memepipe"]
+    module, _, name = target.partition(":")
+    script = f"import sys\nfrom {module} import {name}\nsys.exit({name}())"
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("{broken\n")
+    out, failed = str(tmp_path / "run"), str(tmp_path / "failed")
+    for code, argv in ((0, ["--version"]),
+                       (0, ["--quiet", "pipeline", "--outdir", out, "--n", "60", "--no-images"]),
+                       (2, ["pipeline", "--outdir", failed, "--n", "5"]),
+                       (3, ["pipeline", "--outdir", failed, "--manifest", str(bad)]),
+                       (4, ["stats", "--clusters", str(tmp_path / "missing.csv")])):
+        proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, (argv, proc.stderr)
+    assert (tmp_path / "run" / "submission.csv").exists()
 
 
 def test_pipeline_single_class_eval_split_writes_no_report(tmp_path, capsys):
@@ -1205,8 +1305,8 @@ def test_cli_stack_writes_submission_rows(tmp_path):
                    "--out", str(tmp_path / "stacked.csv")) == 0
     stacked = stack_equal_weight([read_predictions(p) for p in paths])
     expected = "id,proba,label\n" + "".join(
-        f"{i},{stacked.mean_score[i]:.9f},{stacked.label[i]}\n"
-        for i in sorted(stacked.mean_score))
+        f"{i},{value:.9f},{label}\n" for i, value, label in zip(
+            stacked.ids.tolist(), stacked.values.tolist(), stacked.labels.tolist()))
     assert (tmp_path / "stacked.csv").read_text() == expected
 
 

@@ -24,7 +24,7 @@ def test_rule1_overrides_members():
     stacked = StackedPrediction("stacked", {1: 0.4, 2: 0.8, 3: 0.6, 4: 0.7})
     out = apply_rule1([ThreeTuple(1, 2, 3)], stacked)
     assert type(out) is StackedPrediction and out.ids is stacked.ids
-    assert out.label == {1: 1, 2: 0, 3: 0, 4: 1}
+    assert out.labels.tolist() == [1, 0, 0, 1]
 
 
 def test_rule1_leaves_input_untouched():
@@ -237,7 +237,7 @@ def test_prediction_set_columns_are_its_own_and_read_only():
         assert apply_rule2([TwoTuple(1, 2, "image")], ps).scores == {1: 0.0, 2: 1.0, 3: 0.5}
         assert apply_rule1([ThreeTuple(3, 1, 2)], ps).scores == {1: 0.0, 2: 0.0, 3: 1.0}
         assert ps.replaced(1.0 - ps.values).scores == {1: 0.75, 2: 0.25, 3: 0.5}
-        assert stack_equal_weight([ps, ps]).label == {1: 0, 2: 1, 3: 1}
+        assert stack_equal_weight([ps, ps]).labels.tolist() == [0, 1, 1]
         assert ps.scores == {1: 0.25, 2: 0.75, 3: 0.5}
     # the caller's arrays stay the caller's, writable
     ids[0], values[0] = 0, 1.0
